@@ -3,8 +3,11 @@
 Everything random in this package is derived from a 32-byte seed through a
 ChaCha20 keystream, so identical seeds reproduce identical keys, permutations
 and trials on any platform. Gaussians are produced by the inverse-CDF (probit)
-method applied to 53-bit uniforms taken from the keystream; this choice is
-part of the package's determinism contract.
+method applied to 53-bit uniforms taken from the keystream. Permutations of
+range(n) are Fisher-Yates shuffles: for i = n-1 down to 1, take one big-endian
+u64 v from the keystream, reject it and take the next if
+v >= floor(2**64 / (i+1)) * (i+1), then swap slots i and j = v mod (i+1).
+Both rules are part of the package's determinism contract.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ SEED_BYTES = 32
 
 _ZERO_NONCE = bytes(16)
 _TWO_NEG_53 = 2.0 ** -53
+_U64_MAX = np.uint64((1 << 64) - 1)
 
 
 def check_seed(seed: bytes) -> bytes:
@@ -72,17 +76,27 @@ class ChaChaStream:
             filled += len(vals)
         return out
 
-    def _randbelow(self, bound: int) -> int:
-        limit = (1 << 64) // bound * bound
-        while True:
-            v = int.from_bytes(self.take(8), "big")
-            if v < limit:
-                return v % bound
-
     def permutation_indices(self, n: int) -> np.ndarray:
-        """Uniform random permutation of range(n) (Fisher-Yates)."""
-        idx = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self._randbelow(i + 1)
+        """Uniform random permutation of range(n) (Fisher-Yates).
+
+        For i = n-1 down to 1 the slot draws one big-endian u64 v, rejects it
+        if v >= floor(2**64 / (i+1)) * (i+1) and draws again, and swaps i with
+        j = v mod (i+1). The draws are taken in bulk, but the stream is left
+        exactly where the one-draw-at-a-time loop would leave it.
+        """
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        # v >= floor(2**64/b)*b  <=>  v > 2**64-1 - (2**64 mod b)
+        cuts = _U64_MAX - (_U64_MAX % bounds + 1) % bounds
+        draws = self.uint64(len(bounds))
+        # A rejected draw is dropped and the later draws move up one slot, so
+        # every slot gets the draw the one-at-a-time loop would have given it.
+        start = 0
+        while (rejected := np.flatnonzero(draws[start:] > cuts[start:])).size:
+            start += int(rejected[0])
+            draws = np.concatenate((draws[:start], draws[start + 1 :], self.uint64(1)))
+        js = (draws % bounds).tolist()
+        del bounds, cuts, draws  # freed before the two lists are built, to keep peak memory down
+        idx = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int64)

@@ -198,23 +198,27 @@ class _RoleServer:
             self._threads.append(t)
 
     def _serve_connection(self, conn: TcpTransport, peer):
-        while True:
-            try:
-                env = _recv_envelope(conn)
-            except TransportClosed:
-                return
-            except DecodeError as exc:
-                # Bad frame: this connection is unusable, but the server lives on.
-                log.warning("%s: dropping connection from %s: %s", self.role.name, peer, exc)
-                conn.close()
-                return
-            try:
-                self._handle(conn, env)
-            except TransportClosed:
-                return
-            except ModHashError as exc:
-                log.warning("%s: session %s aborted: %s", self.role.name, env.session_id.hex()[:8], exc)
-                self._abort_session(conn, env, str(exc))
+        # The session tables keep their routes after the peer leaves, so the
+        # socket is closed here or its descriptor would never be released.
+        try:
+            while True:
+                try:
+                    env = _recv_envelope(conn)
+                except TransportClosed:
+                    return
+                except DecodeError as exc:
+                    # Bad frame: this connection is unusable, but the server lives on.
+                    log.warning("%s: dropping connection from %s: %s", self.role.name, peer, exc)
+                    return
+                try:
+                    self._handle(conn, env)
+                except TransportClosed:
+                    return
+                except ModHashError as exc:
+                    log.warning("%s: session %s aborted: %s", self.role.name, env.session_id.hex()[:8], exc)
+                    self._abort_session(conn, env, str(exc))
+        finally:
+            conn.close()
 
     def _abort_session(self, conn: TcpTransport, env: Envelope, reason: str):
         try:

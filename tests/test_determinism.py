@@ -1,0 +1,125 @@
+"""The determinism contract, pinned as digests and against a reference.
+
+The digests were computed with the sequential Fisher-Yates loop kept below as
+`reference_permutation`; any change to a permutation, pad or wire byte moves
+one of them.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from numpy.random import default_rng
+
+from modhash import ProtocolKind, drive_local, plan_parameters
+from modhash.rng import ChaChaStream
+
+SEED = bytes(range(32))
+
+PERMUTATION_DIGEST = "3088d0ddaee38ab33a3b77f157f96318afe6425bb5e88f4c7e3e56a26da1f3b8"
+
+TRANSCRIPT_DIGESTS = {
+    ProtocolKind.FULL_KEY_3P: "4dd00527dee660e5f7e17e3861946555db1c01ac766c4eb9be17a98b6a806885",
+    ProtocolKind.PUBLIC_A_3P: "fea3091246dc64afb7f7a95e254ab6595d6efcc3c677c919b1edc67207efc608",
+    ProtocolKind.TWO_PARTY_HAMMING: "162e28d2fa84aa4502eb42c20773c5b91fba2babecb518f24bb05dbcc323ec88",
+    ProtocolKind.OBFUSCATED_3P: "09c2ed75da22f0595c054ad88d6ba88bde0090215b8c441f4a074b83c5449069",
+}
+
+U64_MAX = (1 << 64) - 1
+
+
+def _randbelow(stream: ChaChaStream, bound: int) -> int:
+    limit = (1 << 64) // bound * bound
+    while True:
+        v = int.from_bytes(stream.take(8), "big")
+        if v < limit:
+            return v % bound
+
+
+def reference_permutation(stream: ChaChaStream, n: int) -> np.ndarray:
+    """Sequential Fisher-Yates, one rejection-sampled u64 draw at a time."""
+    idx = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = _randbelow(stream, i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+class CraftedStream(ChaChaStream):
+    """Serves fixed bytes through `take` and records how many it served."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self.offset = 0
+
+    def take(self, n: int) -> bytes:
+        if self.offset + n > len(self._data):
+            raise AssertionError("crafted stream exhausted")
+        out = self._data[self.offset : self.offset + n]
+        self.offset += n
+        return out
+
+
+def crafted_bytes(seed: int, draws: int) -> bytes:
+    """Big-endian u64s of which ~40 % sit in the top three values 2**64-1-r,
+    where most bounds reject; the rest are uniform."""
+    rng = default_rng(seed)
+    vals = [
+        U64_MAX - int(rng.integers(3)) if rng.random() < 0.4 else int(rng.integers(1 << 64, dtype=np.uint64))
+        for _ in range(draws)
+    ]
+    return b"".join(v.to_bytes(8, "big") for v in vals)
+
+
+def test_permutation_digest():
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 2989, 32879):
+        stream = ChaChaStream(bytes(32), b"perm")
+        h.update(stream.permutation_indices(n).astype(">i8").tobytes())
+        h.update(stream.take(8))
+    assert h.hexdigest() == PERMUTATION_DIGEST
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.name)
+def test_transcript_digest(kind):
+    x1 = default_rng(0).standard_normal(100)
+    x2 = default_rng(1).standard_normal(100)
+    run = drive_local(kind, x1, x2, plan_parameters(5.0, 1.0, 10), SEED)
+    assert hashlib.sha256(b"".join(e.data for e in run.transcript)).hexdigest() == TRANSCRIPT_DIGESTS[kind]
+    assert run.mean_lee == Fraction(20736, 2989)
+
+
+@pytest.mark.parametrize("n", [2, 50, 2989])
+@pytest.mark.parametrize("label", [b"a", b"b", b"c"])
+def test_permutation_matches_reference_on_chacha(n, label):
+    ref_stream, new_stream = ChaChaStream(SEED, label), ChaChaStream(SEED, label)
+    expected = reference_permutation(ref_stream, n)
+    assert np.array_equal(new_stream.permutation_indices(n), expected)
+    assert new_stream.take(32) == ref_stream.take(32)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 40])
+def test_permutation_matches_reference_through_rejections(n):
+    # ChaCha output reaches a rejection with probability ~2**-49 per draw, so
+    # only crafted bytes exercise the path that skips a draw and tops up.
+    rejected = 0
+    for seed in range(50):
+        data = crafted_bytes(seed, 4 * n + 32)
+        ref_stream, new_stream = CraftedStream(data), CraftedStream(data)
+        expected = reference_permutation(ref_stream, n)
+        assert np.array_equal(new_stream.permutation_indices(n), expected)
+        assert new_stream.offset == ref_stream.offset
+        rejected += ref_stream.offset // 8 - (n - 1)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 2989])
+def test_permutation_dtype_and_edges(n):
+    stream = ChaChaStream(SEED, b"edges")
+    perm = stream.permutation_indices(n)
+    assert perm.dtype == np.int64 and perm.flags.c_contiguous and perm.shape == (n,)
+    assert sorted(perm.tolist()) == list(range(n))
+    if n < 2:
+        # nothing to shuffle, so no keystream is consumed
+        assert stream.take(8) == ChaChaStream(SEED, b"edges").take(8)

@@ -1,7 +1,9 @@
 import json
+import os
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +211,28 @@ def test_tcp_result_frames_match_local_bytes():
     local, tcp, _ = _run_both_ways(ProtocolKind.FULL_KEY_3P)
     local_results = [t.data for t in local.transcript if t.recipient == Role.ALICE]
     assert list(tcp.received_frames) == local_results
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_servers_release_connections_of_finished_sessions():
+    # Before, every finished session left its accepted sockets open, so a
+    # long-running server ran out of descriptors (7 per three-kind round).
+    x1, x2 = _vectors()
+    kinds = (ProtocolKind.FULL_KEY_3P, ProtocolKind.TWO_PARTY_HAMMING, ProtocolKind.OBFUSCATED_3P)
+    open_fds = lambda: len(os.listdir("/proc/self/fd"))  # noqa: E731
+    with CharlieServer() as charlie:
+        charlie.start()
+        with BobServer(x2, charlie_address=charlie.address) as bob:
+            bob.start()
+            before = open_fds()
+            for i in range(10):
+                for kind in kinds:
+                    seed = bytes([i, kind]) * 16
+                    run_over_tcp(kind, x1, PARAMS, seed, bob.address, charlie.address)
+            deadline = time.monotonic() + 5.0
+            while open_fds() - before >= 10 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert open_fds() - before < 10
 
 
 def test_concurrent_sessions_complete_independently():
