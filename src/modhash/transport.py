@@ -50,6 +50,7 @@ from .protocol import MatrixStore, SecureHammingOracle, Session, start_session
 log = logging.getLogger("modhash.transport")
 
 _CLOSED = object()
+_ACCEPT_BACKOFF_S = 0.1
 
 
 class LocalPipe:
@@ -184,8 +185,14 @@ class _RoleServer:
                 sock, peer = self._listener.accept()
             except socket.timeout:
                 continue
-            except OSError:
-                break
+            except OSError as exc:
+                if self._stopping.is_set() or self._listener.fileno() < 0:
+                    break
+                # EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED: the listener
+                # still works, so wait for the shortage to pass and go on.
+                log.warning("%s: accept failed, retrying: %s", self.role.name, exc)
+                self._stopping.wait(_ACCEPT_BACKOFF_S)
+                continue
             if self._stopping.is_set():
                 sock.close()
                 break

@@ -4,13 +4,28 @@ The expected per-component Lee distance admits two derivations that share no
 code with the library:
 
   1. 50-digit summation of the series  k/4 - (2k/pi^2) sum (2j-1)^-2 e^(-c(2j-1)^2)
-  2. quadrature of  E = integral f(u) w(u) du  where f is the half-normal
-     density of |<a, x1 - x2>| (a ~ N(0, 1/delta^2) rows) and w is the
-     period-k triangle wave (the mean Lee distance at a fixed projected gap)
+  2. 50-digit quadrature of  E = integral f(u) w(u) du  where f is the
+     half-normal density of |<a, x1 - x2>| (a ~ N(0, 1/delta^2) rows) and w is
+     the period-k triangle wave (the mean Lee distance at a fixed projected
+     gap), split at every kink of w and at multiples of the density's scale
 
-Both agree to ~1e-9; the dominant error is the quadrature tolerance. The
-series values at 17 significant digits are frozen in test_analysis.py
-(SERIES_REFERENCE) and reused by the acceptance suite.
+The library evaluates neither: it sums the series in double precision for
+c >= pi/2 and a closed form of the integral (the dual form, erfc and exp
+terms) below that. The series (`nsum`) is slow and inaccurate as c -> 0,
+and the quadrature needs one interval per half period of w, so each point
+uses the derivation that suits it, and both where both are cheap; the
+`reference` column says which. Where both run they agree to ~1e-40.
+
+SERIES_REFERENCE in test_analysis.py freezes the series at the original five
+points (17 significant digits, gated at abs 1e-9, reused by the acceptance
+suite). DOMAIN_REFERENCE freezes the points below, which span the accepted
+domain: d from 1e-8 to 100k, both sides of the crossover c = pi/2
+(d = 0.2251 k at the default scale), k up to the wire limit 65534, and one
+non-default delta; it is gated at 1e-12 relative. At the default scale the
+tiny-d points also satisfy |E(d) - d| <= F(d, k) = d exp(-k^2 / (4 pi d^2)),
+which is far below one ulp of d there; the script prints that bound.
+
+Inputs are the exact doubles the tests pass, including delta.
 
 Run:  python tests/oracle_reference.py
 """
@@ -18,17 +33,23 @@ Run:  python tests/oracle_reference.py
 import math
 
 import mpmath as mp
-from scipy import integrate
 
 DELTA = math.sqrt(2.0 / math.pi)
 POINTS = [(0.5, 8), (1.0, 8), (2.0, 8), (2.0, 16), (3.0, 6)]
+WIRE_K = (2, 28, 256, 65534)
+DOMAIN_POINTS = (
+    [(d, k, DELTA) for d in (1e-8, 1e-6, 1e-4, 1e-3) for k in WIRE_K]
+    + [(d, k, DELTA) for k, ds in ((2, (0.44, 0.46)), (28, (6.16, 6.44)), (256, (56.32, 58.88)),
+                                   (65534, (14417.48, 15072.82))) for d in ds]
+    + [(f * k, k, DELTA) for f in (10.0, 100.0) for k in WIRE_K]
+    + [(d, 28, 1.5) for d in (1e-6, 11.5, 12.0, 280.0)]
+)
 
 mp.mp.dps = 50
 
 
-def series_value(dist, k):
-    d, k = mp.mpf(dist), mp.mpf(k)
-    delta = mp.sqrt(2 / mp.pi)
+def series_value(dist, k, delta=DELTA):
+    d, k, delta = mp.mpf(dist), mp.mpf(k), mp.mpf(delta)
     if d == 0:
         return mp.mpf(0)
     c = 2 * (mp.pi * d / (delta * k)) ** 2
@@ -36,20 +57,41 @@ def series_value(dist, k):
     return k / 4 - (2 * k / mp.pi**2) * s
 
 
-def quadrature_value(dist, k):
-    if dist == 0:
-        return 0.0
-
-    def triangle(u):
-        r = u % k
-        return r if r <= k / 2 else k - r
+def quadrature_value(dist, k, delta=DELTA):
+    d, k, delta = mp.mpf(dist), mp.mpf(k), mp.mpf(delta)
+    if d == 0:
+        return mp.mpf(0)
+    scale = d / delta
+    upper = 17 * scale  # the density is below 1e-62 of its peak beyond
+    cuts = {mp.mpf(0), upper}
+    cuts |= {j * k / 2 for j in range(1, int(upper / (k / 2)) + 1)}
+    cuts |= {m * scale for m in (1, 2, 4, 8)}
 
     def integrand(u):
-        density = math.sqrt(2 / math.pi) * (DELTA / dist) * math.exp(-(DELTA * u) ** 2 / (2 * dist**2))
-        return density * triangle(u)
+        r = mp.fmod(u, k)
+        density = mp.sqrt(2 / mp.pi) / scale * mp.exp(-((u / scale) ** 2) / 2)
+        return density * min(r, k - r)
 
-    value, _ = integrate.quad(integrand, 0.0, 40.0 * dist / DELTA + 2 * k, limit=800)
-    return value
+    return mp.quad(integrand, sorted(c for c in cuts if c <= upper))
+
+
+def reference(dist, k, delta=DELTA):
+    """(value, which): the series where it converges fast, the quadrature
+    where it needs few intervals, and both (checked to agree) in between."""
+    c = 2 * (math.pi * dist / (delta * k)) ** 2
+    use_series = c >= 0.05
+    use_quad = dist / delta <= 6 * k
+    values = {}
+    if use_series:
+        values["series"] = series_value(dist, k, delta)
+    if use_quad:
+        values["quadrature"] = quadrature_value(dist, k, delta)
+    if len(values) == 2:
+        s, q = values["series"], values["quadrature"]
+        assert abs(s - q) <= mp.mpf(10) ** -35 * abs(s), (dist, k, delta, s, q)
+        return s, "both"
+    (which, value), = values.items()
+    return value, which
 
 
 def main():
@@ -57,8 +99,15 @@ def main():
     for dist, k in POINTS:
         s = series_value(dist, k)
         q = quadrature_value(dist, k)
-        print(f"{dist:6.2f} {k:3d} {mp.nstr(s, 17):>22} {q:>22.15f} {abs(float(s) - q):>10.2e}")
-    print("\nfreeze the series column into SERIES_REFERENCE when points change")
+        print(f"{dist:6.2f} {k:3d} {mp.nstr(s, 17):>22} {mp.nstr(q, 17):>22} {float(abs(s - q)):>10.2e}")
+    print("\nfreeze the series column into SERIES_REFERENCE when points change\n")
+    print("DOMAIN_REFERENCE = {")
+    for dist, k, delta in DOMAIN_POINTS:
+        value, which = reference(dist, k, delta)
+        key = f"({dist!r}, {k}, {'DEFAULT_DELTA' if delta == DELTA else repr(delta)})"
+        note = f"  # F(d, k) = {dist * math.exp(-k * k / (4 * math.pi * dist * dist)):.1e}" if dist < 1e-2 and delta == DELTA else ""
+        print(f"    {key}: ({float(value)!r}, {which!r}),{note}")
+    print("}")
 
 
 if __name__ == "__main__":

@@ -30,6 +30,70 @@ SERIES_REFERENCE = {
     (3.0, 6): 1.4994771010328392,
 }
 
+# Frozen values over the whole accepted domain, from tests/oracle_reference.py
+# at 50 digits: (dist, k, delta) -> (E, reference). "series" is the summed
+# series, "quadrature" the integral of the half-normal density times the
+# triangle wave, "both" means the two agree to 1e-35. At the default scale the
+# points with d <= 1e-3 also meet |E - d| <= F(d, k), which underflows to 0.
+# The crossover c = pi/2 sits at d = delta k / (2 sqrt(pi)) = 0.2251 k here and
+# at 11.85 for (k, delta) = (28, 1.5); 65534 is the largest k on the wire.
+DOMAIN_REFERENCE = {
+    (1e-08, 2, DEFAULT_DELTA): (1e-08, "quadrature"),
+    (1e-08, 28, DEFAULT_DELTA): (1e-08, "quadrature"),
+    (1e-08, 256, DEFAULT_DELTA): (1e-08, "quadrature"),
+    (1e-08, 65534, DEFAULT_DELTA): (1e-08, "quadrature"),
+    (1e-06, 2, DEFAULT_DELTA): (1e-06, "quadrature"),
+    (1e-06, 28, DEFAULT_DELTA): (1e-06, "quadrature"),
+    (1e-06, 256, DEFAULT_DELTA): (1e-06, "quadrature"),
+    (1e-06, 65534, DEFAULT_DELTA): (1e-06, "quadrature"),
+    (0.0001, 2, DEFAULT_DELTA): (0.0001, "quadrature"),
+    (0.0001, 28, DEFAULT_DELTA): (0.0001, "quadrature"),
+    (0.0001, 256, DEFAULT_DELTA): (0.0001, "quadrature"),
+    (0.0001, 65534, DEFAULT_DELTA): (0.0001, "quadrature"),
+    (0.001, 2, DEFAULT_DELTA): (0.001, "quadrature"),
+    (0.001, 28, DEFAULT_DELTA): (0.001, "quadrature"),
+    (0.001, 256, DEFAULT_DELTA): (0.001, "quadrature"),
+    (0.001, 65534, DEFAULT_DELTA): (0.001, "quadrature"),
+    (0.44, 2, DEFAULT_DELTA): (0.40963231325985305, "both"),
+    (0.46, 2, DEFAULT_DELTA): (0.42140107249635456, "both"),
+    (6.16, 28, DEFAULT_DELTA): (5.734852385637943, "both"),
+    (6.44, 28, DEFAULT_DELTA): (5.899615014948964, "both"),
+    (56.32, 256, DEFAULT_DELTA): (52.43293609726119, "both"),
+    (58.88, 256, DEFAULT_DELTA): (53.93933727953338, "both"),
+    (14417.48, 65534, DEFAULT_DELTA): (13422.422008585605, "both"),
+    (15072.82, 65534, DEFAULT_DELTA): (13808.048942488049, "both"),
+    (20.0, 2, DEFAULT_DELTA): (0.5, "series"),
+    (280.0, 28, DEFAULT_DELTA): (7.0, "series"),
+    (2560.0, 256, DEFAULT_DELTA): (64.0, "series"),
+    (655340.0, 65534, DEFAULT_DELTA): (16383.5, "series"),
+    (200.0, 2, DEFAULT_DELTA): (0.5, "series"),
+    (2800.0, 28, DEFAULT_DELTA): (7.0, "series"),
+    (25600.0, 256, DEFAULT_DELTA): (64.0, "series"),
+    (6553400.0, 65534, DEFAULT_DELTA): (16383.5, "series"),
+    (1e-06, 28, 1.5): (5.319230405352436e-07, "quadrature"),
+    (11.5, 28, 1.5): (5.708232336519154, "both"),
+    (12.0, 28, 1.5): (5.867386022969934, "both"),
+    (280.0, 28, 1.5): (7.0, "series"),
+}
+
+
+def reference_series_loop(dist, k, delta=DEFAULT_DELTA):
+    """The block-doubling numpy summation expected_lee used before the dual
+    form: accurate where the series converges in its first block."""
+    if dist == 0:
+        return 0.0
+    c = 2.0 * (math.pi * dist / (delta * k)) ** 2
+    total, start, block = 0.0, 1, 4096
+    while start <= 1_000_000:
+        stop = min(start + block - 1, 1_000_000)
+        odd = 2.0 * np.arange(start, stop + 1, dtype=np.float64) - 1.0
+        terms = np.exp(-c * odd * odd) / (odd * odd)
+        total += float(terms.sum())
+        if terms[-1] < 1e-15:
+            break
+        start, block = stop + 1, min(block * 2, 1 << 18)
+    return k / 4.0 - (2.0 * k / math.pi**2) * total
+
 
 def test_zero_distance_is_exactly_zero():
     for k in range(2, 66, 2):
@@ -41,6 +105,47 @@ def test_series_matches_frozen_oracle_values():
     for (d, k), want in SERIES_REFERENCE.items():
         assert expected_lee(d, k) == pytest.approx(want, abs=1e-9)
 
+
+@pytest.mark.parametrize("point", list(DOMAIN_REFERENCE), ids=repr)
+def test_curve_matches_oracle_over_accepted_domain(point):
+    want, _reference = DOMAIN_REFERENCE[point]
+    assert expected_lee(*point) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_tiny_distances_are_the_identity():
+    # The truncated series returned 1.64e-6 and 3.3e-3 for these two.
+    assert expected_lee(1e-6, 28) == pytest.approx(1e-6, rel=1e-12, abs=0)
+    assert expected_lee(1e-4, 65534) == pytest.approx(1e-4, rel=1e-12, abs=0)
+    assert expected_lee(5e-324, 65534) == 5e-324
+    assert expected_lee(1e200, 8) == 2.0  # far past saturation, no overflow
+
+
+def test_curve_matches_reference_series_loop_where_it_converged():
+    for k in (2, 8, 28, 256, 65534):
+        for d in np.linspace(0.05 * k, 3.0 * k, 60):
+            want = reference_series_loop(float(d), k)
+            assert expected_lee(float(d), k) == pytest.approx(want, rel=1e-15, abs=0), (d, k)
+
+
+@pytest.mark.parametrize("delta", [DEFAULT_DELTA, 1.5])
+@pytest.mark.parametrize("k", [2, 28, 256, 65534])
+def test_curve_is_continuous_and_monotone_across_crossover(k, delta):
+    crossover = delta * k / (2.0 * math.sqrt(math.pi))  # c = pi/2
+    grid = np.linspace(0.8 * crossover, 1.25 * crossover, 4001)
+    vals = [expected_lee(float(d), k, delta) for d in grid]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    # 65 consecutive doubles around the switch: steps stay at rounding size
+    d = crossover
+    for _ in range(32):
+        d = math.nextafter(d, 0.0)
+    window = [d]
+    for _ in range(64):
+        window.append(math.nextafter(window[-1], math.inf))
+    c = [2.0 * (math.pi * x / (delta * k)) ** 2 for x in window]
+    assert c[0] < math.pi / 2 <= c[-1]
+    vals = [expected_lee(x, k, delta) for x in window]
+    ulp = math.ulp(vals[32])
+    assert max(abs(b - a) for a, b in zip(vals, vals[1:])) <= 4 * ulp
 
 def test_series_converges_to_quarter_k():
     for k in (4, 8, 16):
@@ -243,3 +348,12 @@ def test_curve_inversion_roundtrip():
             est = estimate_distance(Fraction(mean).limit_denominator(10**12), k, EstimateMode.CURVE_INVERTED)
             assert not est.saturated
             assert est.value == pytest.approx(d, abs=1e-6)
+
+
+def test_curve_inversion_roundtrip_at_tiny_distances():
+    # The bisection stops once its bracket is narrower than 1e-12, so it
+    # resolves d to 5e-13 absolute: 1e-9 relative from d = 5e-4 up.
+    params = plan_parameters(5.0, 1.0, 10)
+    for d in (1e-6, 1e-4, params.threshold / 2):
+        est = estimate_distance(Fraction(expected_lee(d, params.k)), params.k, EstimateMode.CURVE_INVERTED)
+        assert abs(est.value - d) <= max(1e-9 * d, 1e-12), d

@@ -2,7 +2,9 @@
 
 The digests were computed with the sequential Fisher-Yates loop kept below as
 `reference_permutation`; any change to a permutation, pad or wire byte moves
-one of them.
+one of them. The run_sweep CSV digest pins key generation, input pairs, the
+trial-seed derivation, the expectation curve at 9 significant digits and the
+CSV format together.
 """
 
 import hashlib
@@ -13,7 +15,8 @@ import pytest
 from numpy.random import default_rng
 
 from modhash import ProtocolKind, drive_local, plan_parameters
-from modhash.rng import ChaChaStream
+from modhash.rng import ChaChaStream, subseed
+from modhash.simulate import SweepSpec, emit_csv, run_sweep
 
 SEED = bytes(range(32))
 
@@ -25,6 +28,8 @@ TRANSCRIPT_DIGESTS = {
     ProtocolKind.TWO_PARTY_HAMMING: "162e28d2fa84aa4502eb42c20773c5b91fba2babecb518f24bb05dbcc323ec88",
     ProtocolKind.OBFUSCATED_3P: "09c2ed75da22f0595c054ad88d6ba88bde0090215b8c441f4a074b83c5449069",
 }
+
+SWEEP_DIGEST = "83542d9acdca4d6bf885238ad27e160b97fb22904dd33f98f74884906572ab15"
 
 U64_MAX = (1 << 64) - 1
 
@@ -89,6 +94,15 @@ def test_transcript_digest(kind):
     assert hashlib.sha256(b"".join(e.data for e in run.transcript)).hexdigest() == TRANSCRIPT_DIGESTS[kind]
     assert run.mean_lee == Fraction(20736, 2989)
 
+
+def test_run_sweep_csv_digest(tmp_path):
+    # criterion 6's distance grids (k*i/8 and 100k) for k = 4, 8, 16, merged
+    ks = (4, 8, 16)
+    distances = sorted({k * i / 8.0 for k in ks for i in range(9)} | {100.0 * k for k in ks})
+    spec = SweepSpec(ks, 500, 50, distances, 2, subseed(SEED, b"sweep-digest"))
+    path = tmp_path / "sweep.csv"
+    emit_csv(run_sweep(spec), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_DIGEST
 
 @pytest.mark.parametrize("n", [2, 50, 2989])
 @pytest.mark.parametrize("label", [b"a", b"b", b"c"])

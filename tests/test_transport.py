@@ -1,4 +1,6 @@
+import errno
 import json
+import logging
 import os
 import socket
 import struct
@@ -233,6 +235,55 @@ def test_servers_release_connections_of_finished_sessions():
             while open_fds() - before >= 10 and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert open_fds() - before < 10
+
+
+class _FailOnceListener:
+    """Listener whose first accept() fails as if descriptors ran out."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.failures = 0
+
+    def accept(self):
+        if not self.failures:
+            self.failures += 1
+            raise OSError(errno.EMFILE, "Too many open files")
+        return self._sock.accept()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_servers_keep_accepting_after_transient_accept_error(caplog):
+    # Before, one EMFILE from accept() ended the accept loop for good.
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+    charlie = CharlieServer()
+    bob = BobServer(x2, charlie_address=charlie.address)
+    try:
+        for server in (charlie, bob):
+            server._listener = _FailOnceListener(server._listener)
+        with caplog.at_level(logging.WARNING, logger="modhash.transport"):
+            charlie.start()
+            bob.start()
+            done = {}
+            alice = threading.Thread(
+                target=lambda: done.update(run=run_over_tcp(kind, x1, PARAMS, SEED, bob.address, charlie.address)),
+                daemon=True,
+            )
+            alice.start()
+            alice.join(timeout=20)
+        assert not alice.is_alive(), "session stalled: a server stopped accepting"
+        assert done["run"].mean_lee == drive_local(kind, x1, x2, PARAMS, SEED).mean_lee
+        assert charlie._listener.failures == bob._listener.failures == 1
+        assert sum("accept failed" in r.getMessage() for r in caplog.records) == 2
+    finally:
+        t0 = time.monotonic()
+        bob.stop()
+        charlie.stop()
+        stop_s = time.monotonic() - t0
+    assert stop_s < 2.0
+    assert not any(t.is_alive() for t in bob._threads[:1] + charlie._threads[:1])
 
 
 def test_concurrent_sessions_complete_independently():
