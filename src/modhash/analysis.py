@@ -48,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_DELTA, _check_even_k
+from .core import DEFAULT_DELTA, _check_even_k, _check_real
 from .errors import InvalidInput, InvalidParameter
 
 # Curve terms with exponent above this are below 4.3e-18 and are dropped.
@@ -57,12 +57,6 @@ _EXP_CUTOFF = 40.0
 _CROSSOVER = math.pi / 2
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def _check_delta(delta: float) -> float:
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta > 0):
-        raise InvalidParameter("delta must be a positive finite real")
-    return float(delta)
 
 
 def expected_lee(dist: float, k: int, delta: float = DEFAULT_DELTA) -> float:
@@ -74,9 +68,8 @@ def expected_lee(dist: float, k: int, delta: float = DEFAULT_DELTA) -> float:
     The d = 0 point is the exact analytic zero.
     """
     k = _check_even_k(k)
-    delta = _check_delta(delta)
-    if not (isinstance(dist, (int, float)) and math.isfinite(dist)) or dist < 0:
-        raise InvalidParameter("dist must be a finite nonnegative real")
+    delta = _check_real(delta, "delta")
+    _check_real(dist, "dist", zero_ok=True)
     if dist == 0:
         return 0.0  # sum (2j-1)^-2 = pi^2/8 exactly cancels k/4
     r = math.pi * dist / (delta * k)
@@ -102,10 +95,10 @@ def expected_lee_bounds(dist: float, k: int, delta: float = DEFAULT_DELTA) -> tu
     k/4 (1 - e^-c)  <=  E  <=  k/4 - (2k/pi^2) e^-c,   c = 2 (pi dist / (delta k))^2.
     """
     k = _check_even_k(k)
-    delta = _check_delta(delta)
-    if not (isinstance(dist, (int, float)) and math.isfinite(dist)) or dist < 0:
-        raise InvalidParameter("dist must be a finite nonnegative real")
-    e1 = math.exp(-2.0 * (math.pi * dist / (delta * k)) ** 2)
+    delta = _check_real(delta, "delta")
+    _check_real(dist, "dist", zero_ok=True)
+    r = math.pi * dist / (delta * k)
+    e1 = math.exp(-2.0 * r * r)  # 0 rather than OverflowError far past saturation
     lower = (k / 4.0) * (1.0 - e1)
     upper = k / 4.0 - (2.0 * k / math.pi**2) * e1
     return lower, upper
@@ -115,8 +108,7 @@ def bias_bound(dist: float, k: int) -> float:
     """F(t, k) = t exp(-k^2 / (4 pi t^2)): deviation of expected_lee from the
     identity, valid at the default delta = sqrt(2/pi)."""
     k = _check_even_k(k)
-    if not (isinstance(dist, (int, float)) and math.isfinite(dist)) or dist < 0:
-        raise InvalidInput("dist must be a finite nonnegative real")
+    _check_real(dist, "dist", zero_ok=True, error=InvalidInput)
     if dist == 0:
         return 0.0
     return dist * math.exp(-(k * k) / (4.0 * math.pi * dist * dist))
@@ -129,10 +121,8 @@ def plan_k(threshold: float, epsilon_bias: float) -> int:
     even, then walks by 2 in either direction until minimal, since the closed
     form is a derived starting point rather than a stated bound.
     """
-    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold)) or threshold <= 0:
-        raise InvalidParameter("threshold must be a positive finite real")
-    if not (isinstance(epsilon_bias, (int, float)) and math.isfinite(epsilon_bias)) or epsilon_bias <= 0:
-        raise InvalidParameter("epsilon_bias must be a positive finite real")
+    _check_real(threshold, "threshold")
+    _check_real(epsilon_bias, "epsilon_bias")
     if epsilon_bias >= threshold:
         return 2  # F(T, k) < T for every k
     k = 2 * math.ceil(threshold * math.sqrt(math.pi * math.log(threshold / epsilon_bias)))
@@ -147,8 +137,7 @@ def plan_k(threshold: float, epsilon_bias: float) -> int:
 def plan_m(k: int, epsilon_stat: float, beta: int) -> int:
     """Hash length meeting the Hoeffding bound: ceil(ln2 (beta+1) k^2 / (8 eps^2))."""
     k = _check_even_k(k)
-    if not (isinstance(epsilon_stat, (int, float)) and math.isfinite(epsilon_stat)) or epsilon_stat <= 0:
-        raise InvalidParameter("epsilon_stat must be a positive finite real")
+    _check_real(epsilon_stat, "epsilon_stat")
     if not isinstance(beta, (int, np.integer)) or beta < 1:
         raise InvalidParameter("beta must be a positive integer")
     return math.ceil(math.log(2.0) * (beta + 1) * k * k / (8.0 * epsilon_stat**2))
@@ -177,8 +166,7 @@ class ProtocolParams:
 
     def __post_init__(self):
         _check_even_k(self.k)
-        if self.threshold <= 0 or not math.isfinite(self.threshold):
-            raise InvalidParameter("threshold must be positive")
+        _check_real(self.threshold, "threshold")
         if self.epsilon <= 0 or self.epsilon_bias <= 0 or self.epsilon_stat <= 0:
             raise InvalidParameter("epsilon budgets must be positive")
         if abs(self.epsilon_bias + self.epsilon_stat - self.epsilon) > 1e-9 * self.epsilon:
@@ -232,8 +220,7 @@ class ProtocolParams:
 def plan_parameters(threshold: float, epsilon: float, beta: int, padding_factor: int = 10) -> ProtocolParams:
     """Split the precision budget evenly between bias and statistical error,
     then derive (k, M) and a default obfuscation padding of padding_factor * M."""
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)) or epsilon <= 0:
-        raise InvalidParameter("epsilon must be a positive finite real")
+    _check_real(epsilon, "epsilon")
     half = epsilon / 2.0
     k = plan_k(threshold, half)
     m = plan_m(k, half, beta)
@@ -315,13 +302,13 @@ def estimate_distance(
     information.
     """
     k = _check_even_k(k)
-    delta = _check_delta(delta)
+    delta = _check_real(delta, "delta")
     frac = Fraction(mean_lee)
     if frac < 0 or frac > Fraction(k, 2):
         raise InvalidInput(f"mean Lee distance must lie in [0, k/2], got {frac}")
-    margin = k / 400.0 if saturation_margin is None else float(saturation_margin)
-    if margin < 0 or not math.isfinite(margin):
-        raise InvalidParameter("saturation margin must be a nonnegative real")
+    margin = k / 400.0
+    if saturation_margin is not None:
+        margin = _check_real(float(saturation_margin), "saturation margin", zero_ok=True)
     target = float(frac)
     if target >= k / 4.0 - margin:
         return DistanceEstimate(mean_lee=frac, k=k, m=m, value=None, mode=mode)

@@ -163,25 +163,19 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _run_local(args, params, seed) -> int:
-    kind = _KINDS[args.kind]
-    x1 = _read_vector(args.x1)
-    x2 = _read_vector(args.x2)
+# Each runner returns (mean, Charlie's view, Alice's estimate, Bob's or None).
+
+
+def _run_local(args, kind, x1, params, seed):
     run = drive_local(
-        kind, x1, x2, params, seed,
+        kind, x1, _read_vector(args.x2), params, seed,
         mode=_MODES[args.mode], saturation_margin=args.saturation_margin,
     )
-    _emit(kind=args.kind, mean_lee=_fmt_fraction(run.mean_lee))
-    if kind == ProtocolKind.OBFUSCATED_3P:
-        _emit(charlie_observed=_fmt_fraction(run.charlie_observed))
-    _emit(alice_estimate=run.alice_estimate, bob_estimate=run.bob_estimate)
-    return 0
+    return run.mean_lee, run.charlie_observed, run.alice_estimate, run.bob_estimate
 
 
-def _run_tcp_selftest(args, params, seed) -> int:
+def _run_tcp_selftest(args, kind, x1, params, seed):
     """Self-contained TCP run: ephemeral Bob/Charlie servers on loopback."""
-    kind = _KINDS[args.kind]
-    x1 = _read_vector(args.x1)
     x2 = _read_vector(args.x2)
     store = MatrixStore()
     with CharlieServer() as charlie_srv:
@@ -199,17 +193,11 @@ def _run_tcp_selftest(args, params, seed) -> int:
                 saturation_margin=args.saturation_margin,
             )
             bob_estimate = bob_srv.wait_result(result.session_id)
-    _emit(kind=args.kind, mean_lee=_fmt_fraction(result.mean_lee))
-    if kind == ProtocolKind.OBFUSCATED_3P:
-        _emit(charlie_observed=_fmt_fraction(result.observed_mean))
-    _emit(alice_estimate=result.estimate, bob_estimate=bob_estimate)
-    return 0
+    return result.mean_lee, result.observed_mean, result.estimate, bob_estimate
 
 
-def _run_tcp_alice(args, params, seed) -> int:
+def _run_tcp_alice(args, kind, x1, params, seed):
     """Distributed run: this process is Alice against remote Bob/Charlie."""
-    kind = _KINDS[args.kind]
-    x1 = _read_vector(args.x1)
     bob_addr = _parse_address(args.bob)
     charlie_addr = None
     if kind in THREE_PARTY_KINDS:
@@ -227,28 +215,31 @@ def _run_tcp_alice(args, params, seed) -> int:
         mode=_MODES[args.mode], matrix_store=store,
         saturation_margin=args.saturation_margin,
     )
-    _emit(kind=args.kind, mean_lee=_fmt_fraction(result.mean_lee))
-    if kind == ProtocolKind.OBFUSCATED_3P:
-        _emit(charlie_observed=_fmt_fraction(result.observed_mean))
-    _emit(alice_estimate=result.estimate)
-    return 0
+    return result.mean_lee, result.observed_mean, result.estimate, None
 
 
 def _cmd_run(args) -> int:
     params = _params_from_args(args)
     seed = _parse_seed(args.seed)
-    if args.transport == "local":
-        if args.role is not None:
-            raise ValueError("--role only applies to --transport tcp")
-    if args.role is None:
-        if not args.x2:
-            raise ValueError("--x2 is required unless running distributed with --role")
-        if args.transport == "local":
-            return _run_local(args, params, seed)
-        return _run_tcp_selftest(args, params, seed)
-    if not args.bob:
+    if args.transport == "local" and args.role is not None:
+        raise ValueError("--role only applies to --transport tcp")
+    if args.role is None and not args.x2:
+        raise ValueError("--x2 is required unless running distributed with --role")
+    if args.role is not None and not args.bob:
         raise ValueError("--role alice requires --bob HOST:PORT")
-    return _run_tcp_alice(args, params, seed)
+    if args.role is not None:
+        runner = _run_tcp_alice
+    else:
+        runner = _run_local if args.transport == "local" else _run_tcp_selftest
+    kind = _KINDS[args.kind]
+    mean, observed, alice_estimate, bob_estimate = runner(args, kind, _read_vector(args.x1), params, seed)
+    _emit(kind=args.kind, mean_lee=_fmt_fraction(mean))
+    if kind == ProtocolKind.OBFUSCATED_3P:
+        _emit(charlie_observed=_fmt_fraction(observed))
+    _emit(alice_estimate=alice_estimate)
+    if bob_estimate is not None:
+        _emit(bob_estimate=bob_estimate)
+    return 0
 
 
 def _cmd_serve(args) -> int:

@@ -16,7 +16,7 @@ lets a secure Hamming-distance subprotocol stand in for a third party.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -41,8 +41,35 @@ def _check_even_k(k) -> int:
     return int(k)
 
 
+def _check_real(x, name: str, *, zero_ok: bool = False, error=InvalidParameter) -> float:
+    """x as a float if it is a finite int or float above 0 (or at 0, with zero_ok)."""
+    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0 or (x == 0 and not zero_ok):
+        raise error(f"{name} must be a {'finite nonnegative' if zero_ok else 'positive finite'} real")
+    return float(x)
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class _ValueEq:
+    """Equality by dataclass fields: arrays by content, None only to None.
+    Instances stay unhashable, like the arrays they hold."""
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    __hash__ = None
+
+
 @dataclass(frozen=True, eq=False)
-class HashKey:
+class HashKey(_ValueEq):
     """Secret hash key: alphabet size k, scale delta, projection A, dither U.
 
     A is M x N (one row per hash component), entries finite; every dither
@@ -57,8 +84,7 @@ class HashKey:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _check_even_k(self.k))
-        if not (isinstance(self.delta, (int, float)) and math.isfinite(self.delta) and self.delta > 0):
-            raise InvalidParameter("delta must be a positive finite real")
+        _check_real(self.delta, "delta")
         a = _frozen_array(self.a, np.float64)
         u = _frozen_array(self.u, np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -80,21 +106,9 @@ class HashKey:
     def n(self) -> int:
         return self.a.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, HashKey):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.delta == other.delta
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.u, other.u)
-        )
-
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
-class HashVector:
+class HashVector(_ValueEq):
     """M integers in Z_k: the unit of exchange between parties."""
 
     k: int
@@ -113,19 +127,12 @@ class HashVector:
     def m(self) -> int:
         return self.components.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, HashVector):
-            return NotImplemented
-        return self.k == other.k and np.array_equal(self.components, other.components)
-
-    __hash__ = None
-
     def __len__(self) -> int:
         return self.m
 
 
 @dataclass(frozen=True, eq=False)
-class Permutation:
+class Permutation(_ValueEq):
     """A bijection on {0..size-1}; applying it re-indexes hash components."""
 
     size: int
@@ -155,16 +162,9 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(self.size, np.argsort(self.mapping))
 
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.size == other.size and np.array_equal(self.mapping, other.mapping)
-
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
-class BinaryCode:
+class BinaryCode(_ValueEq):
     """Concatenated k/2-bit ring codes of a hash vector's components.
 
     Each block must be the code of some symbol: a prefix run of ones
@@ -189,13 +189,6 @@ class BinaryCode:
     def m(self) -> int:
         return self.bits.shape[0] // (self.k // 2)
 
-    def __eq__(self, other):
-        if not isinstance(other, BinaryCode):
-            return NotImplemented
-        return self.k == other.k and np.array_equal(self.bits, other.bits)
-
-    __hash__ = None
-
 
 def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DELTA) -> HashKey:
     """Derive a hash key deterministically from a 32-byte seed.
@@ -212,12 +205,11 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
         raise InvalidParameter("M must be a positive integer")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameter("N must be a positive integer")
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta > 0):
-        raise InvalidParameter("delta must be a positive finite real")
+    delta = _check_real(delta, "delta")
     stream = ChaChaStream(check_seed(seed))
     a = stream.standard_normal(int(m) * int(n)).reshape(int(m), int(n)) * (1.0 / delta)
     u = stream.uniform01(int(m)) * k
-    return HashKey(k=k, delta=float(delta), a=a, u=u)
+    return HashKey(k=k, delta=delta, a=a, u=u)
 
 
 def hash_vector(key: HashKey, x) -> HashVector:

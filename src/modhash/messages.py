@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BinaryCode, HashVector, Permutation
+from .core import BinaryCode, HashVector, Permutation, _ValueEq
 
 SESSION_ID_BYTES = 16
 
@@ -35,7 +35,7 @@ THREE_PARTY_KINDS = frozenset(
 
 
 @dataclass(frozen=True, eq=False)
-class KeyShare:
+class KeyShare(_ValueEq):
     """Key material Alice sends Bob over the confidential channel.
 
     Exactly one of `a` (explicit M x N matrix) and `a_digest` (content address
@@ -57,40 +57,12 @@ class KeyShare:
     def m(self) -> int:
         return len(self.u)
 
-    def __eq__(self, other):
-        if not isinstance(other, KeyShare):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.delta == other.delta
-            and self.n == other.n
-            and np.array_equal(self.u, other.u)
-            and (
-                np.array_equal(self.a, other.a)
-                if (self.a is not None and other.a is not None)
-                else self.a is other.a is None
-            )
-            and self.a_digest == other.a_digest
-            and self.permutation == other.permutation
-            and self.pad1 == other.pad1
-            and self.pad2 == other.pad2
-        )
-
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
-class HashSubmission:
+class HashSubmission(_ValueEq):
     """A party's hash vector, as delivered to the averaging party."""
 
     vector: HashVector
-
-    def __eq__(self, other):
-        if not isinstance(other, HashSubmission):
-            return NotImplemented
-        return self.vector == other.vector
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -102,17 +74,10 @@ class DistanceResult:
 
 
 @dataclass(frozen=True, eq=False)
-class HammingRequest:
+class HammingRequest(_ValueEq):
     """One party's ring code, forwarded to whoever evaluates the oracle."""
 
     code: BinaryCode
-
-    def __eq__(self, other):
-        if not isinstance(other, HammingRequest):
-            return NotImplemented
-        return self.code == other.code
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,22 @@
 
 All four flows share one shape: Alice provisions key material, both data
 owners hash their vectors, some party averages Lee distances, and the data
-owners turn the exact rational mean into a distance estimate.
+owners turn the exact rational mean into a distance estimate. The kinds
+differ only in what Alice's key share carries, which one table (_SHARE_SPECS)
+states and both Alice and Bob read:
 
-    FULL_KEY_3P       Alice -> Bob: (k, A, U).  Both submit hashes to Charlie,
-                      who returns the mean Lee distance to both.
-    PUBLIC_A_3P       A is public by content address; Alice -> Bob: (U, perm).
-                      Hashes are permuted before submission to Charlie.
-    TWO_PARTY_HAMMING No Charlie. Hashes are ring-coded; a pluggable secure
-                      Hamming oracle yields the distance to both parties.
-    OBFUSCATED_3P     Alice -> Bob adds uniform pads z1, z2 and a permutation
-                      of M+P slots; Charlie sees only a near-k/4 mean, which
-                      the data owners de-mix exactly as ((M+P) d - P d~) / M.
+    FULL_KEY_3P       (k, A, U). Both submit plain hashes to Charlie, who
+                      returns the mean Lee distance to both.
+    PUBLIC_A_3P       A by content address, U and a permutation of M slots;
+                      hashes are permuted before submission.
+    TWO_PARTY_HAMMING (k, A, U). No Charlie: hashes are ring-coded and a
+                      pluggable secure Hamming oracle yields the distance.
+    OBFUSCATED_3P     (k, A, U), uniform pads z1, z2 of P slots and a
+                      permutation of M+P slots; each owner appends its pad
+                      and permutes, so Charlie sees only a near-k/4 mean.
+
+Both owners de-mix Charlie's mean d as ((M+P) d - P d~) / M with d~ the
+pads' mean; with no pads (P = 0) this is d itself, exactly.
 
 Sessions are sans-IO: start_session returns the initial outgoing envelopes
 and on_message consumes one envelope and returns the next ones. A session is
@@ -29,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +133,23 @@ class Phase(IntEnum):
     ABORTED = 7
 
 
+class _ShareSpec(NamedTuple):
+    """What Alice's key share carries besides (k, delta, U) for one kind."""
+
+    name: str       # the kind as error messages call it
+    digest: bool    # A by content address instead of in full
+    permuted: bool  # a permutation of the M + p submitted slots
+    padded: bool    # uniform pads z1 (Alice's) and z2 (Bob's) of p slots each
+
+
+_SHARE_SPECS = {
+    ProtocolKind.FULL_KEY_3P: _ShareSpec("full-key", digest=False, permuted=False, padded=False),
+    ProtocolKind.PUBLIC_A_3P: _ShareSpec("public-A", digest=True, permuted=True, padded=False),
+    ProtocolKind.TWO_PARTY_HAMMING: _ShareSpec("two-party", digest=False, permuted=False, padded=False),
+    ProtocolKind.OBFUSCATED_3P: _ShareSpec("obfuscated", digest=False, permuted=True, padded=True),
+}
+
+
 def obfuscate_hash(h: HashVector, z: HashVector | None, perm: Permutation) -> HashVector:
     """Append padding z (None = no padding) to h and permute the M+P slots."""
     if z is None:
@@ -206,10 +229,12 @@ class Session:
             raise ProtocolViolation(reason, aborts=aborts)
         raise exc(reason)
 
-    def _expected_count(self) -> int:
-        if self.kind == ProtocolKind.OBFUSCATED_3P:
-            return self._m + self._pads[0].m
-        return self._m
+    def _submit(self, h: HashVector, pad: HashVector | None) -> Envelope:
+        """Pad and permute h as the share says, and send it to Charlie."""
+        if self._perm is not None:
+            h = obfuscate_hash(h, pad, self._perm)
+        self.phase = Phase.AWAIT_RESULT
+        return self._envelope(HashSubmission(h), Role.CHARLIE)
 
     def _finish(self, true_mean: Fraction, observed: Fraction):
         self.observed_mean = observed
@@ -314,29 +339,23 @@ class Session:
         h = hash_vector(self._key, self._x)
         self._x = None  # plaintext no longer needed
 
-        if self.kind == ProtocolKind.FULL_KEY_3P:
-            self.phase = Phase.AWAIT_RESULT
-            return [self._envelope(HashSubmission(h), Role.CHARLIE)]
-        if self.kind == ProtocolKind.PUBLIC_A_3P:
-            if ks.permutation is None or ks.permutation.size != ks.m:
-                self._violate("public-A key share must carry a permutation of M slots")
-            self._perm = ks.permutation
-            self.phase = Phase.AWAIT_RESULT
-            return [self._envelope(HashSubmission(apply_permutation(h, self._perm)), Role.CHARLIE)]
-        if self.kind == ProtocolKind.OBFUSCATED_3P:
+        spec = _SHARE_SPECS[self.kind]
+        p = 0
+        if spec.padded:
             if ks.pad1 is None or ks.pad2 is None:
-                self._violate("obfuscated key share must carry both pads")
-            if ks.permutation is None or ks.permutation.size != ks.m + ks.pad1.m:
-                self._violate("obfuscated key share must carry a permutation of M+P slots")
+                self._violate(f"{spec.name} key share must carry both pads")
             self._pads = (ks.pad1, ks.pad2)
+            p = ks.pad1.m
+        if spec.permuted:
+            if ks.permutation is None or ks.permutation.size != ks.m + p:
+                slots = "M+P" if spec.padded else "M"
+                self._violate(f"{spec.name} key share must carry a permutation of {slots} slots")
             self._perm = ks.permutation
-            self.phase = Phase.AWAIT_RESULT
-            padded = obfuscate_hash(h, ks.pad2, self._perm)
-            return [self._envelope(HashSubmission(padded), Role.CHARLIE)]
-        # TWO_PARTY_HAMMING
-        self._code = encode_lee_to_binary(h)
-        self.phase = Phase.AWAIT_ORACLE_RESPONSE
-        return [self._envelope(HammingRequest(self._code), Role.ALICE)]
+        if self.kind == ProtocolKind.TWO_PARTY_HAMMING:
+            self._code = encode_lee_to_binary(h)
+            self.phase = Phase.AWAIT_ORACLE_RESPONSE
+            return [self._envelope(HammingRequest(self._code), Role.ALICE)]
+        return [self._submit(h, ks.pad2 if spec.padded else None)]
 
     def _bob_on_hamming_response(self, env: Envelope, resp: HammingResponse) -> list[Envelope]:
         if self.role != Role.BOB or self.phase != Phase.AWAIT_ORACLE_RESPONSE:
@@ -373,20 +392,16 @@ class Session:
             self._violate(f"distance result in phase {self.phase.name}")
         if env.sender != Role.CHARLIE:
             self._violate(f"distance result from {env.sender.name}")
-        if res.count != self._expected_count():
+        p = self._pads[0].m if self._pads else 0
+        if res.count != self._m + p:
             self._violate(
-                f"result covers {res.count} components, expected {self._expected_count()}",
+                f"result covers {res.count} components, expected {self._m + p}",
                 DimensionMismatch,
             )
         if res.mean_lee < 0 or res.mean_lee > Fraction(self._key.k, 2):
             self._violate("mean Lee distance outside [0, k/2]", DimensionMismatch)
-        if self.kind == ProtocolKind.OBFUSCATED_3P:
-            z1, z2 = self._pads
-            d_tilde = mean_lee_distance(z1, z2)
-            true_mean = deobfuscate_distance(res.mean_lee, d_tilde, self._m, z1.m)
-        else:
-            true_mean = res.mean_lee
-        self._finish(true_mean, res.mean_lee)
+        d_tilde = mean_lee_distance(*self._pads) if self._pads else 0
+        self._finish(deobfuscate_distance(res.mean_lee, d_tilde, self._m, p), res.mean_lee)
         return []
 
 
@@ -446,7 +461,8 @@ def start_session(
     # Alice initiates.
     if params is None:
         raise InvalidParameter("Alice requires agreed protocol parameters")
-    if seed is None and kind in (ProtocolKind.PUBLIC_A_3P, ProtocolKind.OBFUSCATED_3P):
+    spec = _SHARE_SPECS[kind]
+    if seed is None and spec.permuted:
         raise InvalidParameter(f"{kind.name} requires a seed for permutation/padding material")
     if key is None:
         if seed is None:
@@ -461,56 +477,35 @@ def start_session(
     h = hash_vector(key, x)
     session._x = None
 
-    if kind == ProtocolKind.FULL_KEY_3P:
-        share = KeyShare(k=key.k, delta=key.delta, n=key.n, u=key.u, a=key.a)
-        session.phase = Phase.AWAIT_RESULT
-        return session, [
-            session._envelope(share, Role.BOB),
-            session._envelope(HashSubmission(h), Role.CHARLIE),
-        ]
-
-    if kind == ProtocolKind.PUBLIC_A_3P:
+    digest = None
+    if spec.digest:
         if matrix_store is None:
-            raise InvalidParameter("the public-A protocol requires a matrix store")
+            raise InvalidParameter(f"the {spec.name} protocol requires a matrix store")
         digest = matrix_store.put(key.a)
-        perm = Permutation.random(key.m, ChaChaStream(seed, b"perm"))
-        session._perm = perm
-        share = KeyShare(
-            k=key.k, delta=key.delta, n=key.n, u=key.u, a_digest=digest, permutation=perm
-        )
-        session.phase = Phase.AWAIT_RESULT
-        return session, [
-            session._envelope(share, Role.BOB),
-            session._envelope(HashSubmission(apply_permutation(h, perm)), Role.CHARLIE),
-        ]
-
-    if kind == ProtocolKind.OBFUSCATED_3P:
-        p = params.padding
+    p = params.padding if spec.padded else 0
+    if spec.padded:
         if p < 1:
-            raise InvalidParameter("the obfuscated protocol requires padding >= 1")
-        z1 = HashVector(key.k, ChaChaStream(seed, b"pad1").integers_below(key.k, p))
-        z2 = HashVector(key.k, ChaChaStream(seed, b"pad2").integers_below(key.k, p))
-        perm = Permutation.random(key.m + p, ChaChaStream(seed, b"perm"))
-        session._pads = (z1, z2)
-        session._perm = perm
-        share = KeyShare(
-            k=key.k, delta=key.delta, n=key.n, u=key.u, a=key.a,
-            permutation=perm, pad1=z1, pad2=z2,
+            raise InvalidParameter(f"the {spec.name} protocol requires padding >= 1")
+        session._pads = tuple(
+            HashVector(key.k, ChaChaStream(seed, label).integers_below(key.k, p))
+            for label in (b"pad1", b"pad2")
         )
-        session.phase = Phase.AWAIT_RESULT
-        return session, [
-            session._envelope(share, Role.BOB),
-            session._envelope(HashSubmission(obfuscate_hash(h, z1, perm)), Role.CHARLIE),
-        ]
-
-    # TWO_PARTY_HAMMING
-    if oracle is None:
-        raise InvalidParameter("the two-party protocol requires a secure Hamming oracle")
-    session._oracle = oracle
-    session._code = encode_lee_to_binary(h)
-    share = KeyShare(k=key.k, delta=key.delta, n=key.n, u=key.u, a=key.a)
-    session.phase = Phase.AWAIT_ORACLE_REQUEST
-    return session, [session._envelope(share, Role.BOB)]
+    if spec.permuted:
+        session._perm = Permutation.random(key.m + p, ChaChaStream(seed, b"perm"))
+    pad1, pad2 = session._pads or (None, None)
+    share = KeyShare(
+        k=key.k, delta=key.delta, n=key.n, u=key.u, a=None if spec.digest else key.a,
+        a_digest=digest, permutation=session._perm, pad1=pad1, pad2=pad2,
+    )
+    outgoing = [session._envelope(share, Role.BOB)]
+    if kind == ProtocolKind.TWO_PARTY_HAMMING:
+        if oracle is None:
+            raise InvalidParameter(f"the {spec.name} protocol requires a secure Hamming oracle")
+        session._oracle = oracle
+        session._code = encode_lee_to_binary(h)
+        session.phase = Phase.AWAIT_ORACLE_REQUEST
+        return session, outgoing
+    return session, outgoing + [session._submit(h, pad1)]
 
 
 @dataclass(frozen=True)
@@ -599,23 +594,3 @@ def drive_local(
         charlie_observed=charlie_observed,
         transcript=tuple(transcript),
     )
-
-
-def run_two_party_hamming(
-    x1,
-    x2,
-    params: ProtocolParams,
-    oracle: SecureHammingOracle,
-    seed: bytes,
-    *,
-    mode: EstimateMode = EstimateMode.RAW,
-    saturation_margin: float | None = None,
-) -> tuple[DistanceEstimate, DistanceEstimate]:
-    """Run the no-third-party protocol and return (alice, bob) estimates."""
-    if oracle is None:
-        raise OracleUnavailable("a secure Hamming oracle must be provided")
-    run = drive_local(
-        ProtocolKind.TWO_PARTY_HAMMING, x1, x2, params, seed,
-        mode=mode, oracle=oracle, saturation_margin=saturation_margin,
-    )
-    return run.alice_estimate, run.bob_estimate

@@ -10,7 +10,6 @@ Per-trial seeds are derived from (master seed, k, distance, trial index), so
 trials are order-independent and every sweep is bit-reproducible.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .analysis import expected_lee
-from .core import DEFAULT_DELTA, HashKey, _check_even_k, generate_key, hash_vector, mean_lee_distance
+from .core import DEFAULT_DELTA, HashKey, _check_even_k, _check_real, generate_key, hash_vector, mean_lee_distance
 from .errors import InvalidParameter
 from .rng import ChaChaStream, check_seed, subseed
 
@@ -46,12 +45,11 @@ class SweepSpec:
             raise InvalidParameter("M and N must be positive")
         if self.trials < 1:
             raise InvalidParameter("trials must be >= 1")
-        if any(d < 0 or not math.isfinite(d) for d in self.distances):
-            raise InvalidParameter("distances must be finite and nonnegative")
+        for d in self.distances:
+            _check_real(d, "every distance", zero_ok=True)
         if list(self.distances) != sorted(self.distances):
             raise InvalidParameter("distances must be sorted ascending")
-        if not (0 < self.delta and math.isfinite(self.delta)):
-            raise InvalidParameter("delta must be a positive finite real")
+        _check_real(self.delta, "delta")
         check_seed(self.seed)
 
 

@@ -100,9 +100,10 @@ class TcpTransport:
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float | None = None) -> "TcpTransport":
+        """Dial host:port. timeout (None = block) bounds the connect and each
+        later send and receive; one that expires raises TransportClosed."""
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
-            sock.settimeout(None)
         except OSError as exc:
             raise TransportClosed(f"cannot connect to {host}:{port}: {exc}") from exc
         return cls(sock)

@@ -171,6 +171,11 @@ def test_sandwich_bounds_examples():
     assert lo <= SERIES_REFERENCE[(2.0, 16)] <= hi
 
 
+def test_sandwich_bounds_far_past_saturation():
+    # Before, squaring pi d / (delta k) raised OverflowError for large finite d.
+    assert expected_lee_bounds(1e200, 8) == (2.0, 2.0)
+
+
 def test_sandwich_bounds_on_grid():
     for k in range(2, 22, 2):
         for d in np.linspace(0.0, 2.0 * k, 50):

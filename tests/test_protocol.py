@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,12 +21,12 @@ from modhash import (
     generate_key,
     mean_lee_distance,
     obfuscate_hash,
-    run_two_party_hamming,
     start_session,
 )
 from modhash.messages import (
     Abort,
     DistanceResult,
+    Envelope,
     HashSubmission,
     KeyShare,
 )
@@ -300,9 +301,40 @@ def test_public_a_unknown_digest_aborts():
         bob.on_message(outgoing[0].addressed_to(Role.BOB))
 
 
+def _short_permutation(ks):
+    return dataclasses.replace(ks, permutation=Permutation.random(ks.m, ChaChaStream(SEED, b"short")))
+
+
+@pytest.mark.parametrize(
+    "kind, strip, reason",
+    [
+        (ProtocolKind.PUBLIC_A_3P, lambda ks: dataclasses.replace(ks, permutation=None),
+         "permutation of M slots"),
+        (ProtocolKind.OBFUSCATED_3P, lambda ks: dataclasses.replace(ks, pad1=None, pad2=None),
+         "both pads"),
+        (ProtocolKind.OBFUSCATED_3P, _short_permutation, r"permutation of M\+P slots"),
+    ],
+    ids=["public-a-without-permutation", "obfuscated-without-pads", "obfuscated-permutation-of-M"],
+)
+def test_bob_refuses_a_share_lacking_what_its_kind_needs(kind, strip, reason):
+    x1, x2 = _vectors()
+    store = MatrixStore()
+    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED, matrix_store=store)
+    bob, _ = start_session(
+        Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id, matrix_store=store
+    )
+    share = strip(outgoing[0].body)
+    with pytest.raises(ProtocolViolation, match=reason) as err:
+        bob.on_message(Envelope(alice.session_id, kind, Role.ALICE, share, Role.BOB))
+    assert bob.aborted
+    assert {e.recipient for e in err.value.aborts} == {Role.ALICE, Role.CHARLIE}
+    assert all(isinstance(e.body, Abort) for e in err.value.aborts)
+
+
 def test_two_party_equals_direct_computation():
     x1, x2 = _vectors()
-    est_a, est_b = run_two_party_hamming(x1, x2, PARAMS, HonestBrokerOracle(), SEED)
+    two = drive_local(ProtocolKind.TWO_PARTY_HAMMING, x1, x2, PARAMS, SEED, oracle=HonestBrokerOracle())
+    est_a, est_b = two.alice_estimate, two.bob_estimate
     run = drive_local(ProtocolKind.FULL_KEY_3P, x1, x2, PARAMS, SEED)
     assert est_a.mean_lee == run.mean_lee
     assert est_a == est_b

@@ -286,6 +286,29 @@ def test_servers_keep_accepting_after_transient_accept_error(caplog):
     assert not any(t.is_alive() for t in bob._threads[:1] + charlie._threads[:1])
 
 
+def test_run_over_tcp_timeout_bounds_a_silent_server():
+    # Before, the timeout bounded only connect(): Alice waited forever on a
+    # server that took the connection but never answered.
+    x1, _ = _vectors()
+    with socket.create_server(("127.0.0.1", 0)) as silent:  # never accepts, never replies
+        outcome = {}
+
+        def alice():
+            t0 = time.monotonic()
+            try:
+                run_over_tcp(
+                    ProtocolKind.TWO_PARTY_HAMMING, x1, PARAMS, SEED, silent.getsockname()[:2], timeout=0.5
+                )
+            except TransportClosed:
+                outcome["elapsed"] = time.monotonic() - t0
+
+        t = threading.Thread(target=alice, daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive(), "Alice still waits on a server that never answers"
+    assert 0.5 <= outcome["elapsed"] < 5.0
+
+
 def test_concurrent_sessions_complete_independently():
     x1, x2 = _vectors()
     with CharlieServer() as charlie:
