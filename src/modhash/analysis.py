@@ -42,6 +42,7 @@ at least 1 - 2^-beta.
 """
 
 import math
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -263,26 +264,38 @@ class DistanceEstimate:
         return "SATURATED" if self.saturated else repr(self.value)
 
 
+def _bits_of(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double_of(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def _invert_curve(target: float, k: int, delta: float) -> float:
-    """Solve expected_lee(d, k, delta) = target by bisection on the monotone curve."""
+    """Solve expected_lee(d, k, delta) = target, 0 <= target < k/4, to
+    adjacent doubles: returns the smallest double d with E(d) >= target.
+
+    The root is bracketed in closed form. E(d) <= d sqrt(2/pi) / delta, since
+    w(u) <= |u|, puts it at or above target delta sqrt(pi/2); the sandwich's
+    lower bound k/4 (1 - e^-c) puts it at or below the d where that bound
+    reaches target. The bracket is widened by 2x each way against rounding.
+    Bisection then runs on the bit patterns of the doubles, which positive
+    doubles share with their order, so each step halves the doubles left in
+    the bracket whatever the scale of d: about 55 steps in all.
+    """
     if target <= 0.0:
         return 0.0
-    lo, hi = 0.0, delta * k
-    while expected_lee(hi, k, delta) < target:
-        hi *= 2.0
-        if hi > 1e9 * delta * k:  # unreachable below the saturation cutoff
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if expected_lee(mid, k, delta) < target:
-            lo = mid
+    lo = 0.5 * target * delta / _SQRT_2_OVER_PI
+    hi = 2.0 * (delta * k / math.pi) * math.sqrt(-0.5 * math.log1p(-4.0 * target / k))
+    lo_bits, hi_bits = _bits_of(lo), _bits_of(hi)
+    while hi_bits - lo_bits > 1:
+        mid_bits = (lo_bits + hi_bits) // 2
+        if expected_lee(_double_of(mid_bits), k, delta) < target:
+            lo_bits = mid_bits
         else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+            hi_bits = mid_bits
+    return _double_of(hi_bits)
 
 
 def estimate_distance(
@@ -296,7 +309,7 @@ def estimate_distance(
     """Turn an observed mean Lee distance into a distance estimate.
 
     RAW reports the mean itself (the curve is the identity below the knee);
-    CURVE_INVERTED inverts the expectation series by bisection. Means within
+    CURVE_INVERTED inverts the expectation curve to adjacent doubles. Means within
     saturation_margin (default k/400) of the k/4 plateau are reported as
     SATURATED in either mode, since there the curve carries no distance
     information.

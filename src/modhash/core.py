@@ -27,10 +27,26 @@ from .rng import ChaChaStream, check_seed
 DEFAULT_DELTA = math.sqrt(2.0 / math.pi)
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """Mark an array this package has just built read-only."""
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_array(values, dtype) -> np.ndarray:
+    """A read-only copy of values: nothing a caller holds can write to it."""
+    return _sealed(np.array(values, dtype=dtype))
+
+
+def _adopt(cls, **values):
+    """An instance of a value class below, from values this package has just
+    built and already knows to be valid: arrays are sealed and taken without
+    a copy, and no check runs again. Callers' values always go through the
+    public constructors, which copy and check them all."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, _sealed(value) if isinstance(value, np.ndarray) else value)
+    return obj
 
 
 def _check_even_k(k) -> int:
@@ -39,6 +55,12 @@ def _check_even_k(k) -> int:
     if k < 2 or k % 2 != 0:
         raise InvalidParameter(f"k must be an even integer >= 2, got {k}")
     return int(k)
+
+
+def _check_size(size) -> int:
+    if not isinstance(size, (int, np.integer)) or size < 1:
+        raise InvalidParameter("size must be a positive integer")
+    return int(size)
 
 
 def _check_real(x, name: str, *, zero_ok: bool = False, error=InvalidParameter) -> float:
@@ -85,8 +107,12 @@ class HashKey(_ValueEq):
     def __post_init__(self):
         object.__setattr__(self, "k", _check_even_k(self.k))
         _check_real(self.delta, "delta")
-        a = _frozen_array(self.a, np.float64)
-        u = _frozen_array(self.u, np.float64)
+        object.__setattr__(self, "a", _frozen_array(self.a, np.float64))
+        object.__setattr__(self, "u", _frozen_array(self.u, np.float64))
+        self._check_arrays()
+
+    def _check_arrays(self):
+        a, u = self.a, self.u
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidParameter("A must be a 2-D matrix with M, N >= 1")
         if not np.isfinite(a).all():
@@ -95,8 +121,6 @@ class HashKey(_ValueEq):
             raise DimensionMismatch("U must have one entry per row of A")
         if not np.isfinite(u).all() or (u < 0).any() or (u >= self.k).any():
             raise InvalidParameter("every dither entry must satisfy 0 <= u < k")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "u", u)
 
     @property
     def m(self) -> int:
@@ -105,6 +129,27 @@ class HashKey(_ValueEq):
     @property
     def n(self) -> int:
         return self.a.shape[1]
+
+
+def _shared_key(k, delta, a, u) -> HashKey:
+    """Bob's key over the A and U of a key share he has just received.
+
+    Every check of the HashKey constructor runs, but read-only float64 arrays
+    (a decoded share's, or Alice's own key's when the share is handed over in
+    memory) are taken without a copy; any other array is copied. A read-only
+    array may still alias memory its sender can write, so such a key stays
+    with the session that made it, which hashes with it at once.
+    """
+    k = _check_even_k(k)
+    _check_real(delta, "delta")
+    a, u = (
+        v if isinstance(v, np.ndarray) and v.dtype == np.float64 and not v.flags.writeable
+        else np.array(v, dtype=np.float64)
+        for v in (a, u)
+    )
+    key = _adopt(HashKey, k=k, delta=delta, a=a, u=u)
+    key._check_arrays()
+    return key
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +184,7 @@ class Permutation(_ValueEq):
     mapping: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.size, (int, np.integer)) or self.size < 1:
-            raise InvalidParameter("size must be a positive integer")
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", _check_size(self.size))
         mapping = _frozen_array(self.mapping, np.int64)
         if mapping.shape != (self.size,):
             raise InvalidParameter("mapping length must equal size")
@@ -157,10 +200,11 @@ class Permutation(_ValueEq):
 
     @classmethod
     def random(cls, size: int, stream: ChaChaStream) -> "Permutation":
-        return cls(size, stream.permutation_indices(size))
+        size = _check_size(size)
+        return _adopt(cls, size=size, mapping=stream.permutation_indices(size))
 
     def inverse(self) -> "Permutation":
-        return Permutation(self.size, np.argsort(self.mapping))
+        return _adopt(Permutation, size=self.size, mapping=np.argsort(self.mapping))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +242,8 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
     i.i.d. uniform on [0, k). The seed feeds a single ChaCha20 stream consumed
     as all of A (row-major) followed by all of U, with normals produced by the
     probit transform; the same (k, m, n, seed, delta) always yields a
-    bit-identical key.
+    bit-identical key. Each array is produced in place, block by block (see
+    rng.KEY_BLOCK), and handed to the key without a copy.
     """
     k = _check_even_k(k)
     if not isinstance(m, (int, np.integer)) or m < 1:
@@ -207,9 +252,11 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
         raise InvalidParameter("N must be a positive integer")
     delta = _check_real(delta, "delta")
     stream = ChaChaStream(check_seed(seed))
-    a = stream.standard_normal(int(m) * int(n)).reshape(int(m), int(n)) * (1.0 / delta)
-    u = stream.uniform01(int(m)) * k
-    return HashKey(k=k, delta=delta, a=a, u=u)
+    a = stream.standard_normal_into(np.empty((int(m), int(n))), 1.0 / delta)
+    if not np.isfinite(a).all():  # 1/delta overflowed, or a uniform rounded up to 1.0
+        raise InvalidParameter("A entries must be finite")
+    u = stream.uniform01_into(np.empty(int(m)), k)  # below k: (1 - 2**-53) * k rounds down
+    return _adopt(HashKey, k=k, delta=delta, a=a, u=u)
 
 
 def hash_vector(key: HashKey, x) -> HashVector:
@@ -229,7 +276,7 @@ def hash_vector(key: HashKey, x) -> HashVector:
     if not np.isfinite(z).all():
         raise InvalidInput("projection overflowed the floating-point range")
     comps = np.mod(np.floor(z), key.k)
-    return HashVector(k=key.k, components=comps.astype(np.int64))
+    return _adopt(HashVector, k=key.k, components=comps.astype(np.int64))
 
 
 def lee_distance(a: int, b: int, k: int) -> int:
@@ -265,14 +312,14 @@ def apply_permutation(h: HashVector, p: Permutation) -> HashVector:
     """Re-index a hash vector: output component i is input component p.mapping[i]."""
     if p.size != h.m:
         raise DimensionMismatch(f"permutation size {p.size} != vector length {h.m}")
-    return HashVector(k=h.k, components=h.components[p.mapping])
+    return _adopt(HashVector, k=h.k, components=h.components[p.mapping])
 
 
 def concat_hashes(h: HashVector, z: HashVector) -> HashVector:
     """Stack two hash vectors over the same alphabet."""
     if h.k != z.k:
         raise DimensionMismatch(f"alphabet mismatch: {h.k} vs {z.k}")
-    return HashVector(k=h.k, components=np.concatenate([h.components, z.components]))
+    return _adopt(HashVector, k=h.k, components=np.concatenate([h.components, z.components]))
 
 
 def _encode_components(comps: np.ndarray, k: int) -> np.ndarray:
@@ -301,15 +348,13 @@ def _decode_blocks(blocks: np.ndarray, k: int) -> np.ndarray:
 def encode_lee_to_binary(h: HashVector) -> BinaryCode:
     """Ring-encode each component into k/2 bits; Hamming distance between two
     codes then equals the summed Lee distance between the source vectors."""
-    bits = _encode_components(h.components, h.k).reshape(-1)
-    return BinaryCode(k=h.k, bits=bits)
+    return _adopt(BinaryCode, k=h.k, bits=_encode_components(h.components, h.k).reshape(-1))
 
 
 def decode_binary_to_lee(code: BinaryCode) -> HashVector:
     """Invert encode_lee_to_binary (every block decodes to a unique symbol)."""
     half = code.k // 2
-    symbols = _decode_blocks(code.bits.reshape(-1, half), code.k)
-    return HashVector(k=code.k, components=symbols)
+    return _adopt(HashVector, k=code.k, components=_decode_blocks(code.bits.reshape(-1, half), code.k))
 
 
 def hamming_distance(b1: BinaryCode, b2: BinaryCode) -> int:

@@ -45,6 +45,7 @@ from .core import (
     HashKey,
     HashVector,
     Permutation,
+    _shared_key,
     apply_permutation,
     concat_hashes,
     encode_lee_to_binary,
@@ -104,7 +105,7 @@ class MatrixStore:
         a = np.asarray(a, dtype=np.float64)
         h = hashlib.sha256()
         h.update(np.array(a.shape, dtype=">u4").tobytes())
-        h.update(a.astype(">f8").tobytes())
+        h.update(a.astype(">f8", order="C"))
         return h.digest()
 
     def put(self, a: np.ndarray) -> bytes:
@@ -334,7 +335,7 @@ class Session:
             a = self._store.get(ks.a_digest)
         else:
             self._violate("key share carries neither a matrix nor a digest")
-        self._key = HashKey(k=ks.k, delta=ks.delta, a=a, u=ks.u)
+        self._key = _shared_key(ks.k, ks.delta, a, ks.u)
         self._m = ks.m
         h = hash_vector(self._key, self._x)
         self._x = None  # plaintext no longer needed

@@ -29,6 +29,9 @@ Payload formats per family:
 Encoding is canonical: a valid message has exactly one byte representation,
 and decode(encode(msg)) == msg. decode_frame is total -- any byte string
 yields either a message or a typed DecodeError, never another exception.
+Decoding reads the frame through memoryviews, without slicing copies, but a
+decoded message never holds a view into the frame: every array, digest and
+string in it is its own copy, so the frame's buffer may be reused at once.
 """
 
 import math
@@ -38,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import messages as msgs
-from .core import BinaryCode, HashVector, Permutation
+from .core import BinaryCode, HashVector, Permutation, _adopt, _sealed
 from .errors import (
     ComponentOutOfRange,
     DecodeError,
@@ -82,15 +85,20 @@ def _check_wire_k(k: int, exc=EncodingError):
 
 
 # ---------------------------------------------------------------- encoding
+#
+# Body encoders return the payload as a list of parts (bytes, or C-contiguous
+# big-endian arrays), which encode_envelope joins behind the header in one
+# copy: a key share's matrix is converted to big-endian once and copied once
+# more into the frame.
 
-def _encode_hash(v: HashVector) -> bytes:
+def _encode_hash(v: HashVector) -> list:
     _check_wire_k(v.k)
     if int(v.components.max()) >= v.k:  # unreachable for a valid HashVector
         raise EncodingError("component >= k")
-    return struct.pack(">II", v.k, v.m) + v.components.astype(">u2").tobytes()
+    return [struct.pack(">II", v.k, v.m), v.components.astype(">u2")]
 
 
-def _encode_key_share(body: msgs.KeyShare) -> bytes:
+def _encode_key_share(body: msgs.KeyShare) -> list:
     _check_wire_k(body.k)
     if (body.a is None) == (body.a_digest is None):
         raise EncodingError("exactly one of a / a_digest must be set")
@@ -101,33 +109,32 @@ def _encode_key_share(body: msgs.KeyShare) -> bytes:
         a = np.asarray(body.a, dtype=np.float64)
         if a.shape != (m, body.n):
             raise EncodingError("A shape disagrees with (m, n)")
-        out.append(b"\x00")
-        out.append(a.astype(">f8").tobytes())
+        out += [b"\x00", a.astype(">f8", order="C")]
     else:
         if len(body.a_digest) != 32:
             raise EncodingError("matrix digest must be 32 bytes")
-        out.append(b"\x01")
-        out.append(body.a_digest)
-    out.append(u.astype(">f8").tobytes())
+        out += [b"\x01", body.a_digest]
+    out.append(u.astype(">f8"))
     if body.permutation is None:
         out.append(struct.pack(">I", 0))
     else:
-        out.append(struct.pack(">I", body.permutation.size))
-        out.append(body.permutation.mapping.astype(">u4").tobytes())
+        out += [struct.pack(">I", body.permutation.size), body.permutation.mapping.astype(">u4")]
     if body.pad1 is None and body.pad2 is None:
         out.append(struct.pack(">I", 0))
     elif body.pad1 is not None and body.pad2 is not None and body.pad1.m == body.pad2.m:
         if body.pad1.k != body.k or body.pad2.k != body.k:
             raise EncodingError("padding alphabet disagrees with k")
-        out.append(struct.pack(">I", body.pad1.m))
-        out.append(body.pad1.components.astype(">u2").tobytes())
-        out.append(body.pad2.components.astype(">u2").tobytes())
+        out += [
+            struct.pack(">I", body.pad1.m),
+            body.pad1.components.astype(">u2"),
+            body.pad2.components.astype(">u2"),
+        ]
     else:
         raise EncodingError("pad1 and pad2 must both be set, with equal length")
-    return b"".join(out)
+    return out
 
 
-def _encode_distance_result(body: msgs.DistanceResult) -> bytes:
+def _encode_distance_result(body: msgs.DistanceResult) -> list:
     frac = Fraction(body.mean_lee)
     if frac < 0:
         raise EncodingError("mean Lee distance cannot be negative")
@@ -135,17 +142,16 @@ def _encode_distance_result(body: msgs.DistanceResult) -> bytes:
         raise EncodingError("rational does not fit in u64/u64")
     if not (1 <= body.count < 1 << 32):
         raise EncodingError("count outside u32 range")
-    return struct.pack(">QQI", frac.numerator, frac.denominator, body.count)
+    return [struct.pack(">QQI", frac.numerator, frac.denominator, body.count)]
 
 
-def _encode_hamming_request(body: msgs.HammingRequest) -> bytes:
+def _encode_hamming_request(body: msgs.HammingRequest) -> list:
     code = body.code
     _check_wire_k(code.k)
-    packed = np.packbits(code.bits)  # MSB-first, zero-padded
-    return struct.pack(">II", code.k, code.m) + packed.tobytes()
+    return [struct.pack(">II", code.k, code.m), np.packbits(code.bits)]  # MSB-first, zero-padded
 
 
-def encode_body(body: msgs.MessageBody) -> bytes:
+def _body_parts(body: msgs.MessageBody) -> list:
     if isinstance(body, msgs.KeyShare):
         return _encode_key_share(body)
     if isinstance(body, msgs.HashSubmission):
@@ -157,12 +163,12 @@ def encode_body(body: msgs.MessageBody) -> bytes:
     if isinstance(body, msgs.HammingResponse):
         if not (0 <= body.distance < 1 << 64):
             raise EncodingError("distance outside u64 range")
-        return struct.pack(">Q", body.distance)
+        return [struct.pack(">Q", body.distance)]
     if isinstance(body, msgs.Abort):
         reason = body.reason.encode("utf-8")
         if len(reason) >= 1 << 16:
             raise EncodingError("abort reason too long")
-        return struct.pack(">H", len(reason)) + reason
+        return [struct.pack(">H", len(reason)), reason]
     raise EncodingError(f"unknown message body type: {type(body).__name__}")
 
 
@@ -173,22 +179,23 @@ def encode_envelope(env: msgs.Envelope) -> bytes:
     family = _FAMILY_OF_BODY.get(type(env.body))
     if family is None:
         raise EncodingError(f"unknown message body type: {type(env.body).__name__}")
-    payload = encode_body(env.body)
+    parts = _body_parts(env.body)
     msg_type = (family << 4) | (int(env.kind) << 2) | int(env.sender)
-    length = HEADER_LEN + len(payload)
-    return struct.pack(">IBB", length, VERSION, msg_type) + env.session_id + payload
+    length = HEADER_LEN + sum(memoryview(part).nbytes for part in parts)
+    return b"".join([struct.pack(">IBB", length, VERSION, msg_type), env.session_id, *parts])
 
 
 # ---------------------------------------------------------------- decoding
 
 class _Reader:
-    """Bounds-checked cursor over a payload slice."""
+    """Bounds-checked cursor over a memoryview of the payload: it hands out
+    views, never copies, and every decoder copies what it keeps."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > len(self.data):
             raise MalformedPayload("payload shorter than its declared contents")
         out = self.data[self.pos : self.pos + n]
@@ -228,8 +235,7 @@ def _decode_hash(r: _Reader) -> HashVector:
     count = r.u32()
     if count < 1:
         raise MalformedPayload("hash vector must have at least one component")
-    comps = _read_components(r, k, count)
-    return HashVector(k=k, components=comps)
+    return _adopt(HashVector, k=k, components=_read_components(r, k, count))
 
 
 def _decode_key_share(r: _Reader) -> msgs.KeyShare:
@@ -247,14 +253,14 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
     if a_form == 0:
         if m * n > MAX_FRAME_LENGTH // 8:
             raise MalformedPayload("declared matrix larger than the frame cap")
-        a = np.frombuffer(r.take(8 * m * n), dtype=">f8").astype(np.float64).reshape(m, n)
+        a = _sealed(np.frombuffer(r.take(8 * m * n), dtype=">f8").reshape(m, n).astype(np.float64))
         if not np.isfinite(a).all():
             raise MalformedPayload("matrix entries must be finite")
     elif a_form == 1:
-        a_digest = r.take(32)
+        a_digest = bytes(r.take(32))
     else:
         raise MalformedPayload(f"unknown matrix form {a_form}")
-    u = np.frombuffer(r.take(8 * m), dtype=">f8").astype(np.float64)
+    u = _sealed(np.frombuffer(r.take(8 * m), dtype=">f8").astype(np.float64))
     if not np.isfinite(u).all() or (u < 0).any() or (u >= k).any():
         raise MalformedPayload("dither entries must lie in [0, k)")
     perm_count = r.u32()
@@ -263,12 +269,12 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
         idx = np.frombuffer(r.take(4 * perm_count), dtype=">u4").astype(np.int64)
         if (idx >= perm_count).any() or (np.bincount(idx, minlength=perm_count) != 1).any():
             raise NonBijectivePermutation("permutation indices are not a bijection")
-        permutation = Permutation(perm_count, idx)
+        permutation = _adopt(Permutation, size=perm_count, mapping=idx)
     pad_count = r.u32()
     pad1 = pad2 = None
     if pad_count:
-        pad1 = HashVector(k=k, components=_read_components(r, k, pad_count))
-        pad2 = HashVector(k=k, components=_read_components(r, k, pad_count))
+        pad1 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
+        pad2 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
     r.done()
     return msgs.KeyShare(
         k=k, delta=delta, n=n, u=u, a=a, a_digest=a_digest,
@@ -317,7 +323,7 @@ def _decode_abort(r: _Reader) -> msgs.Abort:
     raw = r.take(n)
     r.done()
     try:
-        return msgs.Abort(reason=raw.decode("utf-8"))
+        return msgs.Abort(reason=str(raw, "utf-8"))
     except UnicodeDecodeError as exc:
         raise MalformedPayload("abort reason is not valid UTF-8") from exc
 
@@ -366,8 +372,8 @@ def decode_frame(data: bytes) -> msgs.Envelope:
         family, kind_bits, sender_bits = msg_type >> 4, (msg_type >> 2) & 0x3, msg_type & 0x3
         if family not in _FAMILIES or sender_bits > 2:
             raise UnknownMessageType(f"msg_type 0x{msg_type:02x} is not defined")
-        session_id = data[6:22]
-        body = _DECODERS[family](_Reader(data[22 : 4 + length]))
+        session_id = bytes(data[6:22])
+        body = _DECODERS[family](_Reader(memoryview(data)[22 : 4 + length]))
         return msgs.Envelope(
             session_id=session_id,
             kind=msgs.ProtocolKind(kind_bits),

@@ -356,9 +356,9 @@ def test_curve_inversion_roundtrip():
 
 
 def test_curve_inversion_roundtrip_at_tiny_distances():
-    # The bisection stops once its bracket is narrower than 1e-12, so it
-    # resolves d to 5e-13 absolute: 1e-9 relative from d = 5e-4 up.
+    # The inversion bisects to adjacent doubles, so it resolves d to relative
+    # precision at every scale.
     params = plan_parameters(5.0, 1.0, 10)
-    for d in (1e-6, 1e-4, params.threshold / 2):
+    for d in (1e-300, 1e-6, 1e-4, params.threshold / 2):
         est = estimate_distance(Fraction(expected_lee(d, params.k)), params.k, EstimateMode.CURVE_INVERTED)
-        assert abs(est.value - d) <= max(1e-9 * d, 1e-12), d
+        assert abs(est.value - d) <= 1e-12 * d, d

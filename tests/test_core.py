@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from modhash import (
     BinaryCode,
@@ -20,7 +22,8 @@ from modhash import (
     lee_distance,
     mean_lee_distance,
 )
-from modhash.rng import ChaChaStream
+from modhash.core import _shared_key
+from modhash.rng import KEY_BLOCK, ChaChaStream
 
 SEED = bytes(range(32))
 
@@ -34,6 +37,127 @@ def test_generate_key_is_deterministic():
     assert np.array_equal(k1.a, k2.a)
     assert np.array_equal(k1.u, k2.u)
     assert k1 == k2
+
+
+# SHA-256 of a.tobytes() + u.tobytes(), pinned from whole-array draws of A
+# and then U. Keys are made in blocks of KEY_BLOCK values; these shapes put
+# the block edges everywhere they could change a bit.
+KEY_DIGESTS = [
+    (8, 1, 1, None, "fd26aa385f83c6470fccf614093007f46ac5b8a173a4dbec64e8dbc33bbe16d0"),
+    (8, 500, 5000, None, "76bc13c5a393cd990a327795924d67907a3d94d5b013bee5847f62d9d393d3e3"),
+    (28, 2989, 100, None, "86b43966fc644cde494d9c220cd698295ae2fe82cc99a846bd6e00252a8547ca"),
+    (6, 5000, 2, None, "a39b7d9864fa8d909390204ca37e8a53904a5c040791b8b5aca4dcb08504682b"),
+    (8, 217, 151, None, "799e0948aa4b259b309c1e6ca9ea299da324b360db9da28603ad94e6be07fd52"),  # KEY_BLOCK - 1
+    (8, 256, 128, None, "b9c9ca43f6dc425165c051c06b6dc1432b3a9dab68f6694a511c4ca7361da799"),  # KEY_BLOCK
+    (8, 99, 331, None, "9781cd1b997d3182a6f004ff827f14d3fb493eb87b79f2ad9433baf45ae83ca4"),  # KEY_BLOCK + 1
+    (8, 7, 3, None, "02c80f6ea44541b1665839a69c67d325fc6eb3f52d17e5047a38c6a953416ca2"),  # U mid ChaCha block
+    (4, 40000, 1, None, "f3332edb9b98cb0166b018cc9249c1204e64910fb34ed59e2f5e1f1e1f4f513b"),  # U spans 2 blocks
+    (16, 123, 457, 1.25, "18db5479f58312dbe16a8b4d139dfde70ae536982f6b26a74ea255afdc9808a1"),
+]
+
+
+@pytest.mark.parametrize("k, m, n, delta, digest", KEY_DIGESTS)
+def test_key_bits_are_pinned_across_block_edges(k, m, n, delta, digest):
+    key = generate_key(k, m, n, SEED) if delta is None else generate_key(k, m, n, SEED, delta)
+    assert hashlib.sha256(key.a.tobytes() + key.u.tobytes()).hexdigest() == digest
+
+
+def test_pinned_key_shapes_straddle_the_block_edges():
+    sizes = [m * n for _, m, n, _, _ in KEY_DIGESTS]
+    assert {KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1} <= set(sizes)
+    # U's first draw falls mid-block (A leaves a partial last block) and U
+    # itself needs more than one block
+    assert any(size % KEY_BLOCK and m > KEY_BLOCK for (_, m, _, _, _), size in zip(KEY_DIGESTS, sizes))
+
+
+def test_stream_fills_match_whole_array_draws_at_any_length():
+    for n in (1, 7, KEY_BLOCK - 1, KEY_BLOCK, 2 * KEY_BLOCK + 3):
+        draws = (ChaChaStream(SEED).uint64(n) >> np.uint64(11)).astype(np.float64)
+        normals = ChaChaStream(SEED).standard_normal_into(np.empty(n), 1.5)
+        assert np.array_equal(normals, ndtri((draws + 0.5) * 2.0**-53) * 1.5)
+        assert np.array_equal(ChaChaStream(SEED).uniform01(n), draws * 2.0**-53)
+
+
+def test_stream_fill_refuses_a_buffer_it_cannot_fill_in_place():
+    with pytest.raises(InvalidParameter):
+        ChaChaStream(SEED).standard_normal_into(np.empty((4, 3)).T)
+    with pytest.raises(InvalidParameter):
+        ChaChaStream(SEED).uniform01_into(np.empty(4, dtype=np.float32))
+
+
+def test_generated_arrays_are_read_only():
+    key = generate_key(8, 4, 3, SEED)
+    h = hash_vector(key, np.arange(3.0))
+    p = Permutation.random(5, ChaChaStream(SEED))
+    for arr in (key.a, key.u, h.components, p.mapping, p.inverse().mapping):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+    # the public constructors copy even the package's own sealed arrays
+    assert HashKey(key.k, key.delta, key.a, key.u).a is not key.a
+    assert HashVector(h.k, h.components).components is not h.components
+
+
+def test_tiny_delta_overflowing_a_is_still_refused():
+    with pytest.raises(InvalidParameter, match="A entries must be finite"):
+        generate_key(8, 2, 2, SEED, delta=1e-310)
+
+
+def test_constructors_copy_what_a_caller_can_still_write():
+    a, u = np.ones((2, 3)), np.array([0.5, 1.5])
+    comps, mapping = np.array([1, 2, 3]), np.array([2, 0, 1])
+    key, h, p = HashKey(8, 1.0, a, u), HashVector(8, comps), Permutation(3, mapping)
+    a[:], u[:], comps[:], mapping[:] = 7.0, 2.5, 0, [0, 1, 2]
+    assert (key.a == 1.0).all() and key.u.tolist() == [0.5, 1.5]
+    assert h.components.tolist() == [1, 2, 3] and p.mapping.tolist() == [2, 0, 1]
+    # a read-only view is copied too: its base is still writable
+    base = np.ones((2, 3))
+    view = base.view()
+    view.setflags(write=False)
+    key = HashKey(8, 1.0, view, np.zeros(2))
+    base[:] = 5.0
+    assert (key.a == 1.0).all()
+
+
+def test_constructors_copy_locked_arrays_a_caller_can_still_reach():
+    # a writable view made before its base was locked still writes to it
+    a, comps, mapping = np.ones((2, 3)), np.array([1, 2, 3]), np.array([2, 0, 1])
+    views = a[:], comps[:], mapping[:]
+    for arr in (a, comps, mapping):
+        arr.setflags(write=False)
+    key, h, p = HashKey(8, 1.0, a, np.zeros(2)), HashVector(8, comps), Permutation(3, mapping)
+    views[0][0, 0], views[1][0], views[2][:] = np.nan, 99, [0, 0, 0]
+    assert (key.a == 1.0).all() and h.components.tolist() == [1, 2, 3] and p.mapping.tolist() == [2, 0, 1]
+    # the owner of a locked array can turn writing back on
+    for arr in (a, comps, mapping):
+        arr.setflags(write=True)
+    a[0, 0], comps[0], mapping[:] = np.inf, -1, [1, 1, 1]
+    assert (key.a == 1.0).all() and h.components.tolist() == [1, 2, 3] and p.mapping.tolist() == [2, 0, 1]
+
+
+def test_shared_key_checks_everything_and_copies_only_writable_arrays():
+    key = generate_key(8, 4, 3, SEED)
+    bob = _shared_key(key.k, key.delta, key.a, key.u)
+    assert bob == key and bob.a is key.a and bob.u is key.u
+    a, u = np.ones((2, 3)), np.array([0.5, 1.5])
+    bob = _shared_key(8, 1.0, a, u)
+    a[:], u[:] = 7.0, 2.5
+    assert (bob.a == 1.0).all() and bob.u.tolist() == [0.5, 1.5] and a.flags.writeable
+    bad_a = np.ones((2, 3))
+    bad_a[0, 0] = np.nan
+    bad_a.setflags(write=False)
+    cases = [
+        (7, 1.0, np.ones((2, 3)), np.zeros(2), "even integer"),
+        (8, 0.0, np.ones((2, 3)), np.zeros(2), "delta"),
+        (8, 1.0, bad_a, np.zeros(2), "A entries must be finite"),
+        (8, 1.0, np.ones(3), np.zeros(1), "2-D matrix"),
+        (8, 1.0, np.ones((2, 3)), np.array([0.0, 8.0]), "0 <= u < k"),
+    ]
+    for k, delta, a, u, match in cases:
+        with pytest.raises(InvalidParameter, match=match):
+            _shared_key(k, delta, a, u)
+    with pytest.raises(DimensionMismatch):
+        _shared_key(8, 1.0, np.ones((2, 3)), np.zeros(3))
 
 
 def test_generate_key_differs_across_seeds():

@@ -81,6 +81,15 @@ def test_roundtrip_every_message_type():
         assert encode_envelope(back) == data
 
 
+def test_decoded_messages_hold_no_views_into_the_frame():
+    for env in _sample_envelopes():
+        buf = bytearray(encode_envelope(env))
+        back = decode_frame(buf)
+        buf[:] = b"\xff" * len(buf)
+        assert back == env
+        del buf[:]  # BufferError if anything decoded still exported a view of it
+
+
 def test_frame_layout():
     env = _env(HammingResponse(distance=1), kind=ProtocolKind.TWO_PARTY_HAMMING)
     data = encode_envelope(env)
