@@ -10,6 +10,10 @@ so a hash reveals nothing without the key. Lee distances between two hashes
 of the same key still track the Euclidean distance of the inputs below a
 threshold that grows with k; the analysis module quantifies that relation.
 
+The projection A x + U runs on the caller's thread, in numpy's own loop and
+never through BLAS, so the bits of a hash depend neither on the BLAS library
+nor on its thread count, and no BLAS worker spins on after a call.
+
 The binary ring coding c(.) maps each symbol of Z_k to k/2 bits such that
 Hamming distance between codes equals Lee distance between symbols, which
 lets a secure Hamming-distance subprotocol stand in for a third party.
@@ -259,6 +263,13 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
     return _adopt(HashKey, k=k, delta=delta, a=a, u=u)
 
 
+def _projection(key: HashKey, x: np.ndarray) -> np.ndarray:
+    """A x + U in numpy's own loop. Not `key.a @ x`: BLAS runs a large one on
+    workers that spin ~0.1 s after it returns, in an order (so to the last bit)
+    set by their number."""
+    return np.einsum("ij,j->i", key.a, x) + key.u
+
+
 def hash_vector(key: HashKey, x) -> HashVector:
     """Hash a length-N real vector: floor(A x + U) mod k, component-wise.
 
@@ -272,7 +283,7 @@ def hash_vector(key: HashKey, x) -> HashVector:
         raise DimensionMismatch(f"input has length {x.shape[0]}, key expects {key.n}")
     if not np.isfinite(x).all():
         raise InvalidInput("input entries must be finite")
-    z = key.a @ x + key.u
+    z = _projection(key, x)
     if not np.isfinite(z).all():
         raise InvalidInput("projection overflowed the floating-point range")
     comps = np.mod(np.floor(z), key.k)

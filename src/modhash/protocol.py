@@ -45,6 +45,7 @@ from .core import (
     HashKey,
     HashVector,
     Permutation,
+    _frozen_array,
     _shared_key,
     apply_permutation,
     concat_hashes,
@@ -109,7 +110,7 @@ class MatrixStore:
         return h.digest()
 
     def put(self, a: np.ndarray) -> bytes:
-        a = np.asarray(a, dtype=np.float64)
+        a = _frozen_array(a, np.float64)  # the caller may write to its own array later
         d = self.digest(a)
         self._matrices[d] = a
         return d

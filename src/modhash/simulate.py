@@ -10,6 +10,7 @@ Per-trial seeds are derived from (master seed, k, distance, trial index), so
 trials are order-independent and every sweep is bit-reproducible.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -72,11 +73,12 @@ def _trial_seed(master: bytes, k: int, distance: float, trial: int) -> bytes:
 def _pair_at_distance(stream: ChaChaStream, n: int, distance: float) -> tuple[np.ndarray, np.ndarray]:
     """x1 random normal; x2 = x1 + distance * (uniform random direction)."""
     x1 = stream.standard_normal(n)
-    direction = stream.standard_normal(n)
-    norm = float(np.linalg.norm(direction))
+    norm = 0.0
     while norm == 0.0:  # probability zero, but stay total
         direction = stream.standard_normal(n)
-        norm = float(np.linalg.norm(direction))
+        # not np.linalg.norm: from ~10^4 values its BLAS ddot is threaded, and
+        # the workers spin on after it returns
+        norm = math.sqrt(np.einsum("i,i->", direction, direction))
     return x1, x1 + (distance / norm) * direction
 
 

@@ -1,10 +1,18 @@
+import ast
 import hashlib
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import modhash
 from modhash import (
     BinaryCode,
     DimensionMismatch,
@@ -24,6 +32,7 @@ from modhash import (
 )
 from modhash.core import _shared_key
 from modhash.rng import KEY_BLOCK, ChaChaStream
+from modhash.simulate import SweepSpec, run_sweep
 
 SEED = bytes(range(32))
 
@@ -256,6 +265,83 @@ def test_hash_component_independence_proxy():
     corr = np.corrcoef(comps.T)
     off_diag = corr[~np.eye(4, dtype=bool)]
     assert np.abs(off_diag).max() < 3.0 / math.sqrt(n_keys)
+
+
+def _cpu_burned_asleep(seconds: float = 0.3) -> float:
+    """CPU time this process spends while its main thread sleeps: what any
+    thread left running (a BLAS worker spinning on) takes from the machine."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    time.sleep(seconds)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+
+
+def test_no_cpu_is_burned_after_hashing():
+    # Criterion 6's shape, and a sweep whose input norm spans 20,000 values:
+    # BLAS runs both on worker threads that busy-wait ~0.1 s after returning
+    # (0.12 s burned in the sleep below when hash_vector used `A @ x`).
+    key = generate_key(8, 500, 5000, SEED)
+    x = ChaChaStream(SEED, b"idle").standard_normal(5000)
+    _cpu_burned_asleep()  # let threads an earlier test woke fall asleep
+    hash_vector(key, x)
+    assert _cpu_burned_asleep() < 0.03
+    run_sweep(SweepSpec((8,), 1, 20000, (1.0,), 1, SEED))
+    assert _cpu_burned_asleep() < 0.03
+
+
+_PROJECTION_DIGEST = """
+import hashlib, sys
+from modhash import generate_key
+from modhash.core import _projection
+from modhash.rng import ChaChaStream
+key = generate_key(8, 500, 5000, bytes(range(32)))
+x = ChaChaStream(bytes(range(32)), b"threads").standard_normal(5000)
+sys.stdout.write(hashlib.sha256(_projection(key, x).tobytes()).hexdigest())
+"""
+
+
+def test_projection_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(pathlib.Path(modhash.__file__).parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _PROJECTION_DIGEST], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout)
+    assert len(digests) == 1
+
+
+# Calls that hand a product to BLAS, whose threads outlive the call and whose
+# bits depend on the thread count; `einsum(..., optimize=...)` reaches BLAS
+# through tensordot. The idle-CPU test above cannot see them on one CPU.
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def _blas_use(node: ast.AST) -> str | None:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+        return node.attr
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        dotted = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+        if _BLAS_NAMES & {part for name in dotted for part in name.split(".")}:
+            return "import"
+    if isinstance(node, ast.Call) and any(kw.arg == "optimize" for kw in node.keywords):
+        return "optimize="
+    return None
+
+
+def test_no_module_calls_blas():
+    found = [
+        f"{path.name}:{node.lineno} {_blas_use(node)}"
+        for path in sorted(pathlib.Path(modhash.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _blas_use(node)
+    ]
+    assert found == []
 
 
 # ------------------------------------------------------------------ lee metric

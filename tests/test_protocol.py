@@ -285,6 +285,16 @@ def test_public_a_wire_key_share_is_compact():
     assert env.body.a is None and env.body.a_digest is not None
 
 
+def test_matrix_store_keeps_what_was_put_not_the_callers_array():
+    store = MatrixStore()
+    a = np.ones((2, 2))
+    d = store.put(a)
+    a[0, 0] = 5.0
+    assert np.array_equal(store.get(d), np.ones((2, 2)))
+    assert MatrixStore.digest(store.get(d)) == d
+    assert not store.get(d).flags.writeable
+
+
 def test_public_a_unknown_digest_aborts():
     x1, x2 = _vectors()
     store = MatrixStore()
