@@ -11,17 +11,32 @@ Networked deployment mirrors the protocol roles:
     CharlieServer   pure listener; pairs hash submissions by session id and
                     returns the distance result over the submitting connections.
     BobServer       listener for Alice's key share; submits Bob's hash to
-                    Charlie (dialing per session) or answers the oracle flow.
+                    Charlie over one shared connection, or answers the
+                    oracle flow.
     run_over_tcp    Alice's side: dials Bob (and Charlie), drives one session.
+
+Each server runs one selector loop on one thread. The loop accepts, buffers
+partial frames per connection, queues writes until the peer takes them, and
+is the only owner of every Session the server drives. Bob dials Charlie when
+a three-party session first needs him, keeps that connection for every later
+session, and routes Charlie's replies by session id. A session leaves its
+table as soon as it ends, or after _IDLE_S without a message; the ids of
+ended sessions stay in a bounded window, so a replayed message is refused
+rather than opening a new session.
 
 Serialization of hash keys to the documented JSON interchange format also
 lives here.
 """
 
+import errno
 import json
 import logging
+import os
+import selectors
 import socket
 import threading
+import time
+from collections import OrderedDict
 
 import numpy as np
 
@@ -45,12 +60,17 @@ from .messages import (
     Role,
     THREE_PARTY_KINDS,
 )
-from .protocol import MatrixStore, SecureHammingOracle, Session, start_session
+from .protocol import MatrixStore, Phase, SecureHammingOracle, Session, start_session
 
 log = logging.getLogger("modhash.transport")
 
 _CLOSED = object()
 _ACCEPT_BACKOFF_S = 0.1
+_TICK_S = 0.25  # longest a server loop sleeps: how soon stop() and deadlines act
+_IDLE_S = 30.0  # a session without a message, or a partial frame, is dropped after this
+_FINISHED_WINDOW = 1 << 16  # ids of ended sessions kept to refuse replays
+_MAX_UNSENT = 64 << 20  # bytes queued to a peer that does not read before it is dropped
+_RECV_CHUNK = 1 << 20
 
 
 class LocalPipe:
@@ -145,15 +165,44 @@ def _send_envelope(transport, env: Envelope):
     transport.send_frame(wire.encode_envelope(env))
 
 
-def _recv_envelope(transport) -> Envelope:
-    return wire.decode_frame(transport.recv_frame())
-
-
 # ------------------------------------------------------------------ servers
 
 
+class _Conn:
+    """One non-blocking socket in a server's loop: the bytes read that do not
+    yet make a whole frame, and the bytes queued that the peer has not taken."""
+
+    __slots__ = ("sock", "peer", "on_envelope", "inbuf", "outbuf", "partial_since", "closed")
+
+    def __init__(self, sock: socket.socket, peer, on_envelope):
+        sock.setblocking(False)
+        # Frames of many sessions share a connection; Nagle would hold each
+        # small one until the previous was acknowledged.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.peer = peer
+        self.on_envelope = on_envelope
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.partial_since: float | None = None
+        self.closed = False
+
+
+class _Live:
+    """A session in a server's table: its state machine, the connection that
+    reaches each peer, and when it last received a message."""
+
+    __slots__ = ("session", "routes", "touched")
+
+    def __init__(self, session: Session):
+        self.session = session
+        self.routes: dict[Role, _Conn] = {}
+        self.touched = time.monotonic()
+
+
 class _RoleServer:
-    """Shared accept-loop machinery for the listening roles."""
+    """One selector loop, on one thread, that accepts, reads and writes every
+    connection and is the only owner of every Session the server drives."""
 
     role: Role
 
@@ -166,76 +215,226 @@ class _RoleServer:
             self._listener.close()
             raise TransportClosed(f"cannot bind {host}:{port}: {exc}") from exc
         self._listener.listen()
-        self._listener.settimeout(0.25)  # lets stop() interrupt accept()
+        self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._selector = selectors.DefaultSelector()
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
-        self._lock = threading.Lock()
         self._result_cv = threading.Condition()
         self.results: dict[bytes, object] = {}  # session_id -> DistanceEstimate
+        self._sessions: dict[bytes, _Live] = {}
+        self._finished: OrderedDict[bytes, Phase] = OrderedDict()  # replay window
 
     def start(self) -> "_RoleServer":
-        t = threading.Thread(target=self._accept_loop, name=f"{self.role.name}-accept", daemon=True)
+        t = threading.Thread(target=self._loop, name=f"{self.role.name}-loop", daemon=True)
         t.start()
         self._threads.append(t)
         return self
 
-    def _accept_loop(self):
-        while not self._stopping.is_set():
-            try:
-                sock, peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError as exc:
-                if self._stopping.is_set() or self._listener.fileno() < 0:
-                    break
-                # EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED: the listener
-                # still works, so wait for the shortage to pass and go on.
-                log.warning("%s: accept failed, retrying: %s", self.role.name, exc)
-                self._stopping.wait(_ACCEPT_BACKOFF_S)
-                continue
-            if self._stopping.is_set():
-                sock.close()
-                break
-            conn = TcpTransport(sock)
-            t = threading.Thread(
-                target=self._serve_connection, args=(conn, peer),
-                name=f"{self.role.name}-conn", daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
+    # -------------------------------------------------------------- the loop
 
-    def _serve_connection(self, conn: TcpTransport, peer):
-        # The session tables keep their routes after the peer leaves, so the
-        # socket is closed here or its descriptor would never be released.
+    def _loop(self):
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        accept_paused_until = None
+        next_sweep = time.monotonic() + _TICK_S
         try:
-            while True:
-                try:
-                    env = _recv_envelope(conn)
-                except TransportClosed:
-                    return
-                except DecodeError as exc:
-                    # Bad frame: this connection is unusable, but the server lives on.
-                    log.warning("%s: dropping connection from %s: %s", self.role.name, peer, exc)
-                    return
-                try:
-                    self._handle(conn, env)
-                except TransportClosed:
-                    return
-                except ModHashError as exc:
-                    log.warning("%s: session %s aborted: %s", self.role.name, env.session_id.hex()[:8], exc)
-                    self._abort_session(conn, env, str(exc))
+            while not self._stopping.is_set():
+                for key, events in self._selector.select(_TICK_S):
+                    conn = key.data
+                    if conn is None:
+                        if not self._accept():
+                            self._selector.unregister(self._listener)
+                            accept_paused_until = time.monotonic() + _ACCEPT_BACKOFF_S
+                        continue
+                    if conn.closed:  # dropped earlier in this batch
+                        continue
+                    try:
+                        if events & selectors.EVENT_WRITE:
+                            self._flush(conn)
+                        if events & selectors.EVENT_READ and not conn.closed:
+                            self._read(conn)
+                    except Exception:  # a fault in one exchange must not end the server
+                        log.exception("%s: dropping connection from %s", self.role.name, conn.peer)
+                        self._drop(conn)
+                now = time.monotonic()
+                if accept_paused_until is not None and now >= accept_paused_until:
+                    self._selector.register(self._listener, selectors.EVENT_READ)
+                    accept_paused_until = None
+                if now >= next_sweep:
+                    self._sweep(now)
+                    next_sweep = now + _TICK_S
         finally:
-            conn.close()
+            for key in list(self._selector.get_map().values()):
+                if key.data is not None:
+                    key.data.closed = True
+                    key.data.sock.close()
 
-    def _abort_session(self, conn: TcpTransport, env: Envelope, reason: str):
+    def _accept(self) -> bool:
+        """Accept one connection; False if accepting should pause a while."""
         try:
-            _send_envelope(conn, Envelope(env.session_id, env.kind, self.role, Abort(reason=reason)))
-        except TransportClosed:
-            pass
+            sock, peer = self._listener.accept()
+        except BlockingIOError:
+            return True
+        except OSError as exc:
+            # EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED: the listener
+            # still works, so wait for the shortage to pass and go on.
+            log.warning("%s: accept failed, retrying: %s", self.role.name, exc)
+            return False
+        try:
+            self._register(sock, peer, self._serve)
+        except OSError:  # reset by the peer before it could be set up
+            sock.close()
+        return True
 
-    def _handle(self, conn: TcpTransport, env: Envelope):
+    def _register(self, sock: socket.socket, peer, on_envelope) -> _Conn:
+        conn = _Conn(sock, peer, on_envelope)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        return conn
+
+    def _read(self, conn: _Conn):
+        try:
+            data = conn.sock.recv(_RECV_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._drop(conn)
+            return
+        buf = conn.inbuf
+        buf += data
+        completed = False
+        while len(buf) >= 4 and not conn.closed:
+            try:
+                end = 4 + wire.frame_length(bytes(buf[:4]))
+                if len(buf) < end:
+                    break
+                frame = bytes(buf[:end])
+                del buf[:end]
+                env = wire.decode_frame(frame)
+            except DecodeError as exc:
+                # Bad frame: this connection is unusable, but the server lives on.
+                log.warning("%s: dropping connection from %s: %s", self.role.name, conn.peer, exc)
+                self._drop(conn)
+                return
+            completed = True
+            conn.on_envelope(conn, env)
+        if not buf:
+            conn.partial_since = None
+        elif completed or conn.partial_since is None:
+            conn.partial_since = time.monotonic()
+
+    def _send(self, conn: _Conn, env: Envelope):
+        """Queue one frame; the loop never waits for a peer to read."""
+        if conn.closed:
+            return
+        data = wire.encode_envelope(env)
+        if not conn.outbuf:
+            try:
+                sent = conn.sock.send(data)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self._drop(conn)
+                return
+            if sent == len(data):
+                return
+            data = memoryview(data)[sent:]
+            self._selector.modify(conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn)
+        conn.outbuf += data
+        if len(conn.outbuf) > _MAX_UNSENT:
+            log.warning("%s: dropping connection from %s: %d bytes unsent", self.role.name, conn.peer, len(conn.outbuf))
+            self._drop(conn)
+
+    def _flush(self, conn: _Conn):
+        try:
+            sent = conn.sock.send(conn.outbuf)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._drop(conn)
+            return
+        del conn.outbuf[:sent]
+        if not conn.outbuf:
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+
+    def _drop(self, conn: _Conn):
+        """Close a connection and abort the sessions that were waiting on it."""
+        if conn.closed:
+            return
+        conn.closed = True
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        for live in [live for live in self._sessions.values() if conn in self._awaited(live)]:
+            self._abort(live, "connection lost")
+
+    def _sweep(self, now: float):
+        for live in [live for live in self._sessions.values() if now - live.touched > _IDLE_S]:
+            self._abort(live, f"idle for more than {_IDLE_S:g} s")
+        for key in list(self._selector.get_map().values()):
+            conn = key.data
+            if conn is not None and conn.partial_since is not None and now - conn.partial_since > _IDLE_S:
+                log.warning(
+                    "%s: dropping connection from %s: partial frame held for more than %g s",
+                    self.role.name, conn.peer, _IDLE_S,
+                )
+                self._drop(conn)
+
+    # -------------------------------------------------------------- sessions
+
+    def _serve(self, conn: _Conn, env: Envelope):
+        try:
+            self._handle(conn, env)
+        except ModHashError as exc:
+            log.warning("%s: session %s aborted: %s", self.role.name, env.session_id.hex()[:8], exc)
+            self._end(env.session_id)
+            self._send(conn, Envelope(env.session_id, env.kind, self.role, Abort(reason=str(exc))))
+
+    def _handle(self, conn: _Conn, env: Envelope):
         raise NotImplementedError
+
+    def _awaited(self, live: _Live):
+        """The connections whose loss leaves this session unable to finish."""
+        return live.routes.values()
+
+    def _live(self, session_id: bytes) -> _Live | None:
+        """The open session, or None; a replay of an ended one is refused as
+        the ended session itself would refuse it."""
+        live = self._sessions.get(session_id)
+        if live is None and session_id in self._finished:
+            raise ProtocolViolation(f"message after {self._finished[session_id].name}")
+        return live
+
+    def _open(self, session: Session) -> _Live:
+        live = self._sessions[session.session_id] = _Live(session)
+        return live
+
+    def _drive(self, live: _Live, env: Envelope):
+        """Hand one envelope to the session, send what it answers, and take
+        it out of the table once it has ended."""
+        live.touched = time.monotonic()
+        for out in live.session.on_message(env.addressed_to(self.role)):
+            self._send(live.routes[out.recipient], out)
+        if live.session.done or live.session.aborted:
+            self._end(live.session.session_id)
+
+    def _end(self, session_id: bytes):
+        live = self._sessions.pop(session_id, None)
+        if live is not None:
+            self._finished[session_id] = Phase.DONE if live.session.done else Phase.ABORTED
+            if len(self._finished) > _FINISHED_WINDOW:
+                self._finished.popitem(last=False)
+
+    def _abort(self, live: _Live, reason: str):
+        session = live.session
+        if self._sessions.get(session.session_id) is not live:
+            return  # ended while an earlier abort was being sent
+        log.warning("%s: session %s aborted: %s", self.role.name, session.session_id.hex()[:8], reason)
+        self._end(session.session_id)
+        for conn in dict.fromkeys(live.routes.values()):
+            self._send(conn, Envelope(session.session_id, session.kind, self.role, Abort(reason=reason)))
+
+    # -------------------------------------------------------------- callers
 
     def _record_result(self, session_id: bytes, result):
         with self._result_cv:
@@ -251,13 +450,15 @@ class _RoleServer:
 
     def stop(self):
         self._stopping.set()
-        try:  # wake a blocked accept() immediately
-            socket.create_connection(self.address, timeout=0.5).close()
-        except OSError:
-            pass
-        self._listener.close()
+        if self._threads:
+            try:  # wake the loop now rather than at its next tick
+                socket.create_connection(self.address, timeout=0.5).close()
+            except OSError:
+                pass
         for t in self._threads:
             t.join(timeout=5)
+        self._listener.close()
+        self._selector.close()
 
     def __enter__(self):
         return self
@@ -272,28 +473,17 @@ class CharlieServer(_RoleServer):
 
     role = Role.CHARLIE
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(host, port)
-        self._sessions: dict[bytes, Session] = {}
-        self._routes: dict[bytes, dict[Role, TcpTransport]] = {}
-
-    def _handle(self, conn: TcpTransport, env: Envelope):
+    def _handle(self, conn: _Conn, env: Envelope):
         if not isinstance(env.body, (HashSubmission, Abort)):
             raise ProtocolViolation(f"third party cannot accept {type(env.body).__name__}")
-        with self._lock:
-            session = self._sessions.get(env.session_id)
-            if session is None:
-                if env.kind not in THREE_PARTY_KINDS:
-                    raise ProtocolViolation(f"{env.kind.name} does not involve a third party")
-                session, _ = start_session(Role.CHARLIE, env.kind, session_id=env.session_id)
-                self._sessions[env.session_id] = session
-                self._routes[env.session_id] = {}
-            self._routes[env.session_id][env.sender] = conn
-            outgoing = session.on_message(env.addressed_to(Role.CHARLIE))
-            routes = self._routes[env.session_id]
-        for out in outgoing:
-            _send_envelope(routes[out.recipient], out)
-        if session.done:
+        live = self._live(env.session_id)
+        if live is None:
+            if env.kind not in THREE_PARTY_KINDS:
+                raise ProtocolViolation(f"{env.kind.name} does not involve a third party")
+            live = self._open(start_session(Role.CHARLIE, env.kind, session_id=env.session_id)[0])
+        live.routes[env.sender] = conn
+        self._drive(live, env)
+        if live.session.done:
             log.info(
                 "session %s: served mean over %d components",
                 env.session_id.hex()[:8], env.body.vector.m if isinstance(env.body, HashSubmission) else -1,
@@ -302,7 +492,8 @@ class CharlieServer(_RoleServer):
 
 class BobServer(_RoleServer):
     """Bob's listening endpoint: one fixed input vector, any number of
-    sessions initiated by Alice key shares."""
+    sessions initiated by Alice key shares. Hash submissions to Charlie share
+    one connection, dialed when first needed and again after it is lost."""
 
     role = Role.BOB
 
@@ -322,58 +513,68 @@ class BobServer(_RoleServer):
         self._matrix_store = matrix_store
         self._mode = mode
         self._margin = saturation_margin
-        self._sessions: dict[bytes, Session] = {}
-        self._charlie_conns: dict[bytes, TcpTransport] = {}
-        self._alice_conns: dict[bytes, TcpTransport] = {}
+        self._link: _Conn | None = None
 
-    def _handle(self, conn: TcpTransport, env: Envelope):
-        with self._lock:
-            session = self._sessions.get(env.session_id)
-            if session is None:
-                if not isinstance(env.body, KeyShare):
-                    raise ProtocolViolation("session must open with a key share")
-                session, _ = start_session(
-                    Role.BOB, env.kind, x=self._x2, session_id=env.session_id,
-                    matrix_store=self._matrix_store, mode=self._mode,
-                    saturation_margin=self._margin,
-                )
-                self._sessions[env.session_id] = session
-                self._alice_conns[env.session_id] = conn
-        outgoing = session.on_message(env.addressed_to(Role.BOB))
-        for out in outgoing:
-            if out.recipient == Role.CHARLIE:
-                self._send_to_charlie(env.session_id, out)
-            else:
-                _send_envelope(self._alice_conns[env.session_id], out)
-        if session.done:
-            self._record_result(env.session_id, session.result)
-            log.info("session %s: estimate %s", env.session_id.hex()[:8], session.result)
+    def _handle(self, conn: _Conn, env: Envelope):
+        live = self._live(env.session_id)
+        if live is None:
+            if not isinstance(env.body, KeyShare):
+                raise ProtocolViolation("session must open with a key share")
+            session, _ = start_session(
+                Role.BOB, env.kind, x=self._x2, session_id=env.session_id,
+                matrix_store=self._matrix_store, mode=self._mode,
+                saturation_margin=self._margin,
+            )
+            live = self._open(session)
+            live.routes[Role.ALICE] = conn
+            if env.kind in THREE_PARTY_KINDS:
+                live.routes[Role.CHARLIE] = self._charlie_link()
+        self._step(live, env)
 
-    def _send_to_charlie(self, session_id: bytes, env: Envelope):
-        if self._charlie_address is None:
-            raise ProtocolViolation("no third-party address configured")
-        charlie = TcpTransport.connect(*self._charlie_address)
-        self._charlie_conns[session_id] = charlie
-        _send_envelope(charlie, env)
-        t = threading.Thread(
-            target=self._await_charlie, args=(session_id, charlie),
-            name="BOB-charlie", daemon=True,
-        )
-        t.start()
-        self._threads.append(t)
-
-    def _await_charlie(self, session_id: bytes, charlie: TcpTransport):
-        session = self._sessions[session_id]
+    def _on_charlie(self, conn: _Conn, env: Envelope):
+        live = self._sessions.get(env.session_id)
+        if live is None:
+            log.warning("session %s: reply for no open session", env.session_id.hex()[:8])
+            return
         try:
-            env = _recv_envelope(charlie)
-            session.on_message(env.addressed_to(Role.BOB))
-        except (TransportClosed, DecodeError, ProtocolViolation) as exc:
-            log.warning("session %s: %s", session_id.hex()[:8], exc)
-        finally:
-            charlie.close()
+            self._step(live, env)
+        except ModHashError as exc:
+            log.warning("session %s: %s", env.session_id.hex()[:8], exc)
+            self._end(env.session_id)
+
+    def _step(self, live: _Live, env: Envelope):
+        self._drive(live, env)
+        session = live.session
         if session.done:
-            self._record_result(session_id, session.result)
-            log.info("session %s: estimate %s", session_id.hex()[:8], session.result)
+            self._record_result(session.session_id, session.result)
+            log.info("session %s: estimate %s", session.session_id.hex()[:8], session.result)
+
+    def _awaited(self, live: _Live):
+        waits_on = Role.CHARLIE if live.session.kind in THREE_PARTY_KINDS else Role.ALICE
+        return (live.routes.get(waits_on),)
+
+    def _drop(self, conn: _Conn):
+        if conn is self._link:
+            self._link = None  # the next three-party session dials again
+        super()._drop(conn)
+
+    def _charlie_link(self) -> _Conn:
+        if self._link is None:
+            if self._charlie_address is None:
+                raise ProtocolViolation("no third-party address configured")
+            host, port = self._charlie_address
+            try:
+                family, type_, proto, _, addr = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0]
+                sock = socket.socket(family, type_, proto)
+            except OSError as exc:
+                raise TransportClosed(f"cannot connect to {host}:{port}: {exc}") from exc
+            sock.setblocking(False)
+            err = sock.connect_ex(addr)
+            if err not in (0, errno.EINPROGRESS):
+                sock.close()
+                raise TransportClosed(f"cannot connect to {host}:{port}: {os.strerror(err)}")
+            self._link = self._register(sock, self._charlie_address, self._on_charlie)
+        return self._link
 
 
 class RunResult:

@@ -24,7 +24,8 @@ from modhash import (
     key_to_json,
     run_over_tcp,
 )
-from modhash.messages import Envelope, HashSubmission
+from modhash import transport
+from modhash.messages import Abort, Envelope, HashSubmission
 from modhash.protocol import MatrixStore
 from modhash.transport import (
     BobServer,
@@ -307,6 +308,190 @@ def test_run_over_tcp_timeout_bounds_a_silent_server():
         t.join(timeout=10)
         assert not t.is_alive(), "Alice still waits on a server that never answers"
     assert 0.5 <= outcome["elapsed"] < 5.0
+
+
+def _eventually(condition, timeout=5.0):
+    """Wait for what a server loop does after the client has its answer."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def _recv_until_closed(sock, timeout=5.0):
+    """Frames the server sent before it closed this socket; fails on timeout."""
+    sock.settimeout(timeout)
+    data = b""
+    while True:
+        try:
+            chunk = sock.recv(1 << 16)
+        except ConnectionResetError:
+            chunk = b""
+        if not chunk:
+            return data
+        data += chunk
+
+
+def _alice_frames(kind, x1, x2, params, seed):
+    """Alice's key-share frame to Bob and (on three-party kinds) her
+    submission frame to Charlie, byte for byte as run_over_tcp sends them."""
+    local = drive_local(kind, x1, x2, params, seed)
+    out = {t.recipient: t.data for t in local.transcript if t.sender == Role.ALICE}
+    return local, out[Role.BOB], out.get(Role.CHARLIE)
+
+
+def test_charlie_aborts_a_session_left_idle(monkeypatch):
+    # Before, a session with one submission stayed in the table for ever.
+    monkeypatch.setattr(transport, "_IDLE_S", 0.3)
+    with CharlieServer() as srv:
+        srv.start()
+        conn = TcpTransport.connect(*srv.address, timeout=5.0)
+        conn.send_frame(_frame(b"\x07" * 16, Role.ALICE, (0, 1)))
+        env = decode_frame(conn.recv_frame())
+        assert env.session_id == b"\x07" * 16
+        assert isinstance(env.body, Abort) and "idle" in env.body.reason
+        assert srv._sessions == {}
+        conn.close()
+
+
+def test_servers_close_a_connection_holding_a_partial_frame(monkeypatch):
+    # Before, a half-sent frame pinned a server thread for ever.
+    monkeypatch.setattr(transport, "_IDLE_S", 0.3)
+    x1, x2 = _vectors()
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        for server in (charlie, bob):
+            with socket.create_connection(server.address) as sock:
+                sock.sendall(_frame()[:10])
+                t0 = time.monotonic()
+                assert _recv_until_closed(sock) == b""
+                assert time.monotonic() - t0 < 3.0
+
+
+def test_bob_redials_charlie_after_losing_the_link():
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        first = run_over_tcp(kind, x1, PARAMS, SEED, bob.address, charlie.address)
+        bob.wait_result(first.session_id, 5.0)
+        _eventually(lambda: not charlie._sessions)
+        # A session waiting on Charlie when the link drops: Bob has submitted,
+        # Alice has not.
+        _, share, _ = _alice_frames(kind, x1, x2, PARAMS, bytes([9]) * 32)
+        sid = decode_frame(share).session_id
+        alice = TcpTransport.connect(*bob.address, timeout=5.0)
+        alice.send_frame(share)
+        _eventually(lambda: sid in bob._sessions and sid in charlie._sessions)
+        assert list(bob._sessions) == list(charlie._sessions) == [sid]
+        bob._link.sock.shutdown(socket.SHUT_RDWR)
+        env = decode_frame(alice.recv_frame())
+        assert isinstance(env.body, Abort) and env.body.reason == "connection lost"
+        alice.close()
+        _eventually(lambda: not (bob._link or bob._sessions or charlie._sessions))
+        assert bob._link is None and bob._sessions == {} and charlie._sessions == {}
+        again = run_over_tcp(kind, x1, PARAMS, bytes([10]) * 32, bob.address, charlie.address)
+        assert again.mean_lee == drive_local(kind, x1, x2, PARAMS, bytes([10]) * 32).mean_lee
+        assert bob.wait_result(again.session_id, 5.0) is not None
+
+
+def test_replayed_messages_are_refused_without_opening_a_session():
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+    local, share, submission = _alice_frames(kind, x1, x2, PARAMS, SEED)
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        run = run_over_tcp(kind, x1, PARAMS, SEED, bob.address, charlie.address)
+        assert run.mean_lee == local.mean_lee
+        bob.wait_result(run.session_id, 5.0)
+        for server, frame in ((bob, share), (charlie, submission)):
+            conn = TcpTransport.connect(*server.address, timeout=5.0)
+            conn.send_frame(frame)
+            env = decode_frame(conn.recv_frame())
+            assert env.session_id == run.session_id
+            assert env.body == Abort(reason="message after DONE")
+            conn.close()
+            assert server._sessions == {}
+
+
+class _Starved:
+    """A server-side socket whose peer has stopped reading."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def send(self, data):
+        raise BlockingIOError
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_peer_that_stops_reading_is_dropped_without_stalling_others(monkeypatch, caplog):
+    monkeypatch.setattr(transport, "_MAX_UNSENT", 4096)
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+
+    def pair(i):  # both submissions of one session: two results come back
+        sid = i.to_bytes(16, "big")
+        return _frame(sid, Role.ALICE, (0, 1)) + _frame(sid, Role.BOB, (3, 5))
+
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        staller = TcpTransport.connect(*charlie.address, timeout=5.0)
+        staller._sock.sendall(pair(0))
+        staller.recv_frame()
+        staller.recv_frame()
+        (conn,) = [
+            k.data for k in charlie._selector.get_map().values()
+            if k.data is not None and k.data.peer == staller._sock.getsockname()
+        ]
+        conn.sock = _Starved(conn.sock)
+        staller._sock.sendall(b"".join(pair(i) for i in range(1, 20)))
+        _eventually(lambda: conn.outbuf)
+        assert 0 < len(conn.outbuf) <= 4096 and not conn.closed
+        seed = bytes([11]) * 32
+        run = run_over_tcp(kind, x1, PARAMS, seed, bob.address, charlie.address, timeout=5.0)
+        assert run.mean_lee == drive_local(kind, x1, x2, PARAMS, seed).mean_lee
+        with caplog.at_level(logging.WARNING, logger="modhash.transport"):
+            try:
+                staller._sock.sendall(b"".join(pair(i) for i in range(20, 200)))
+            except OSError:
+                pass  # the server may close it mid-write
+            assert _recv_until_closed(staller._sock) == b""
+        assert conn.closed
+        assert any("bytes unsent" in r.getMessage() for r in caplog.records)
+        staller.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_tables_threads_and_descriptors_stay_flat():
+    # Before, every session stayed in Bob's and Charlie's tables for ever.
+    params = ProtocolParams.from_dimensions(8, 244)
+    rng = np.random.default_rng(5)
+    x2 = rng.standard_normal(50)
+    x1 = x2 + 0.01 * rng.standard_normal(50)
+    kinds = (ProtocolKind.FULL_KEY_3P, ProtocolKind.TWO_PARTY_HAMMING, ProtocolKind.OBFUSCATED_3P)
+    open_fds = lambda: len(os.listdir("/proc/self/fd"))  # noqa: E731
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        fds = open_fds() + 2  # from the first session on: both ends of the Bob-Charlie link
+        run_over_tcp(kinds[0], x1, params, bytes(32), bob.address, charlie.address)
+        _eventually(lambda: open_fds() == fds)
+        threads = threading.active_count()
+        for i in range(1, 300):
+            kind = kinds[i % 3]
+            charlie_address = charlie.address if kind != ProtocolKind.TWO_PARTY_HAMMING else None
+            run_over_tcp(kind, x1, params, i.to_bytes(32, "big"), bob.address, charlie_address)
+        _eventually(lambda: not (bob._sessions or charlie._sessions) and open_fds() == fds)
+        assert bob._sessions == {} and charlie._sessions == {}
+        assert threading.active_count() == threads
+        assert open_fds() == fds
+        assert len(bob.results) == 300
 
 
 def test_concurrent_sessions_complete_independently():
