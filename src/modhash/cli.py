@@ -7,6 +7,7 @@ can be set through the MODHASH_CHARLIE_ADDR environment variable.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import logging
 import os
@@ -108,12 +109,24 @@ def _params_from_args(args) -> ProtocolParams:
         raise ValueError("either --threshold/--epsilon or --k/--m is required")
     params = plan_parameters(args.threshold, args.epsilon, args.beta)
     if args.padding is not None:
-        params = ProtocolParams(
-            threshold=params.threshold, epsilon=params.epsilon, beta=params.beta,
-            k=params.k, m=params.m, epsilon_bias=params.epsilon_bias,
-            epsilon_stat=params.epsilon_stat, padding=args.padding,
-        )
+        params = dataclasses.replace(params, padding=args.padding)
     return params
+
+
+def _charlie_address(args) -> tuple[str, int] | None:
+    """--charlie, else $MODHASH_CHARLIE_ADDR; None if neither is set."""
+    raw = args.charlie or os.environ.get(CHARLIE_ADDR_ENV)
+    return _parse_address(raw) if raw else None
+
+
+def _matrix_store(path: str | None) -> MatrixStore | None:
+    """A store holding the public matrix read from path; None without a path."""
+    if not path:
+        return None
+    store = MatrixStore()
+    with open(path) as fh:
+        store.put(matrix_from_json(fh.read()))
+    return store
 
 
 # ------------------------------------------------------------------ commands
@@ -199,17 +212,10 @@ def _run_tcp_selftest(args, kind, x1, params, seed):
 def _run_tcp_alice(args, kind, x1, params, seed):
     """Distributed run: this process is Alice against remote Bob/Charlie."""
     bob_addr = _parse_address(args.bob)
-    charlie_addr = None
-    if kind in THREE_PARTY_KINDS:
-        raw = args.charlie or os.environ.get(CHARLIE_ADDR_ENV)
-        if not raw:
-            raise ValueError(f"--charlie or ${CHARLIE_ADDR_ENV} required for {args.kind}")
-        charlie_addr = _parse_address(raw)
-    store = None
-    if kind == ProtocolKind.PUBLIC_A_3P and args.matrix:
-        store = MatrixStore()
-        with open(args.matrix) as fh:
-            store.put(matrix_from_json(fh.read()))
+    charlie_addr = _charlie_address(args) if kind in THREE_PARTY_KINDS else None
+    if kind in THREE_PARTY_KINDS and charlie_addr is None:
+        raise ValueError(f"--charlie or ${CHARLIE_ADDR_ENV} required for {args.kind}")
+    store = _matrix_store(args.matrix) if kind == ProtocolKind.PUBLIC_A_3P else None
     result = run_over_tcp(
         kind, x1, params, seed, bob_address=bob_addr, charlie_address=charlie_addr,
         mode=_MODES[args.mode], matrix_store=store,
@@ -245,20 +251,14 @@ def _cmd_run(args) -> int:
 def _cmd_serve(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     host, port = _parse_address(args.listen)
-    store = None
-    if args.matrix:
-        store = MatrixStore()
-        with open(args.matrix) as fh:
-            store.put(matrix_from_json(fh.read()))
+    store = _matrix_store(args.matrix)
     if args.role == "charlie":
         server = CharlieServer(host, port)
     else:
         if not args.x2:
             raise ValueError("serve --role bob requires --x2")
-        raw = args.charlie or os.environ.get(CHARLIE_ADDR_ENV)
-        charlie_addr = _parse_address(raw) if raw else None
         server = BobServer(
-            _read_vector(args.x2), charlie_address=charlie_addr,
+            _read_vector(args.x2), charlie_address=_charlie_address(args),
             host=host, port=port, matrix_store=store, mode=_MODES[args.mode],
         )
     server.start()

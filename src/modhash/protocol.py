@@ -22,7 +22,10 @@ pads' mean; with no pads (P = 0) this is d itself, exactly.
 Sessions are sans-IO: start_session returns the initial outgoing envelopes
 and on_message consumes one envelope and returns the next ones. A session is
 owned by one task at a time; drive_local pumps all roles in-process and
-records the wire bytes of every hop.
+records the wire bytes of every hop. One table, _MOVES, is the only place
+that states what each role accepts in each phase and from whom: on_message
+checks the envelope, looks the move up and runs its handler, and any error
+leaves the session ABORTED.
 
 Charlie is honest-but-curious: his state machine never holds A, U, any
 permutation, or a plaintext vector, for any protocol kind. Confidential
@@ -58,6 +61,7 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
+    ModHashError,
     OracleUnavailable,
     ProtocolViolation,
 )
@@ -154,15 +158,13 @@ _SHARE_SPECS = {
 
 def obfuscate_hash(h: HashVector, z: HashVector | None, perm: Permutation) -> HashVector:
     """Append padding z (None = no padding) to h and permute the M+P slots."""
-    if z is None:
-        if perm.size != h.m:
-            raise DimensionMismatch(f"permutation size {perm.size} != {h.m}+0")
-        return apply_permutation(h, perm)
-    if h.k != z.k:
-        raise DimensionMismatch(f"alphabet mismatch: {h.k} vs {z.k}")
-    if perm.size != h.m + z.m:
-        raise DimensionMismatch(f"permutation size {perm.size} != {h.m}+{z.m}")
-    return apply_permutation(concat_hashes(h, z), perm)
+    if z is not None:
+        if h.k != z.k:
+            raise DimensionMismatch(f"alphabet mismatch: {h.k} vs {z.k}")
+        h = concat_hashes(h, z)
+    if perm.size != h.m:
+        raise DimensionMismatch(f"permutation size {perm.size} != {h.m} slots")
+    return apply_permutation(h, perm)
 
 
 def deobfuscate_distance(d, d_tilde, m: int, p: int) -> Fraction:
@@ -195,10 +197,8 @@ class Session:
         # role-private material
         self._x = None
         self._key: HashKey | None = None
-        self._perm: Permutation | None = None
         self._pads: tuple[HashVector, HashVector] | None = None
         self._code: BinaryCode | None = None
-        self._m: int | None = None
         self._oracle: SecureHammingOracle | None = None
         self._store: MatrixStore | None = None
         self._received: dict[Role, HashVector] = {}
@@ -216,39 +216,11 @@ class Session:
     def _envelope(self, body, recipient: Role) -> Envelope:
         return Envelope(self.session_id, self.kind, self.role, body, recipient)
 
-    def _peers(self) -> tuple[Role, ...]:
-        if self.kind == ProtocolKind.TWO_PARTY_HAMMING:
-            others = (Role.ALICE, Role.BOB)
-        else:
-            others = (Role.ALICE, Role.BOB, Role.CHARLIE)
-        return tuple(r for r in others if r != self.role)
-
-    def _violate(self, reason: str, exc=ProtocolViolation):
-        self.phase = Phase.ABORTED
-        self.abort_reason = reason
-        aborts = [self._envelope(Abort(reason=reason), peer) for peer in self._peers()]
-        if exc is ProtocolViolation:
-            raise ProtocolViolation(reason, aborts=aborts)
-        raise exc(reason)
-
-    def _submit(self, h: HashVector, pad: HashVector | None) -> Envelope:
-        """Pad and permute h as the share says, and send it to Charlie."""
-        if self._perm is not None:
-            h = obfuscate_hash(h, pad, self._perm)
-        self.phase = Phase.AWAIT_RESULT
-        return self._envelope(HashSubmission(h), Role.CHARLIE)
-
-    def _finish(self, true_mean: Fraction, observed: Fraction):
-        self.observed_mean = observed
-        self.true_mean = true_mean
-        self.result = estimate_distance(
-            true_mean,
-            self._key.k,
-            mode=self.mode,
-            saturation_margin=self.saturation_margin,
-            m=self._m,
-        )
-        self.phase = Phase.DONE
+    def _violation(self, reason: str) -> ProtocolViolation:
+        """A ProtocolViolation carrying an Abort for every other party of the kind."""
+        parties = Role if self.kind in THREE_PARTY_KINDS else (Role.ALICE, Role.BOB)
+        aborts = [self._envelope(Abort(reason=reason), r) for r in parties if r != self.role]
+        return ProtocolViolation(reason, aborts=aborts)
 
     # -------------------------------------------------------------- inbound
 
@@ -256,155 +228,161 @@ class Session:
         """Advance the state machine by one received envelope.
 
         Raises ProtocolViolation (with Abort envelopes attached) on replayed,
-        out-of-order, or wrong-sender messages; DimensionMismatch when sizes
-        or alphabets disagree.
+        out-of-order, or wrong-sender messages, that is on any move _MOVES
+        does not list; DimensionMismatch when sizes or alphabets disagree.
+        Every error but a foreign session id leaves the session ABORTED.
         """
         if env.session_id != self.session_id:
             raise ProtocolViolation("message for a different session")
-        if self.phase in (Phase.DONE, Phase.ABORTED):
-            self._violate(f"message after {self.phase.name}")
-        if env.kind != self.kind:
-            self._violate(f"kind mismatch: session {self.kind.name}, message {env.kind.name}")
-        if env.sender == self.role:
-            self._violate("message from own role")
-        body = env.body
-
-        if isinstance(body, Abort):
+        try:
+            if self.phase in (Phase.DONE, Phase.ABORTED):
+                raise self._violation(f"message after {self.phase.name}")
+            if env.kind != self.kind:
+                raise self._violation(f"kind mismatch: session {self.kind.name}, message {env.kind.name}")
+            if env.sender == self.role:
+                raise self._violation("message from own role")
+            body, name = env.body, type(env.body).__name__
+            if isinstance(body, Abort):
+                self.phase = Phase.ABORTED
+                self.abort_reason = f"peer {env.sender.name} aborted: {body.reason}"
+                return []
+            move = _MOVES.get((self.role, self.phase, type(body)))
+            if move is None:
+                raise self._violation(f"unexpected {name} in phase {self.phase.name}")
+            senders, handler = move
+            if env.sender not in senders:
+                raise self._violation(f"{name} from {env.sender.name}")
+            return handler(self, env)
+        except ModHashError as exc:
             self.phase = Phase.ABORTED
-            self.abort_reason = f"peer {env.sender.name} aborted: {body.reason}"
-            return []
-
-        if self.role == Role.CHARLIE:
-            return self._charlie_on(env, body)
-        if isinstance(body, KeyShare):
-            return self._bob_on_key_share(env, body)
-        if isinstance(body, DistanceResult):
-            return self._on_distance_result(env, body)
-        if isinstance(body, HammingRequest):
-            return self._alice_on_hamming_request(env, body)
-        if isinstance(body, HammingResponse):
-            return self._bob_on_hamming_response(env, body)
-        self._violate(f"unexpected {type(body).__name__} in phase {self.phase.name}")
+            self.abort_reason = str(exc)
+            raise
 
     # -------------------------------------------------------------- charlie
 
-    def _charlie_on(self, env: Envelope, body) -> list[Envelope]:
-        if not isinstance(body, HashSubmission):
-            self._violate(f"third party cannot accept {type(body).__name__}")
-        if self.phase != Phase.AWAIT_HASHES:
-            self._violate(f"hash submission in phase {self.phase.name}")
-        if env.sender not in (Role.ALICE, Role.BOB):
-            self._violate(f"hash submission from {env.sender.name}")
+    def _on_hash_submission(self, env: Envelope) -> list[Envelope]:
         if env.sender in self._received:
-            self._violate(f"duplicate hash submission from {env.sender.name}")
-        v = body.vector
+            raise self._violation(f"duplicate hash submission from {env.sender.name}")
+        v = env.body.vector
         if self._received:
             other = next(iter(self._received.values()))
             if v.k != other.k:
-                self._violate(f"alphabet mismatch: {v.k} vs {other.k}", DimensionMismatch)
+                raise DimensionMismatch(f"alphabet mismatch: {v.k} vs {other.k}")
             if v.m != other.m:
-                self._violate(f"length mismatch: {v.m} vs {other.m}", DimensionMismatch)
+                raise DimensionMismatch(f"length mismatch: {v.m} vs {other.m}")
         self._received[env.sender] = v
         if len(self._received) < 2:
             return []
         mean = mean_lee_distance(self._received[Role.ALICE], self._received[Role.BOB])
         self.observed_mean = mean
         self.phase = Phase.DONE
-        result = DistanceResult(mean_lee=mean, count=self._received[Role.ALICE].m)
+        result = DistanceResult(mean_lee=mean, count=v.m)
         return [self._envelope(result, Role.ALICE), self._envelope(result, Role.BOB)]
 
-    # -------------------------------------------------------------- bob
+    # -------------------------------------------------------------- owners
 
-    def _bob_on_key_share(self, env: Envelope, ks: KeyShare) -> list[Envelope]:
-        if self.role != Role.BOB or self.phase != Phase.AWAIT_KEY:
-            self._violate(f"key share in phase {self.phase.name}")
-        if env.sender != Role.ALICE:
-            self._violate(f"key share from {env.sender.name}")
+    def _on_key_share(self, env: Envelope) -> list[Envelope]:
+        """Bob checks Alice's share against the agreed (k, M), his input and
+        what his kind needs, then hashes and sends as Alice did."""
+        ks = env.body
         if self.params is not None and (ks.k != self.params.k or ks.m != self.params.m):
-            self._violate(
+            raise DimensionMismatch(
                 f"key share (k={ks.k}, m={ks.m}) disagrees with agreed "
-                f"(k={self.params.k}, m={self.params.m})",
-                DimensionMismatch,
+                f"(k={self.params.k}, m={self.params.m})"
             )
         if len(self._x) != ks.n:
-            self._violate(f"input has length {len(self._x)}, key expects {ks.n}", DimensionMismatch)
+            raise DimensionMismatch(f"input has length {len(self._x)}, key expects {ks.n}")
         if ks.a is not None:
             a = ks.a
         elif ks.a_digest is not None:
             if self._store is None:
-                self._violate("no matrix store to resolve the public matrix")
+                raise self._violation("no matrix store to resolve the public matrix")
             a = self._store.get(ks.a_digest)
         else:
-            self._violate("key share carries neither a matrix nor a digest")
-        self._key = _shared_key(ks.k, ks.delta, a, ks.u)
-        self._m = ks.m
-        h = hash_vector(self._key, self._x)
-        self._x = None  # plaintext no longer needed
-
+            raise self._violation("key share carries neither a matrix nor a digest")
         spec = _SHARE_SPECS[self.kind]
-        p = 0
-        if spec.padded:
-            if ks.pad1 is None or ks.pad2 is None:
-                self._violate(f"{spec.name} key share must carry both pads")
-            self._pads = (ks.pad1, ks.pad2)
-            p = ks.pad1.m
-        if spec.permuted:
-            if ks.permutation is None or ks.permutation.size != ks.m + p:
-                slots = "M+P" if spec.padded else "M"
-                self._violate(f"{spec.name} key share must carry a permutation of {slots} slots")
-            self._perm = ks.permutation
+        if spec.padded and (ks.pad1 is None or ks.pad2 is None):
+            raise self._violation(f"{spec.name} key share must carry both pads")
+        p = ks.pad1.m if spec.padded else 0
+        if spec.permuted and (ks.permutation is None or ks.permutation.size != ks.m + p):
+            slots = "M+P" if spec.padded else "M"
+            raise self._violation(f"{spec.name} key share must carry a permutation of {slots} slots")
+        return self._hash_and_send(_shared_key(ks.k, ks.delta, a, ks.u), ks)
+
+    def _hash_and_send(self, key: HashKey, ks: KeyShare) -> list[Envelope]:
+        """Both owners' one path from key share to outgoing hash: ring-coded
+        for the oracle, or padded, permuted and submitted to Charlie."""
+        spec = _SHARE_SPECS[self.kind]
+        self._key = key
+        h = hash_vector(key, self._x)
+        self._x = None  # plaintext no longer needed
+        self._pads = (ks.pad1, ks.pad2) if spec.padded else None
         if self.kind == ProtocolKind.TWO_PARTY_HAMMING:
             self._code = encode_lee_to_binary(h)
+            if self.role == Role.ALICE:
+                self.phase = Phase.AWAIT_ORACLE_REQUEST
+                return []
             self.phase = Phase.AWAIT_ORACLE_RESPONSE
             return [self._envelope(HammingRequest(self._code), Role.ALICE)]
-        return [self._submit(h, ks.pad2 if spec.padded else None)]
+        if spec.permuted:
+            # Role.ALICE == 0 appends pad1, Role.BOB == 1 appends pad2
+            h = obfuscate_hash(h, self._pads[self.role] if spec.padded else None, ks.permutation)
+        self.phase = Phase.AWAIT_RESULT
+        return [self._envelope(HashSubmission(h), Role.CHARLIE)]
 
-    def _bob_on_hamming_response(self, env: Envelope, resp: HammingResponse) -> list[Envelope]:
-        if self.role != Role.BOB or self.phase != Phase.AWAIT_ORACLE_RESPONSE:
-            self._violate(f"oracle response in phase {self.phase.name}")
-        if env.sender != Role.ALICE:
-            self._violate(f"oracle response from {env.sender.name}")
-        if resp.distance > self._m * (self._key.k // 2):
-            self._violate("oracle distance exceeds the code's diameter", DimensionMismatch)
-        mean = Fraction(resp.distance, self._m)
-        self._finish(mean, mean)
+    def _on_distance_result(self, env: Envelope) -> list[Envelope]:
+        res, m = env.body, self._key.m
+        p = self._pads[0].m if self._pads else 0
+        if res.count != m + p:
+            raise DimensionMismatch(f"result covers {res.count} components, expected {m + p}")
+        d_tilde = mean_lee_distance(*self._pads) if self._pads else 0
+        self._finish(deobfuscate_distance(res.mean_lee, d_tilde, m, p), res.mean_lee)
         return []
 
-    # -------------------------------------------------------------- alice
-
-    def _alice_on_hamming_request(self, env: Envelope, req: HammingRequest) -> list[Envelope]:
-        if self.role != Role.ALICE or self.phase != Phase.AWAIT_ORACLE_REQUEST:
-            self._violate(f"oracle request in phase {self.phase.name}")
-        if env.sender != Role.BOB:
-            self._violate(f"oracle request from {env.sender.name}")
-        if req.code.k != self._code.k or req.code.m != self._code.m:
-            self._violate("peer code shape disagrees", DimensionMismatch)
+    def _on_hamming_request(self, env: Envelope) -> list[Envelope]:
+        code = env.body.code
+        if code.k != self._code.k or code.m != self._code.m:
+            raise DimensionMismatch("peer code shape disagrees")
         try:
-            d = int(self._oracle.hamming(self._code, req.code))
+            d = int(self._oracle.hamming(self._code, code))
         except Exception as exc:
             raise OracleUnavailable(f"secure Hamming oracle failed: {exc}") from exc
-        mean = Fraction(d, self._m)
-        self._finish(mean, mean)
+        self._finish(Fraction(d, self._key.m))
         return [self._envelope(HammingResponse(distance=d), Role.BOB)]
 
-    # -------------------------------------------------------------- owners
-
-    def _on_distance_result(self, env: Envelope, res: DistanceResult) -> list[Envelope]:
-        if self.role not in (Role.ALICE, Role.BOB) or self.phase != Phase.AWAIT_RESULT:
-            self._violate(f"distance result in phase {self.phase.name}")
-        if env.sender != Role.CHARLIE:
-            self._violate(f"distance result from {env.sender.name}")
-        p = self._pads[0].m if self._pads else 0
-        if res.count != self._m + p:
-            self._violate(
-                f"result covers {res.count} components, expected {self._m + p}",
-                DimensionMismatch,
-            )
-        if res.mean_lee < 0 or res.mean_lee > Fraction(self._key.k, 2):
-            self._violate("mean Lee distance outside [0, k/2]", DimensionMismatch)
-        d_tilde = mean_lee_distance(*self._pads) if self._pads else 0
-        self._finish(deobfuscate_distance(res.mean_lee, d_tilde, self._m, p), res.mean_lee)
+    def _on_hamming_response(self, env: Envelope) -> list[Envelope]:
+        self._finish(Fraction(env.body.distance, self._key.m))
         return []
+
+    def _finish(self, true_mean: Fraction, observed: Fraction | None = None):
+        """Estimate from the owners' mean (observed: Charlie's, if he averaged).
+        A mean outside [0, k/2] fits no pair of hashes: the result, the pads
+        or the oracle lied."""
+        if not 0 <= true_mean <= Fraction(self._key.k, 2):
+            raise DimensionMismatch(f"mean Lee distance {true_mean} outside [0, k/2]")
+        self.observed_mean = true_mean if observed is None else observed
+        self.true_mean = true_mean
+        self.result = estimate_distance(
+            true_mean,
+            self._key.k,
+            mode=self.mode,
+            saturation_margin=self.saturation_margin,
+            m=self._key.m,
+        )
+        self.phase = Phase.DONE
+
+
+# The one place that states what each role accepts in each phase:
+# (role, phase, body type) -> (senders allowed, handler). An Abort from any
+# peer ends a live session; every other move is a protocol violation.
+_MOVES = {
+    (Role.BOB, Phase.AWAIT_KEY, KeyShare): ((Role.ALICE,), Session._on_key_share),
+    (Role.CHARLIE, Phase.AWAIT_HASHES, HashSubmission): ((Role.ALICE, Role.BOB), Session._on_hash_submission),
+    (Role.ALICE, Phase.AWAIT_RESULT, DistanceResult): ((Role.CHARLIE,), Session._on_distance_result),
+    (Role.BOB, Phase.AWAIT_RESULT, DistanceResult): ((Role.CHARLIE,), Session._on_distance_result),
+    (Role.ALICE, Phase.AWAIT_ORACLE_REQUEST, HammingRequest): ((Role.BOB,), Session._on_hamming_request),
+    (Role.BOB, Phase.AWAIT_ORACLE_RESPONSE, HammingResponse): ((Role.ALICE,), Session._on_hamming_response),
+}
 
 
 def derive_session_id(seed: bytes) -> bytes:
@@ -418,7 +396,6 @@ def start_session(
     *,
     x=None,
     seed: bytes | None = None,
-    key: HashKey | None = None,
     session_id: bytes | None = None,
     matrix_store: MatrixStore | None = None,
     oracle: SecureHammingOracle | None = None,
@@ -427,9 +404,9 @@ def start_session(
 ) -> tuple[Session, list[Envelope]]:
     """Create one role's session and return it with its initial envelopes.
 
-    Alice needs her vector plus either a ready HashKey or a seed to derive all
-    key material from; Bob needs his vector (the key share tells him the rest);
-    Charlie holds nothing and passively awaits both hash submissions.
+    Alice needs her vector and a seed to derive all key material from; Bob
+    needs his vector (the key share tells him the rest); Charlie holds
+    nothing and passively awaits both hash submissions.
     """
     role = Role(role)
     kind = ProtocolKind(kind)
@@ -453,61 +430,42 @@ def start_session(
 
     if x is None:
         raise InvalidParameter(f"{role.name} requires an input vector")
-    x = np.asarray(x, dtype=np.float64)
-    session._x = x
+    session._x = np.asarray(x, dtype=np.float64)
 
     if role == Role.BOB:
         session.phase = Phase.AWAIT_KEY
         return session, []
 
-    # Alice initiates.
+    # Alice initiates: she derives the key share, sends it, and then hashes
+    # under it exactly as Bob will.
+    spec = _SHARE_SPECS[kind]
     if params is None:
         raise InvalidParameter("Alice requires agreed protocol parameters")
-    spec = _SHARE_SPECS[kind]
-    if seed is None and spec.permuted:
-        raise InvalidParameter(f"{kind.name} requires a seed for permutation/padding material")
-    if key is None:
-        if seed is None:
-            raise InvalidParameter("Alice requires a seed or an explicit key")
-        key = generate_key(params.k, params.m, len(x), subseed(seed, b"key"))
-    if key.k != params.k or key.m != params.m:
-        raise InvalidParameter("explicit key disagrees with the agreed (k, M)")
-    if key.n != len(x):
-        raise DimensionMismatch(f"input has length {len(x)}, key expects {key.n}")
-    session._key = key
-    session._m = key.m
-    h = hash_vector(key, x)
-    session._x = None
-
-    digest = None
-    if spec.digest:
-        if matrix_store is None:
-            raise InvalidParameter(f"the {spec.name} protocol requires a matrix store")
-        digest = matrix_store.put(key.a)
+    if seed is None:
+        raise InvalidParameter("Alice requires a seed to derive her key material from")
+    if spec.digest and matrix_store is None:
+        raise InvalidParameter(f"the {spec.name} protocol requires a matrix store")
     p = params.padding if spec.padded else 0
+    if spec.padded and p < 1:
+        raise InvalidParameter(f"the {spec.name} protocol requires padding >= 1")
+    if kind == ProtocolKind.TWO_PARTY_HAMMING and oracle is None:
+        raise InvalidParameter(f"the {spec.name} protocol requires a secure Hamming oracle")
+    session._oracle = oracle
+    key = generate_key(params.k, params.m, len(session._x), subseed(seed, b"key"))
+    pad1 = pad2 = None
     if spec.padded:
-        if p < 1:
-            raise InvalidParameter(f"the {spec.name} protocol requires padding >= 1")
-        session._pads = tuple(
+        pad1, pad2 = (
             HashVector(key.k, ChaChaStream(seed, label).integers_below(key.k, p))
             for label in (b"pad1", b"pad2")
         )
-    if spec.permuted:
-        session._perm = Permutation.random(key.m + p, ChaChaStream(seed, b"perm"))
-    pad1, pad2 = session._pads or (None, None)
     share = KeyShare(
-        k=key.k, delta=key.delta, n=key.n, u=key.u, a=None if spec.digest else key.a,
-        a_digest=digest, permutation=session._perm, pad1=pad1, pad2=pad2,
+        k=key.k, delta=key.delta, n=key.n, u=key.u,
+        a=None if spec.digest else key.a,
+        a_digest=matrix_store.put(key.a) if spec.digest else None,
+        permutation=Permutation.random(key.m + p, ChaChaStream(seed, b"perm")) if spec.permuted else None,
+        pad1=pad1, pad2=pad2,
     )
-    outgoing = [session._envelope(share, Role.BOB)]
-    if kind == ProtocolKind.TWO_PARTY_HAMMING:
-        if oracle is None:
-            raise InvalidParameter(f"the {spec.name} protocol requires a secure Hamming oracle")
-        session._oracle = oracle
-        session._code = encode_lee_to_binary(h)
-        session.phase = Phase.AWAIT_ORACLE_REQUEST
-        return session, outgoing
-    return session, outgoing + [session._submit(h, pad1)]
+    return session, [session._envelope(share, Role.BOB), *session._hash_and_send(key, share)]
 
 
 @dataclass(frozen=True)
@@ -543,7 +501,8 @@ def drive_local(
     matrix_store: MatrixStore | None = None,
     saturation_margin: float | None = None,
 ) -> LocalRun:
-    """Run every role of one protocol in-process over an in-memory transport.
+    """Run every role of one protocol in-process, handing each envelope
+    straight to its recipient's session.
 
     Each hop is serialized to wire bytes (recorded in the transcript) and
     decoded at the recipient, so a local run exercises the exact bytes a

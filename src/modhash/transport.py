@@ -1,10 +1,10 @@
 """Framed transports and networked role endpoints.
 
-Two interchangeable transports carry the frames produced by the wire module:
-in-process pipes (queue-backed, for tests and local orchestration) and TCP.
-Both expose the same three calls -- send_frame / recv_frame / close -- so
-protocol code runs unchanged over either. A single connection may interleave
-frames of many sessions; receivers demultiplex by session id.
+TcpTransport carries the frames produced by the wire module over one
+connected socket with three calls -- send_frame / recv_frame / close. In
+process, drive_local needs no transport: it hands each frame straight to the
+recipient's session. A single connection may interleave frames of many
+sessions; receivers demultiplex by session id.
 
 Networked deployment mirrors the protocol roles:
 
@@ -64,47 +64,12 @@ from .protocol import MatrixStore, Phase, SecureHammingOracle, Session, start_se
 
 log = logging.getLogger("modhash.transport")
 
-_CLOSED = object()
 _ACCEPT_BACKOFF_S = 0.1
 _TICK_S = 0.25  # longest a server loop sleeps: how soon stop() and deadlines act
 _IDLE_S = 30.0  # a session without a message, or a partial frame, is dropped after this
 _FINISHED_WINDOW = 1 << 16  # ids of ended sessions kept to refuse replays
 _MAX_UNSENT = 64 << 20  # bytes queued to a peer that does not read before it is dropped
 _RECV_CHUNK = 1 << 20
-
-
-class LocalPipe:
-    """One endpoint of an in-process duplex frame channel."""
-
-    def __init__(self, inbox, outbox):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = False
-
-    def send_frame(self, data: bytes):
-        if self._closed:
-            raise TransportClosed("endpoint closed")
-        self._outbox.put(data)
-
-    def recv_frame(self) -> bytes:
-        item = self._inbox.get()
-        if item is _CLOSED:
-            self._inbox.put(_CLOSED)  # keep later readers failing too
-            raise TransportClosed("peer closed the channel")
-        return item
-
-    def close(self):
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(_CLOSED)
-
-
-def local_pair() -> tuple[LocalPipe, LocalPipe]:
-    import queue
-
-    a_to_b: "queue.SimpleQueue" = queue.SimpleQueue()
-    b_to_a: "queue.SimpleQueue" = queue.SimpleQueue()
-    return LocalPipe(b_to_a, a_to_b), LocalPipe(a_to_b, b_to_a)
 
 
 class TcpTransport:

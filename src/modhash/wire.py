@@ -68,16 +68,6 @@ FAMILY_HAMMING_REQUEST = 4
 FAMILY_HAMMING_RESPONSE = 5
 FAMILY_ABORT = 6
 
-_FAMILY_OF_BODY = {
-    msgs.KeyShare: FAMILY_KEY_SHARE,
-    msgs.HashSubmission: FAMILY_HASH_SUBMISSION,
-    msgs.DistanceResult: FAMILY_DISTANCE_RESULT,
-    msgs.HammingRequest: FAMILY_HAMMING_REQUEST,
-    msgs.HammingResponse: FAMILY_HAMMING_RESPONSE,
-    msgs.Abort: FAMILY_ABORT,
-}
-_FAMILIES = frozenset(_FAMILY_OF_BODY.values())
-
 
 def _check_wire_k(k: int, exc=EncodingError):
     if k % 2 != 0 or not (2 <= k <= MAX_WIRE_K):
@@ -91,7 +81,8 @@ def _check_wire_k(k: int, exc=EncodingError):
 # copy: a key share's matrix is converted to big-endian once and copied once
 # more into the frame.
 
-def _encode_hash(v: HashVector) -> list:
+def _encode_hash_submission(body: msgs.HashSubmission) -> list:
+    v = body.vector
     _check_wire_k(v.k)
     if int(v.components.max()) >= v.k:  # unreachable for a valid HashVector
         raise EncodingError("component >= k")
@@ -151,38 +142,17 @@ def _encode_hamming_request(body: msgs.HammingRequest) -> list:
     return [struct.pack(">II", code.k, code.m), np.packbits(code.bits)]  # MSB-first, zero-padded
 
 
-def _body_parts(body: msgs.MessageBody) -> list:
-    if isinstance(body, msgs.KeyShare):
-        return _encode_key_share(body)
-    if isinstance(body, msgs.HashSubmission):
-        return _encode_hash(body.vector)
-    if isinstance(body, msgs.DistanceResult):
-        return _encode_distance_result(body)
-    if isinstance(body, msgs.HammingRequest):
-        return _encode_hamming_request(body)
-    if isinstance(body, msgs.HammingResponse):
-        if not (0 <= body.distance < 1 << 64):
-            raise EncodingError("distance outside u64 range")
-        return [struct.pack(">Q", body.distance)]
-    if isinstance(body, msgs.Abort):
-        reason = body.reason.encode("utf-8")
-        if len(reason) >= 1 << 16:
-            raise EncodingError("abort reason too long")
-        return [struct.pack(">H", len(reason)), reason]
-    raise EncodingError(f"unknown message body type: {type(body).__name__}")
+def _encode_hamming_response(body: msgs.HammingResponse) -> list:
+    if not (0 <= body.distance < 1 << 64):
+        raise EncodingError("distance outside u64 range")
+    return [struct.pack(">Q", body.distance)]
 
 
-def encode_envelope(env: msgs.Envelope) -> bytes:
-    """Serialize an envelope to one canonical frame (length prefix included)."""
-    if len(env.session_id) != msgs.SESSION_ID_BYTES:
-        raise EncodingError("session id must be 16 bytes")
-    family = _FAMILY_OF_BODY.get(type(env.body))
-    if family is None:
-        raise EncodingError(f"unknown message body type: {type(env.body).__name__}")
-    parts = _body_parts(env.body)
-    msg_type = (family << 4) | (int(env.kind) << 2) | int(env.sender)
-    length = HEADER_LEN + sum(memoryview(part).nbytes for part in parts)
-    return b"".join([struct.pack(">IBB", length, VERSION, msg_type), env.session_id, *parts])
+def _encode_abort(body: msgs.Abort) -> list:
+    reason = body.reason.encode("utf-8")
+    if len(reason) >= 1 << 16:
+        raise EncodingError("abort reason too long")
+    return [struct.pack(">H", len(reason)), reason]
 
 
 # ---------------------------------------------------------------- decoding
@@ -227,15 +197,6 @@ def _read_components(r: _Reader, k: int, count: int) -> np.ndarray:
     if count and int(comps.max()) >= k:
         raise ComponentOutOfRange("hash component >= k")
     return comps
-
-
-def _decode_hash(r: _Reader) -> HashVector:
-    k = r.u32()
-    _check_wire_k(k, ComponentOutOfRange)
-    count = r.u32()
-    if count < 1:
-        raise MalformedPayload("hash vector must have at least one component")
-    return _adopt(HashVector, k=k, components=_read_components(r, k, count))
 
 
 def _decode_key_share(r: _Reader) -> msgs.KeyShare:
@@ -329,7 +290,12 @@ def _decode_abort(r: _Reader) -> msgs.Abort:
 
 
 def _decode_hash_submission(r: _Reader) -> msgs.HashSubmission:
-    vector = _decode_hash(r)
+    k = r.u32()
+    _check_wire_k(k, ComponentOutOfRange)
+    count = r.u32()
+    if count < 1:
+        raise MalformedPayload("hash vector must have at least one component")
+    vector = _adopt(HashVector, k=k, components=_read_components(r, k, count))
     r.done()
     return msgs.HashSubmission(vector=vector)
 
@@ -340,27 +306,37 @@ def _decode_hamming_response(r: _Reader) -> msgs.HammingResponse:
     return msgs.HammingResponse(distance=distance)
 
 
-_DECODERS = {
-    FAMILY_KEY_SHARE: _decode_key_share,
-    FAMILY_HASH_SUBMISSION: _decode_hash_submission,
-    FAMILY_DISTANCE_RESULT: _decode_distance_result,
-    FAMILY_HAMMING_REQUEST: _decode_hamming_request,
-    FAMILY_HAMMING_RESPONSE: _decode_hamming_response,
-    FAMILY_ABORT: _decode_abort,
+# The one codec table: body type -> (family, payload encoder, payload decoder).
+_CODECS = {
+    msgs.KeyShare: (FAMILY_KEY_SHARE, _encode_key_share, _decode_key_share),
+    msgs.HashSubmission: (FAMILY_HASH_SUBMISSION, _encode_hash_submission, _decode_hash_submission),
+    msgs.DistanceResult: (FAMILY_DISTANCE_RESULT, _encode_distance_result, _decode_distance_result),
+    msgs.HammingRequest: (FAMILY_HAMMING_REQUEST, _encode_hamming_request, _decode_hamming_request),
+    msgs.HammingResponse: (FAMILY_HAMMING_RESPONSE, _encode_hamming_response, _decode_hamming_response),
+    msgs.Abort: (FAMILY_ABORT, _encode_abort, _decode_abort),
 }
+_DECODERS = {family: decode for family, _, decode in _CODECS.values()}
+
+
+def encode_envelope(env: msgs.Envelope) -> bytes:
+    """Serialize an envelope to one canonical frame (length prefix included)."""
+    if len(env.session_id) != msgs.SESSION_ID_BYTES:
+        raise EncodingError("session id must be 16 bytes")
+    codec = _CODECS.get(type(env.body))
+    if codec is None:
+        raise EncodingError(f"unknown message body type: {type(env.body).__name__}")
+    family, encode, _ = codec
+    parts = encode(env.body)
+    msg_type = (family << 4) | (int(env.kind) << 2) | int(env.sender)
+    length = HEADER_LEN + sum(memoryview(part).nbytes for part in parts)
+    return b"".join([struct.pack(">IBB", length, VERSION, msg_type), env.session_id, *parts])
 
 
 def decode_frame(data: bytes) -> msgs.Envelope:
     """Parse one complete frame. Total: raises a DecodeError subclass on any
     malformed input, never anything else."""
     try:
-        if len(data) < 4:
-            raise TruncatedFrame("frame shorter than its length field")
-        (length,) = struct.unpack(">I", data[:4])
-        if length < HEADER_LEN:
-            raise TruncatedFrame(f"declared length {length} below the {HEADER_LEN}-byte minimum")
-        if length > MAX_FRAME_LENGTH:
-            raise MalformedPayload(f"declared length {length} exceeds the frame cap")
+        length = frame_length(data[:4])
         if len(data) < 4 + length:
             raise TruncatedFrame("frame shorter than its declared length")
         if len(data) > 4 + length:
@@ -370,10 +346,11 @@ def decode_frame(data: bytes) -> msgs.Envelope:
             raise VersionUnsupported(f"unsupported frame version 0x{version:02x}")
         msg_type = data[5]
         family, kind_bits, sender_bits = msg_type >> 4, (msg_type >> 2) & 0x3, msg_type & 0x3
-        if family not in _FAMILIES or sender_bits > 2:
+        decode = _DECODERS.get(family)
+        if decode is None or sender_bits > 2:
             raise UnknownMessageType(f"msg_type 0x{msg_type:02x} is not defined")
         session_id = bytes(data[6:22])
-        body = _DECODERS[family](_Reader(memoryview(data)[22 : 4 + length]))
+        body = decode(_Reader(memoryview(data)[22 : 4 + length]))
         return msgs.Envelope(
             session_id=session_id,
             kind=msgs.ProtocolKind(kind_bits),

@@ -11,6 +11,7 @@ from modhash import (
     HashVector,
     HonestBrokerOracle,
     InvalidParameter,
+    ModHashError,
     Permutation,
     ProtocolKind,
     ProtocolParams,
@@ -24,9 +25,11 @@ from modhash import (
     start_session,
 )
 from modhash.messages import (
+    THREE_PARTY_KINDS,
     Abort,
     DistanceResult,
     Envelope,
+    HammingRequest,
     HashSubmission,
     KeyShare,
 )
@@ -147,6 +150,84 @@ def test_mismatched_hash_lengths_abort():
             Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.BOB,
                      HashSubmission(HashVector(6, np.array([0, 1, 2]))), Role.CHARLIE)
         )
+
+
+def test_obfuscated_result_that_demixes_below_zero_aborts():
+    # Charlie's 0 is a valid mean, but the pads' mean makes the owners' one
+    # negative: ((M+P)*0 - P*d~)/M = -139/64 at this seed.
+    x1, _ = _vectors()
+    alice, _ = start_session(Role.ALICE, ProtocolKind.OBFUSCATED_3P, PARAMS, x=x1, seed=SEED)
+    result = DistanceResult(mean_lee=Fraction(0), count=PARAMS.m + PARAMS.padding)
+    env = Envelope(alice.session_id, ProtocolKind.OBFUSCATED_3P, Role.CHARLIE, result, Role.ALICE)
+    with pytest.raises(DimensionMismatch, match=r"-139/64 outside \[0, k/2\]"):
+        alice.on_message(env)
+    assert alice.aborted and alice.result is None
+    with pytest.raises(ProtocolViolation, match="message after ABORTED"):
+        alice.on_message(env)  # a second result is refused, not estimated
+
+
+class _LyingOracle(HonestBrokerOracle):
+    def hamming(self, code_a, code_b):
+        return 10**6
+
+
+def test_two_party_oracle_distance_past_the_diameter_aborts():
+    x1, x2 = _vectors()
+    kind = ProtocolKind.TWO_PARTY_HAMMING
+    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED, oracle=_LyingOracle())
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
+    (request,) = bob.on_message(outgoing[0].addressed_to(Role.BOB))
+    assert isinstance(request.body, HammingRequest)
+    assert alice.phase == Phase.AWAIT_ORACLE_REQUEST
+    with pytest.raises(DimensionMismatch, match=r"outside \[0, k/2\]"):
+        alice.on_message(request)
+    assert alice.aborted and alice.result is None
+
+
+_CHARLIE_NEVER_HOLDS = ("_key", "_perm", "_pads", "_x", "_code")
+
+
+def _fresh_session(role, kind, session_id, store):
+    x1, x2 = _vectors()
+    if role == Role.ALICE:
+        oracle = HonestBrokerOracle() if kind == ProtocolKind.TWO_PARTY_HAMMING else None
+        return start_session(role, kind, PARAMS, x=x1, seed=SEED, matrix_store=store, oracle=oracle)[0]
+    if role == Role.BOB:
+        return start_session(role, kind, PARAMS, x=x2, session_id=session_id, matrix_store=store)[0]
+    return start_session(role, kind, session_id=session_id)[0]
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.name)
+def test_every_reachable_state_is_total(kind):
+    # Each role is replayed through every prefix of its inbound transcript;
+    # in each state so reached, every body of the run and an Abort arrive
+    # from every sender. Each delivery returns envelopes or raises a typed
+    # error after which the session is ABORTED.
+    x1, x2 = _vectors()
+    store = MatrixStore()
+    run = drive_local(kind, x1, x2, PARAMS, SEED, matrix_store=store)
+    inbound = [(t.recipient, decode_frame(t.data).addressed_to(t.recipient)) for t in run.transcript]
+    session_id = inbound[0][1].session_id
+    bodies = [env.body for _, env in inbound] + [Abort(reason="probe")]
+    roles = [Role.ALICE, Role.BOB] + ([Role.CHARLIE] if kind in THREE_PARTY_KINDS else [])
+    deliveries = 0
+    for role in roles:
+        mine = [env for recipient, env in inbound if recipient == role]
+        for n in range(len(mine) + 1):
+            for body in bodies:
+                for sender in Role:
+                    session = _fresh_session(role, kind, session_id, store)
+                    for env in mine[:n]:
+                        session.on_message(env)
+                    try:
+                        out = session.on_message(Envelope(session_id, kind, sender, body, role))
+                        assert isinstance(out, list)
+                    except ModHashError:
+                        assert session.aborted
+                    deliveries += 1
+                    if role == Role.CHARLIE:
+                        assert all(getattr(session, name, None) is None for name in _CHARLIE_NEVER_HOLDS)
+    assert deliveries >= 60
 
 
 # ------------------------------------------------------------------ obfuscation

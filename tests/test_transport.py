@@ -31,7 +31,6 @@ from modhash.transport import (
     BobServer,
     CharlieServer,
     TcpTransport,
-    local_pair,
     matrix_from_json,
     matrix_to_json,
 )
@@ -57,24 +56,6 @@ def _tcp_pair():
 
 
 # ------------------------------------------------------------------ channels
-
-
-def test_local_pipe_echo():
-    a, b = local_pair()
-    frame = _frame()
-    a.send_frame(frame)
-    assert b.recv_frame() == frame
-    b.send_frame(frame)
-    assert a.recv_frame() == frame
-
-
-def test_local_pipe_close_surfaces():
-    a, b = local_pair()
-    a.close()
-    with pytest.raises(TransportClosed):
-        b.recv_frame()
-    with pytest.raises(TransportClosed):
-        a.send_frame(b"x")
 
 
 def test_tcp_echo():
