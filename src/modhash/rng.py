@@ -10,7 +10,11 @@ big-endian u64 per value, in order, whatever the block edges. Permutations of
 range(n) are Fisher-Yates shuffles: for i = n-1 down to 1, take one big-endian
 u64 v from the keystream, reject it and take the next if
 v >= floor(2**64 / (i+1)) * (i+1), then swap slots i and j = v mod (i+1).
-Both rules are part of the package's determinism contract.
+Both rules are part of the package's determinism contract. The draws are
+taken in bulk and the swaps are not done one by one: one sort groups the
+steps by target, and pointer doubling follows the chains of swaps that
+carry a value from slot to slot, in O(log n) whole-array passes with the
+same result as the loop.
 """
 
 import hashlib
@@ -124,21 +128,61 @@ class ChaChaStream:
         For i = n-1 down to 1 the slot draws one big-endian u64 v, rejects it
         if v >= floor(2**64 / (i+1)) * (i+1) and draws again, and swaps i with
         j = v mod (i+1). The draws are taken in bulk, but the stream is left
-        exactly where the one-draw-at-a-time loop would leave it.
+        exactly where the one-draw-at-a-time loop would leave it, and the
+        swaps are resolved in whole-array passes by `_resolve_swaps`.
         """
         bounds = np.arange(n, 1, -1, dtype=np.uint64)
-        # v >= floor(2**64/b)*b  <=>  v > 2**64-1 - (2**64 mod b)
-        cuts = _U64_MAX - (_U64_MAX % bounds + 1) % bounds
         draws = self.uint64(len(bounds))
         # A rejected draw is dropped and the later draws move up one slot, so
         # every slot gets the draw the one-at-a-time loop would have given it.
         start = 0
-        while (rejected := np.flatnonzero(draws[start:] > cuts[start:])).size:
-            start += int(rejected[0])
+        while True:
+            # v is rejected iff v > 2**64-1 - (2**64 mod b); since 2**64 mod b < b,
+            # only draws above 2**64-1 - b can be, and only those get the exact test.
+            cand = start + np.flatnonzero(draws[start:] > _U64_MAX - bounds[start:])
+            b = bounds[cand]
+            rejected = cand[draws[cand] > _U64_MAX - (_U64_MAX % b + 1) % b]
+            if not rejected.size:
+                break
+            start = int(rejected[0])
             draws = np.concatenate((draws[:start], draws[start + 1 :], self.uint64(1)))
-        js = (draws % bounds).tolist()
-        del bounds, cuts, draws  # freed before the two lists are built, to keep peak memory down
-        idx = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), js):
-            idx[i], idx[j] = idx[j], idx[i]
-        return np.array(idx, dtype=np.int64)
+        js = np.zeros(n, dtype=np.int64)  # js[i] = the j of step i; js[0] = 0
+        np.remainder(draws, bounds, out=js[:0:-1].view(_U64))
+        del bounds, draws  # freed before the resolution, to keep peak memory down
+        return _resolve_swaps(js)
+
+
+def _resolve_swaps(js: np.ndarray) -> np.ndarray:
+    """range(n) after swapping slots i and js[i] for i = n-1 down to 1, given
+    int64 targets 0 <= js[i] <= i and js[0] = 0.
+
+    Slot i is final after step i, where it takes the value that slot js[i]
+    held just before. That value was put there by succ(i), the smallest step
+    above i with the same target, and is W(succ(i)), where W(s) is the value
+    in slot s just before step s; with no succ(i) it is still js[i]. W(s) is
+    likewise W(h(s)), h(s) being the smallest step that targets s, or s itself
+    when no step does. W is only ever read at steps above their targets, so
+    h(s) = s may end a chain even where step s is a self-swap. Step 0 is a
+    virtual step with target 0, so out[0] = W(succ(0)) like every other slot.
+    The h() chains are followed by pointer doubling, O(log n) whole-array
+    passes (Shun, Gu, Blelloch, Fineman and Gibbons, SODA 2015).
+    """
+    n = js.size
+    shift = max(n - 1, 1).bit_length()
+    # one sort groups the steps by target, each group in step order
+    keys = js << shift
+    keys |= np.arange(n)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)  # the step at each sorted position
+    targets = keys
+    targets >>= shift
+    same = targets[1:] == targets[:-1]  # position p's successor sits at p+1
+    ptr = np.arange(n + 1)  # ptr[t] = h(t), the head of group t; slot n absorbs the rest
+    ptr[np.where(same, n, targets[1:])] = order[1:]  # position 0 is step 0, h(0) = 0
+    while not np.array_equal(nxt := ptr[ptr], ptr):
+        ptr = nxt
+    del nxt
+    np.copyto(targets[:-1], ptr[order[1:]], where=same)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = targets
+    return out

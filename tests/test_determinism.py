@@ -21,6 +21,7 @@ from modhash.simulate import SweepSpec, emit_csv, run_sweep
 SEED = bytes(range(32))
 
 PERMUTATION_DIGEST = "3088d0ddaee38ab33a3b77f157f96318afe6425bb5e88f4c7e3e56a26da1f3b8"
+LARGE_PERMUTATION_DIGEST = "4e418d736a46a5d14e57a3291a473c2fcb30deb9060fce1975e07398fc4eb09b"
 
 TRANSCRIPT_DIGESTS = {
     ProtocolKind.FULL_KEY_3P: "4dd00527dee660e5f7e17e3861946555db1c01ac766c4eb9be17a98b6a806885",
@@ -84,6 +85,14 @@ def test_permutation_digest():
         h.update(stream.permutation_indices(n).astype(">i8").tobytes())
         h.update(stream.take(8))
     assert h.hexdigest() == PERMUTATION_DIGEST
+
+
+def test_large_permutation_digest():
+    # n = 100,003, where the swap chains are the longest of any pinned permutation
+    stream = ChaChaStream(SEED, b"perm-large")
+    h = hashlib.sha256(stream.permutation_indices(100_003).astype(">i8").tobytes())
+    h.update(stream.take(8))
+    assert h.hexdigest() == LARGE_PERMUTATION_DIGEST
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.name)
