@@ -218,9 +218,9 @@ class ProtocolParams:
         )
 
 
-def plan_parameters(threshold: float, epsilon: float, beta: int, padding_factor: int = 10) -> ProtocolParams:
+def plan_parameters(threshold: float, epsilon: float, beta: int) -> ProtocolParams:
     """Split the precision budget evenly between bias and statistical error,
-    then derive (k, M) and a default obfuscation padding of padding_factor * M."""
+    then derive (k, M) and a default obfuscation padding of 10 M."""
     _check_real(epsilon, "epsilon")
     half = epsilon / 2.0
     k = plan_k(threshold, half)
@@ -233,7 +233,7 @@ def plan_parameters(threshold: float, epsilon: float, beta: int, padding_factor:
         m=m,
         epsilon_bias=half,
         epsilon_stat=half,
-        padding=padding_factor * m,
+        padding=10 * m,
     )
 
 
@@ -303,27 +303,22 @@ def estimate_distance(
     k: int,
     mode: EstimateMode = EstimateMode.RAW,
     delta: float = DEFAULT_DELTA,
-    saturation_margin: float | None = None,
     m: int | None = None,
 ) -> DistanceEstimate:
     """Turn an observed mean Lee distance into a distance estimate.
 
     RAW reports the mean itself (the curve is the identity below the knee);
     CURVE_INVERTED inverts the expectation curve to adjacent doubles. Means within
-    saturation_margin (default k/400) of the k/4 plateau are reported as
-    SATURATED in either mode, since there the curve carries no distance
-    information.
+    k/400 of the k/4 plateau are reported as SATURATED in either mode, since
+    there the curve carries no distance information.
     """
     k = _check_even_k(k)
     delta = _check_real(delta, "delta")
     frac = Fraction(mean_lee)
     if frac < 0 or frac > Fraction(k, 2):
         raise InvalidInput(f"mean Lee distance must lie in [0, k/2], got {frac}")
-    margin = k / 400.0
-    if saturation_margin is not None:
-        margin = _check_real(float(saturation_margin), "saturation margin", zero_ok=True)
     target = float(frac)
-    if target >= k / 4.0 - margin:
+    if target >= k / 4.0 - k / 400.0:
         return DistanceEstimate(mean_lee=frac, k=k, m=m, value=None, mode=mode)
     if mode is EstimateMode.RAW:
         value = target

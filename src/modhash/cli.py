@@ -168,10 +168,7 @@ def _cmd_hash(args) -> int:
 
 def _cmd_estimate(args) -> int:
     mean = Fraction(args.mean_lee)
-    est = estimate_distance(
-        mean, args.k, _MODES[args.mode],
-        saturation_margin=args.saturation_margin, m=args.m,
-    )
+    est = estimate_distance(mean, args.k, _MODES[args.mode], m=args.m)
     _emit(mean_lee=_fmt_fraction(mean), estimate=est)
     return 0
 
@@ -180,10 +177,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _run_local(args, kind, x1, params, seed):
-    run = drive_local(
-        kind, x1, _read_vector(args.x2), params, seed,
-        mode=_MODES[args.mode], saturation_margin=args.saturation_margin,
-    )
+    run = drive_local(kind, x1, _read_vector(args.x2), params, seed, mode=_MODES[args.mode])
     return run.mean_lee, run.charlie_observed, run.alice_estimate, run.bob_estimate
 
 
@@ -194,8 +188,7 @@ def _run_tcp_selftest(args, kind, x1, params, seed):
     with CharlieServer() as charlie_srv:
         charlie_srv.start()
         with BobServer(
-            x2, charlie_address=charlie_srv.address, matrix_store=store,
-            mode=_MODES[args.mode], saturation_margin=args.saturation_margin,
+            x2, charlie_address=charlie_srv.address, matrix_store=store, mode=_MODES[args.mode]
         ) as bob_srv:
             bob_srv.start()
             result = run_over_tcp(
@@ -203,7 +196,6 @@ def _run_tcp_selftest(args, kind, x1, params, seed):
                 bob_address=bob_srv.address,
                 charlie_address=charlie_srv.address if kind in THREE_PARTY_KINDS else None,
                 mode=_MODES[args.mode], matrix_store=store,
-                saturation_margin=args.saturation_margin,
             )
             bob_estimate = bob_srv.wait_result(result.session_id)
     return result.mean_lee, result.observed_mean, result.estimate, bob_estimate
@@ -219,7 +211,6 @@ def _run_tcp_alice(args, kind, x1, params, seed):
     result = run_over_tcp(
         kind, x1, params, seed, bob_address=bob_addr, charlie_address=charlie_addr,
         mode=_MODES[args.mode], matrix_store=store,
-        saturation_margin=args.saturation_margin,
     )
     return result.mean_lee, result.observed_mean, result.estimate, None
 
@@ -366,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-lee", required=True, help="rational like 5/2 or decimal")
     p.add_argument("--mode", choices=sorted(_MODES), default="raw")
     p.add_argument("--m", type=int)
-    p.add_argument("--saturation-margin", type=float)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("run", help="execute one protocol end to end")
@@ -381,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--padding", type=int)
     p.add_argument("--mode", choices=sorted(_MODES), default="raw")
-    p.add_argument("--saturation-margin", type=float)
     p.add_argument("--transport", choices=["local", "tcp"], default="local")
     p.add_argument("--role", choices=["alice"], help="distributed TCP: act as this role only")
     p.add_argument("--bob", help="Bob endpoint HOST:PORT (distributed TCP)")

@@ -2,7 +2,14 @@
 
 
 class ModHashError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    aborts holds the Abort envelopes of the session this error ended, one for
+    every other party (Session.abort builds them), so a driver can deliver
+    them to the peers. It is empty for an error raised outside a session.
+    """
+
+    aborts = ()
 
 
 class InvalidParameter(ModHashError):
@@ -18,15 +25,7 @@ class DimensionMismatch(ModHashError):
 
 
 class ProtocolViolation(ModHashError):
-    """A session received a message it must not accept in its current state.
-
-    Carries the Abort envelopes the session emitted while shutting down, so a
-    driver can still deliver them to peers.
-    """
-
-    def __init__(self, message, aborts=()):
-        super().__init__(message)
-        self.aborts = tuple(aborts)
+    """A session received a message it must not accept in its current state."""
 
 
 class OracleUnavailable(ModHashError):

@@ -24,8 +24,9 @@ and on_message consumes one envelope and returns the next ones. A session is
 owned by one task at a time; drive_local pumps all roles in-process and
 records the wire bytes of every hop. One table, _MOVES, is the only place
 that states what each role accepts in each phase and from whom: on_message
-checks the envelope, looks the move up and runs its handler, and any error
-leaves the session ABORTED.
+checks the envelope, looks the move up and runs its handler. Any error ends
+the session through Session.abort, the one place that builds the Aborts for
+the other parties.
 
 Charlie is honest-but-curious: his state machine never holds A, U, any
 permutation, or a plaintext vector, for any protocol kind. Confidential
@@ -182,13 +183,12 @@ def deobfuscate_distance(d, d_tilde, m: int, p: int) -> Fraction:
 class Session:
     """One role's view of one protocol run. Mutated only by its owner."""
 
-    def __init__(self, session_id, role, kind, params, mode, saturation_margin):
+    def __init__(self, session_id, role, kind, params, mode):
         self.session_id = session_id
         self.role = role
         self.kind = kind
         self.params = params
         self.mode = mode
-        self.saturation_margin = saturation_margin
         self.phase = Phase.START
         self.result: DistanceEstimate | None = None
         self.observed_mean: Fraction | None = None  # Charlie-visible mean
@@ -216,31 +216,35 @@ class Session:
     def _envelope(self, body, recipient: Role) -> Envelope:
         return Envelope(self.session_id, self.kind, self.role, body, recipient)
 
-    def _violation(self, reason: str) -> ProtocolViolation:
-        """A ProtocolViolation carrying an Abort for every other party of the kind."""
+    def abort(self, reason: str) -> list[Envelope]:
+        """End the session as ABORTED and return an Abort for every other
+        party of the kind. The only code that builds a session's Aborts."""
+        self.phase = Phase.ABORTED
+        self.abort_reason = reason
         parties = Role if self.kind in THREE_PARTY_KINDS else (Role.ALICE, Role.BOB)
-        aborts = [self._envelope(Abort(reason=reason), r) for r in parties if r != self.role]
-        return ProtocolViolation(reason, aborts=aborts)
+        return [self._envelope(Abort(reason=reason), r) for r in parties if r != self.role]
 
     # -------------------------------------------------------------- inbound
 
     def on_message(self, env: Envelope) -> list[Envelope]:
         """Advance the state machine by one received envelope.
 
-        Raises ProtocolViolation (with Abort envelopes attached) on replayed,
-        out-of-order, or wrong-sender messages, that is on any move _MOVES
-        does not list; DimensionMismatch when sizes or alphabets disagree.
-        Every error but a foreign session id leaves the session ABORTED.
+        Raises ProtocolViolation on replayed, out-of-order, or wrong-sender
+        messages, that is on any move _MOVES does not list; DimensionMismatch
+        when sizes or alphabets disagree; whatever else a handler raises. Every
+        ModHashError but a foreign session id ends the session through abort()
+        and leaves its Aborts to the other parties in exc.aborts. A peer's
+        Abort ends the session too, but is never answered.
         """
         if env.session_id != self.session_id:
             raise ProtocolViolation("message for a different session")
         try:
             if self.phase in (Phase.DONE, Phase.ABORTED):
-                raise self._violation(f"message after {self.phase.name}")
+                raise ProtocolViolation(f"message after {self.phase.name}")
             if env.kind != self.kind:
-                raise self._violation(f"kind mismatch: session {self.kind.name}, message {env.kind.name}")
+                raise ProtocolViolation(f"kind mismatch: session {self.kind.name}, message {env.kind.name}")
             if env.sender == self.role:
-                raise self._violation("message from own role")
+                raise ProtocolViolation("message from own role")
             body, name = env.body, type(env.body).__name__
             if isinstance(body, Abort):
                 self.phase = Phase.ABORTED
@@ -248,21 +252,20 @@ class Session:
                 return []
             move = _MOVES.get((self.role, self.phase, type(body)))
             if move is None:
-                raise self._violation(f"unexpected {name} in phase {self.phase.name}")
+                raise ProtocolViolation(f"unexpected {name} in phase {self.phase.name}")
             senders, handler = move
             if env.sender not in senders:
-                raise self._violation(f"{name} from {env.sender.name}")
+                raise ProtocolViolation(f"{name} from {env.sender.name}")
             return handler(self, env)
         except ModHashError as exc:
-            self.phase = Phase.ABORTED
-            self.abort_reason = str(exc)
+            exc.aborts = self.abort(str(exc))
             raise
 
     # -------------------------------------------------------------- charlie
 
     def _on_hash_submission(self, env: Envelope) -> list[Envelope]:
         if env.sender in self._received:
-            raise self._violation(f"duplicate hash submission from {env.sender.name}")
+            raise ProtocolViolation(f"duplicate hash submission from {env.sender.name}")
         v = env.body.vector
         if self._received:
             other = next(iter(self._received.values()))
@@ -296,17 +299,17 @@ class Session:
             a = ks.a
         elif ks.a_digest is not None:
             if self._store is None:
-                raise self._violation("no matrix store to resolve the public matrix")
+                raise ProtocolViolation("no matrix store to resolve the public matrix")
             a = self._store.get(ks.a_digest)
         else:
-            raise self._violation("key share carries neither a matrix nor a digest")
+            raise ProtocolViolation("key share carries neither a matrix nor a digest")
         spec = _SHARE_SPECS[self.kind]
         if spec.padded and (ks.pad1 is None or ks.pad2 is None):
-            raise self._violation(f"{spec.name} key share must carry both pads")
+            raise ProtocolViolation(f"{spec.name} key share must carry both pads")
         p = ks.pad1.m if spec.padded else 0
         if spec.permuted and (ks.permutation is None or ks.permutation.size != ks.m + p):
             slots = "M+P" if spec.padded else "M"
-            raise self._violation(f"{spec.name} key share must carry a permutation of {slots} slots")
+            raise ProtocolViolation(f"{spec.name} key share must carry a permutation of {slots} slots")
         return self._hash_and_send(_shared_key(ks.k, ks.delta, a, ks.u), ks)
 
     def _hash_and_send(self, key: HashKey, ks: KeyShare) -> list[Envelope]:
@@ -362,13 +365,7 @@ class Session:
             raise DimensionMismatch(f"mean Lee distance {true_mean} outside [0, k/2]")
         self.observed_mean = true_mean if observed is None else observed
         self.true_mean = true_mean
-        self.result = estimate_distance(
-            true_mean,
-            self._key.k,
-            mode=self.mode,
-            saturation_margin=self.saturation_margin,
-            m=self._key.m,
-        )
+        self.result = estimate_distance(true_mean, self._key.k, mode=self.mode, m=self._key.m)
         self.phase = Phase.DONE
 
 
@@ -400,7 +397,6 @@ def start_session(
     matrix_store: MatrixStore | None = None,
     oracle: SecureHammingOracle | None = None,
     mode: EstimateMode = EstimateMode.RAW,
-    saturation_margin: float | None = None,
 ) -> tuple[Session, list[Envelope]]:
     """Create one role's session and return it with its initial envelopes.
 
@@ -421,7 +417,7 @@ def start_session(
     if len(session_id) != SESSION_ID_BYTES:
         raise InvalidParameter("session id must be 16 bytes")
 
-    session = Session(session_id, role, kind, params, mode, saturation_margin)
+    session = Session(session_id, role, kind, params, mode)
     session._store = matrix_store
 
     if role == Role.CHARLIE:
@@ -499,14 +495,14 @@ def drive_local(
     mode: EstimateMode = EstimateMode.RAW,
     oracle: SecureHammingOracle | None = None,
     matrix_store: MatrixStore | None = None,
-    saturation_margin: float | None = None,
 ) -> LocalRun:
     """Run every role of one protocol in-process, handing each envelope
     straight to its recipient's session.
 
     Each hop is serialized to wire bytes (recorded in the transcript) and
     decoded at the recipient, so a local run exercises the exact bytes a
-    networked run would. Deterministic: same inputs and seed, same transcript.
+    networked run would. A session error is re-raised once the Aborts it
+    carries are recorded. Deterministic: same inputs and seed, same transcript.
     """
     kind = ProtocolKind(kind)
     if kind == ProtocolKind.TWO_PARTY_HAMMING and oracle is None:
@@ -514,7 +510,7 @@ def drive_local(
     if kind == ProtocolKind.PUBLIC_A_3P and matrix_store is None:
         matrix_store = MatrixStore()
 
-    common = dict(params=params, mode=mode, saturation_margin=saturation_margin)
+    common = dict(params=params, mode=mode)
     alice, outgoing = start_session(
         Role.ALICE, kind, x=x1, seed=seed, matrix_store=matrix_store, oracle=oracle, **common
     )
@@ -535,7 +531,7 @@ def drive_local(
             transcript.append(TranscriptEntry(env.sender, env.recipient, data))
             received = wire.decode_frame(data).addressed_to(env.recipient)
             queue.extend(sessions[env.recipient].on_message(received))
-    except ProtocolViolation as exc:
+    except ModHashError as exc:
         for abort_env in exc.aborts:
             transcript.append(
                 TranscriptEntry(abort_env.sender, abort_env.recipient, wire.encode_envelope(abort_env))

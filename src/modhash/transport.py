@@ -24,6 +24,13 @@ table as soon as it ends, or after _IDLE_S without a message; the ids of
 ended sessions stay in a bounded window, so a replayed message is refused
 rather than opening a new session.
 
+A session that fails -- a session error, the idle sweep or a lost
+connection -- ends in _RoleServer._abort, which sends the Aborts that
+Session.abort builds to every peer the session has a route to. A message
+that names no open session and cannot open one is refused with an Abort on
+the connection it came on. An Abort is never answered, and Bob drops
+Charlie's replies for no open session, so two servers cannot trade Aborts.
+
 Serialization of hash keys to the documented JSON interchange format also
 lives here.
 """
@@ -60,7 +67,7 @@ from .messages import (
     Role,
     THREE_PARTY_KINDS,
 )
-from .protocol import MatrixStore, Phase, SecureHammingOracle, Session, start_session
+from .protocol import HonestBrokerOracle, MatrixStore, Phase, Session, start_session
 
 log = logging.getLogger("modhash.transport")
 
@@ -75,13 +82,12 @@ _RECV_CHUNK = 1 << 20
 class TcpTransport:
     """Frame-oriented wrapper over a connected TCP socket.
 
-    Writes are atomic per frame (serialized by a lock); reads return one
-    complete frame, raising TransportClosed on EOF or connection loss.
+    Each call sends or reads one complete frame, raising TransportClosed on
+    EOF or connection loss. A transport belongs to one thread.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._wlock = threading.Lock()
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float | None = None) -> "TcpTransport":
@@ -107,11 +113,10 @@ class TcpTransport:
         return b"".join(chunks)
 
     def send_frame(self, data: bytes):
-        with self._wlock:
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                raise TransportClosed(f"send failed: {exc}") from exc
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise TransportClosed(f"send failed: {exc}") from exc
 
     def recv_frame(self) -> bytes:
         header = self._recv_exact(4)
@@ -137,16 +142,15 @@ class _Conn:
     """One non-blocking socket in a server's loop: the bytes read that do not
     yet make a whole frame, and the bytes queued that the peer has not taken."""
 
-    __slots__ = ("sock", "peer", "on_envelope", "inbuf", "outbuf", "partial_since", "closed")
+    __slots__ = ("sock", "peer", "inbuf", "outbuf", "partial_since", "closed")
 
-    def __init__(self, sock: socket.socket, peer, on_envelope):
+    def __init__(self, sock: socket.socket, peer):
         sock.setblocking(False)
         # Frames of many sessions share a connection; Nagle would hold each
         # small one until the previous was acknowledged.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.peer = peer
-        self.on_envelope = on_envelope
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.partial_since: float | None = None
@@ -246,13 +250,13 @@ class _RoleServer:
             log.warning("%s: accept failed, retrying: %s", self.role.name, exc)
             return False
         try:
-            self._register(sock, peer, self._serve)
+            self._register(sock, peer)
         except OSError:  # reset by the peer before it could be set up
             sock.close()
         return True
 
-    def _register(self, sock: socket.socket, peer, on_envelope) -> _Conn:
-        conn = _Conn(sock, peer, on_envelope)
+    def _register(self, sock: socket.socket, peer) -> _Conn:
+        conn = _Conn(sock, peer)
         self._selector.register(sock, selectors.EVENT_READ, conn)
         return conn
 
@@ -283,7 +287,7 @@ class _RoleServer:
                 self._drop(conn)
                 return
             completed = True
-            conn.on_envelope(conn, env)
+            self._serve(conn, env)
         if not buf:
             conn.partial_since = None
         elif completed or conn.partial_since is None:
@@ -348,12 +352,19 @@ class _RoleServer:
     # -------------------------------------------------------------- sessions
 
     def _serve(self, conn: _Conn, env: Envelope):
+        """Handle one envelope. An error ends the open session it names through
+        _abort; with no open session, only the sender is told, unless what it
+        sent was itself an Abort."""
         try:
             self._handle(conn, env)
         except ModHashError as exc:
-            log.warning("%s: session %s aborted: %s", self.role.name, env.session_id.hex()[:8], exc)
-            self._end(env.session_id)
-            self._send(conn, Envelope(env.session_id, env.kind, self.role, Abort(reason=str(exc))))
+            live = self._sessions.get(env.session_id)
+            if live is not None:
+                self._abort(live, str(exc))
+                return
+            log.warning("%s: session %s refused: %s", self.role.name, env.session_id.hex()[:8], exc)
+            if not isinstance(env.body, Abort):
+                self._send(conn, Envelope(env.session_id, env.kind, self.role, Abort(reason=str(exc))))
 
     def _handle(self, conn: _Conn, env: Envelope):
         raise NotImplementedError
@@ -391,13 +402,17 @@ class _RoleServer:
                 self._finished.popitem(last=False)
 
     def _abort(self, live: _Live, reason: str):
+        """The one exit of a failed session: take it out of the table and send
+        its Aborts to every peer it has a route to."""
         session = live.session
         if self._sessions.get(session.session_id) is not live:
             return  # ended while an earlier abort was being sent
         log.warning("%s: session %s aborted: %s", self.role.name, session.session_id.hex()[:8], reason)
+        aborts = session.abort(reason)
         self._end(session.session_id)
-        for conn in dict.fromkeys(live.routes.values()):
-            self._send(conn, Envelope(session.session_id, session.kind, self.role, Abort(reason=reason)))
+        for env in aborts:
+            if env.recipient in live.routes:
+                self._send(live.routes[env.recipient], env)
 
     # -------------------------------------------------------------- callers
 
@@ -439,20 +454,15 @@ class CharlieServer(_RoleServer):
     role = Role.CHARLIE
 
     def _handle(self, conn: _Conn, env: Envelope):
-        if not isinstance(env.body, (HashSubmission, Abort)):
-            raise ProtocolViolation(f"third party cannot accept {type(env.body).__name__}")
         live = self._live(env.session_id)
         if live is None:
-            if env.kind not in THREE_PARTY_KINDS:
-                raise ProtocolViolation(f"{env.kind.name} does not involve a third party")
+            if not isinstance(env.body, HashSubmission):
+                raise ProtocolViolation("session must open with a hash submission")
             live = self._open(start_session(Role.CHARLIE, env.kind, session_id=env.session_id)[0])
         live.routes[env.sender] = conn
         self._drive(live, env)
-        if live.session.done:
-            log.info(
-                "session %s: served mean over %d components",
-                env.session_id.hex()[:8], env.body.vector.m if isinstance(env.body, HashSubmission) else -1,
-            )
+        if live.session.done:  # only a submission completes Charlie's session
+            log.info("session %s: served mean over %d components", env.session_id.hex()[:8], env.body.vector.m)
 
 
 class BobServer(_RoleServer):
@@ -470,44 +480,31 @@ class BobServer(_RoleServer):
         port: int = 0,
         matrix_store: MatrixStore | None = None,
         mode: EstimateMode = EstimateMode.RAW,
-        saturation_margin: float | None = None,
     ):
         super().__init__(host, port)
         self._x2 = np.asarray(x2, dtype=np.float64)
         self._charlie_address = charlie_address
         self._matrix_store = matrix_store
         self._mode = mode
-        self._margin = saturation_margin
         self._link: _Conn | None = None
 
     def _handle(self, conn: _Conn, env: Envelope):
-        live = self._live(env.session_id)
-        if live is None:
+        if conn is self._link:  # Charlie's replies never open a session
+            live = self._sessions.get(env.session_id)
+            if live is None:
+                log.warning("session %s: reply for no open session", env.session_id.hex()[:8])
+                return
+        elif (live := self._live(env.session_id)) is None:
             if not isinstance(env.body, KeyShare):
                 raise ProtocolViolation("session must open with a key share")
             session, _ = start_session(
                 Role.BOB, env.kind, x=self._x2, session_id=env.session_id,
                 matrix_store=self._matrix_store, mode=self._mode,
-                saturation_margin=self._margin,
             )
             live = self._open(session)
             live.routes[Role.ALICE] = conn
             if env.kind in THREE_PARTY_KINDS:
                 live.routes[Role.CHARLIE] = self._charlie_link()
-        self._step(live, env)
-
-    def _on_charlie(self, conn: _Conn, env: Envelope):
-        live = self._sessions.get(env.session_id)
-        if live is None:
-            log.warning("session %s: reply for no open session", env.session_id.hex()[:8])
-            return
-        try:
-            self._step(live, env)
-        except ModHashError as exc:
-            log.warning("session %s: %s", env.session_id.hex()[:8], exc)
-            self._end(env.session_id)
-
-    def _step(self, live: _Live, env: Envelope):
         self._drive(live, env)
         session = live.session
         if session.done:
@@ -538,7 +535,7 @@ class BobServer(_RoleServer):
             if err not in (0, errno.EINPROGRESS):
                 sock.close()
                 raise TransportClosed(f"cannot connect to {host}:{port}: {os.strerror(err)}")
-            self._link = self._register(sock, self._charlie_address, self._on_charlie)
+            self._link = self._register(sock, self._charlie_address)
         return self._link
 
 
@@ -562,24 +559,18 @@ def run_over_tcp(
     charlie_address: tuple[str, int] | None = None,
     *,
     mode: EstimateMode = EstimateMode.RAW,
-    oracle: SecureHammingOracle | None = None,
     matrix_store: MatrixStore | None = None,
-    saturation_margin: float | None = None,
     timeout: float | None = 30.0,
 ) -> RunResult:
     """Drive one session as Alice against live Bob/Charlie endpoints."""
     kind = ProtocolKind(kind)
     if kind in THREE_PARTY_KINDS and charlie_address is None:
         raise InvalidParameter(f"{kind.name} requires a third-party address")
-    from .protocol import HonestBrokerOracle
-
-    if kind == ProtocolKind.TWO_PARTY_HAMMING and oracle is None:
-        oracle = HonestBrokerOracle()
+    oracle = HonestBrokerOracle() if kind == ProtocolKind.TWO_PARTY_HAMMING else None
     if kind == ProtocolKind.PUBLIC_A_3P and matrix_store is None:
         matrix_store = MatrixStore()
     session, outgoing = start_session(
-        Role.ALICE, kind, params, x=x1, seed=seed, matrix_store=matrix_store,
-        oracle=oracle, mode=mode, saturation_margin=saturation_margin,
+        Role.ALICE, kind, params, x=x1, seed=seed, matrix_store=matrix_store, oracle=oracle, mode=mode,
     )
     bob = TcpTransport.connect(*bob_address, timeout=timeout)
     charlie = None

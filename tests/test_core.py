@@ -344,6 +344,30 @@ def test_no_module_calls_blas():
     assert found == []
 
 
+# The only places that build an Abort: a failed session's, one for every other
+# party; a server's refusal of a message for no open session; the decoder. A
+# new site would be a second abort path that the servers do not route.
+_ABORT_SITES = {"protocol.py:Session.abort", "transport.py:_RoleServer._serve", "wire.py:_decode_abort"}
+
+
+def _abort_sites(node: ast.AST, scope=()):
+    """The qualified name of the function around each `Abort(...)` call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == "Abort":
+            yield ".".join(scope)
+        inner = (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield from _abort_sites(child, inner)
+
+
+def test_aborts_are_built_in_one_place_per_path():
+    found = {
+        f"{path.name}:{site}"
+        for path in sorted(pathlib.Path(modhash.__file__).parent.rglob("*.py"))
+        for site in _abort_sites(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == _ABORT_SITES
+
+
 # ------------------------------------------------------------------ lee metric
 
 

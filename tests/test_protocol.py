@@ -12,6 +12,7 @@ from modhash import (
     HonestBrokerOracle,
     InvalidParameter,
     ModHashError,
+    OracleUnavailable,
     Permutation,
     ProtocolKind,
     ProtocolParams,
@@ -33,7 +34,7 @@ from modhash.messages import (
     HashSubmission,
     KeyShare,
 )
-from modhash import plan_parameters
+from modhash import plan_parameters, wire
 from modhash.protocol import MatrixStore, Phase
 from modhash.rng import ChaChaStream
 from modhash.wire import FAMILY_HASH_SUBMISSION, decode_frame
@@ -390,6 +391,44 @@ def test_public_a_unknown_digest_aborts():
     )
     with pytest.raises(ProtocolViolation):
         bob.on_message(outgoing[0].addressed_to(Role.BOB))
+
+
+class _FailingOracle(HonestBrokerOracle):
+    def hamming(self, code_a, code_b):
+        raise RuntimeError("link down")
+
+
+class _ForgetfulStore(MatrixStore):
+    """Hands out digests but keeps no matrix, so Bob cannot resolve one."""
+
+    def put(self, a):
+        return self.digest(a)
+
+
+@pytest.mark.parametrize(
+    "kind, n2, options, error, failed",
+    [
+        (ProtocolKind.FULL_KEY_3P, 15, {}, DimensionMismatch, Role.BOB),
+        (ProtocolKind.TWO_PARTY_HAMMING, 15, {}, DimensionMismatch, Role.BOB),
+        (ProtocolKind.TWO_PARTY_HAMMING, 16, {"oracle": _FailingOracle()}, OracleUnavailable, Role.ALICE),
+        (ProtocolKind.PUBLIC_A_3P, 16, {"matrix_store": _ForgetfulStore()}, ProtocolViolation, Role.BOB),
+    ],
+    ids=["bob-n-mismatch-3p", "bob-n-mismatch-2p", "oracle-raises", "unknown-digest"],
+)
+def test_every_session_error_carries_its_aborts_into_the_transcript(monkeypatch, kind, n2, options, error, failed):
+    # Before, only violations the session itself built carried Aborts.
+    x1, _ = _vectors()
+    _, x2 = _vectors(n2)
+    sent = []
+    encode = wire.encode_envelope
+    monkeypatch.setattr(wire, "encode_envelope", lambda env: sent.append(env) or encode(env))
+    with pytest.raises(error) as err:
+        drive_local(kind, x1, x2, PARAMS, SEED, **options)
+    aborts = err.value.aborts
+    parties = set(Role) if kind in THREE_PARTY_KINDS else {Role.ALICE, Role.BOB}
+    assert {e.recipient for e in aborts} == parties - {failed}
+    assert all(e.sender == failed and e.body == Abort(reason=str(err.value)) for e in aborts)
+    assert sent[-len(aborts):] == list(aborts)
 
 
 def _short_permutation(ks):

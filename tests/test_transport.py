@@ -6,6 +6,7 @@ import socket
 import struct
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from modhash import (
     run_over_tcp,
 )
 from modhash import transport
-from modhash.messages import Abort, Envelope, HashSubmission
+from modhash.messages import Abort, DistanceResult, Envelope, HashSubmission
 from modhash.protocol import MatrixStore
 from modhash.transport import (
     BobServer,
@@ -395,6 +396,98 @@ def test_replayed_messages_are_refused_without_opening_a_session():
             assert env.body == Abort(reason="message after DONE")
             conn.close()
             assert server._sessions == {}
+
+
+def test_charlie_tells_both_submitters_when_the_second_submission_is_refused():
+    # Before, only Bob heard of it: Alice waited for her own timeout.
+    with CharlieServer() as srv:
+        srv.start()
+        alice = TcpTransport.connect(*srv.address, timeout=1.0)
+        bob = TcpTransport.connect(*srv.address, timeout=1.0)
+        sid = b"\x05" * 16
+        alice.send_frame(_frame(sid, Role.ALICE, (0, 1, 2, 3)))
+        _eventually(lambda: sid in srv._sessions)
+        bob.send_frame(_frame(sid, Role.BOB, (0, 1, 2, 3, 4)))
+        for conn in (alice, bob):
+            env = decode_frame(conn.recv_frame())
+            assert env.session_id == sid and env.body == Abort(reason="length mismatch: 5 vs 4")
+            conn.close()
+        assert srv._sessions == {}
+
+
+def test_a_result_with_the_wrong_count_aborts_bob_and_tells_both_peers():
+    # Before, Bob ended the session silently and Alice heard nothing.
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+    _, share, _ = _alice_frames(kind, x1, x2, PARAMS, SEED)
+    sid = decode_frame(share).session_id
+    with socket.create_server(("127.0.0.1", 0)) as fake_charlie, \
+            BobServer(x2, charlie_address=fake_charlie.getsockname()[:2]) as bob:
+        bob.start()
+        alice = TcpTransport.connect(*bob.address, timeout=5.0)
+        alice.send_frame(share)
+        fake_charlie.settimeout(5.0)
+        sock, _ = fake_charlie.accept()
+        sock.settimeout(5.0)
+        link = TcpTransport(sock)
+        assert isinstance(decode_frame(link.recv_frame()).body, HashSubmission)
+        wrong = DistanceResult(mean_lee=Fraction(1), count=PARAMS.m + 1)
+        link.send_frame(encode_envelope(Envelope(sid, kind, Role.CHARLIE, wrong)))
+        reason = f"result covers {PARAMS.m + 1} components, expected {PARAMS.m}"
+        for conn in (alice, link):
+            env = decode_frame(conn.recv_frame())
+            assert env.session_id == sid and env.body == Abort(reason=reason)
+            conn.close()
+        _eventually(lambda: not bob._sessions)
+        assert bob._sessions == {} and sid not in bob.results
+
+
+def test_a_share_bob_refuses_also_ends_charlies_half_of_the_session():
+    # Before, Charlie held the session until the connection dropped or
+    # _IDLE_S passed: Bob's Abort went to Alice alone.
+    x1, x2 = _vectors()
+    _, share, submission = _alice_frames(ProtocolKind.PUBLIC_A_3P, x1, x2, PARAMS, SEED)
+    sid = decode_frame(share).session_id
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        to_charlie = TcpTransport.connect(*charlie.address, timeout=5.0)
+        to_charlie.send_frame(submission)
+        _eventually(lambda: sid in charlie._sessions)
+        to_bob = TcpTransport.connect(*bob.address, timeout=5.0)
+        to_bob.send_frame(share)
+        env = decode_frame(to_bob.recv_frame())
+        assert env.body == Abort(reason="no matrix store to resolve the public matrix")
+        _eventually(lambda: not charlie._sessions, timeout=1.0)
+        assert charlie._sessions == {} and bob._sessions == {}
+        to_bob.close()
+        to_charlie.close()
+
+
+@pytest.mark.parametrize("ended", [True, False], ids=["ended", "unknown"])
+@pytest.mark.parametrize("role", [Role.BOB, Role.CHARLIE], ids=["bob", "charlie"])
+def test_an_abort_for_no_open_session_is_not_answered(role, ended):
+    # Before, Bob and (for an ended session) Charlie refused it with an Abort
+    # of their own, which a peer server would have refused in turn.
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        run = run_over_tcp(kind, x1, PARAMS, SEED, bob.address, charlie.address)
+        bob.wait_result(run.session_id, 5.0)
+        server = bob if role == Role.BOB else charlie
+        conn = TcpTransport.connect(*server.address, timeout=5.0)
+        sid = run.session_id if ended else b"\x0e" * 16
+        late = Envelope(sid, kind, Role.ALICE, Abort(reason="late"))
+        # A frame both servers refuse, for a fresh session: its refusal must
+        # be the first reply.
+        probe = Envelope(b"\x0f" * 16, kind, Role.CHARLIE, DistanceResult(mean_lee=Fraction(0), count=1))
+        conn.send_frame(encode_envelope(late) + encode_envelope(probe))
+        env = decode_frame(conn.recv_frame())
+        assert env.session_id == probe.session_id and isinstance(env.body, Abort)
+        conn.close()
+        assert server._sessions == {}
 
 
 class _Starved:
