@@ -70,7 +70,7 @@ def expected_lee(dist: float, k: int, delta: float = DEFAULT_DELTA) -> float:
     """
     k = _check_even_k(k)
     delta = _check_real(delta, "delta")
-    _check_real(dist, "dist", zero_ok=True)
+    dist = _check_real(dist, "dist", zero_ok=True)
     if dist == 0:
         return 0.0  # sum (2j-1)^-2 = pi^2/8 exactly cancels k/4
     r = math.pi * dist / (delta * k)
@@ -97,7 +97,7 @@ def expected_lee_bounds(dist: float, k: int, delta: float = DEFAULT_DELTA) -> tu
     """
     k = _check_even_k(k)
     delta = _check_real(delta, "delta")
-    _check_real(dist, "dist", zero_ok=True)
+    dist = _check_real(dist, "dist", zero_ok=True)
     r = math.pi * dist / (delta * k)
     e1 = math.exp(-2.0 * r * r)  # 0 rather than OverflowError far past saturation
     lower = (k / 4.0) * (1.0 - e1)
@@ -109,7 +109,7 @@ def bias_bound(dist: float, k: int) -> float:
     """F(t, k) = t exp(-k^2 / (4 pi t^2)): deviation of expected_lee from the
     identity, valid at the default delta = sqrt(2/pi)."""
     k = _check_even_k(k)
-    _check_real(dist, "dist", zero_ok=True, error=InvalidInput)
+    dist = _check_real(dist, "dist", zero_ok=True, error=InvalidInput)
     if dist == 0:
         return 0.0
     return dist * math.exp(-(k * k) / (4.0 * math.pi * dist * dist))
@@ -122,8 +122,8 @@ def plan_k(threshold: float, epsilon_bias: float) -> int:
     even, then walks by 2 in either direction until minimal, since the closed
     form is a derived starting point rather than a stated bound.
     """
-    _check_real(threshold, "threshold")
-    _check_real(epsilon_bias, "epsilon_bias")
+    threshold = _check_real(threshold, "threshold")
+    epsilon_bias = _check_real(epsilon_bias, "epsilon_bias")
     if epsilon_bias >= threshold:
         return 2  # F(T, k) < T for every k
     k = 2 * math.ceil(threshold * math.sqrt(math.pi * math.log(threshold / epsilon_bias)))
@@ -138,7 +138,7 @@ def plan_k(threshold: float, epsilon_bias: float) -> int:
 def plan_m(k: int, epsilon_stat: float, beta: int) -> int:
     """Hash length meeting the Hoeffding bound: ceil(ln2 (beta+1) k^2 / (8 eps^2))."""
     k = _check_even_k(k)
-    _check_real(epsilon_stat, "epsilon_stat")
+    epsilon_stat = _check_real(epsilon_stat, "epsilon_stat")
     if not isinstance(beta, (int, np.integer)) or beta < 1:
         raise InvalidParameter("beta must be a positive integer")
     return math.ceil(math.log(2.0) * (beta + 1) * k * k / (8.0 * epsilon_stat**2))
@@ -221,7 +221,7 @@ class ProtocolParams:
 def plan_parameters(threshold: float, epsilon: float, beta: int) -> ProtocolParams:
     """Split the precision budget evenly between bias and statistical error,
     then derive (k, M) and a default obfuscation padding of 10 M."""
-    _check_real(epsilon, "epsilon")
+    epsilon = _check_real(epsilon, "epsilon")
     half = epsilon / 2.0
     k = plan_k(threshold, half)
     m = plan_m(k, half, beta)

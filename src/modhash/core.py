@@ -61,15 +61,23 @@ def _check_even_k(k) -> int:
     return int(k)
 
 
-def _check_size(size) -> int:
-    if not isinstance(size, (int, np.integer)) or size < 1:
-        raise InvalidParameter("size must be a positive integer")
+def _check_size(size, name: str = "size") -> int:
+    """size as an int if it is a Python or numpy integer >= 1, not a bool."""
+    if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 1:
+        raise InvalidParameter(f"{name} must be a positive integer")
     return int(size)
 
 
 def _check_real(x, name: str, *, zero_ok: bool = False, error=InvalidParameter) -> float:
-    """x as a float if it is a finite int or float above 0 (or at 0, with zero_ok)."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0 or (x == 0 and not zero_ok):
+    """x as a float if it is a finite Python or numpy integer or float, not a
+    bool, above 0 (or at 0, with zero_ok)."""
+    if (
+        not isinstance(x, (float, int, np.floating, np.integer))
+        or isinstance(x, bool)
+        or not math.isfinite(x)
+        or x < 0
+        or (x == 0 and not zero_ok)
+    ):
         raise error(f"{name} must be a {'finite nonnegative' if zero_ok else 'positive finite'} real")
     return float(x)
 
@@ -250,16 +258,13 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
     rng.KEY_BLOCK), and handed to the key without a copy.
     """
     k = _check_even_k(k)
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidParameter("M must be a positive integer")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameter("N must be a positive integer")
+    m, n = _check_size(m, "M"), _check_size(n, "N")
     delta = _check_real(delta, "delta")
     stream = ChaChaStream(check_seed(seed))
-    a = stream.standard_normal_into(np.empty((int(m), int(n))), 1.0 / delta)
-    if not np.isfinite(a).all():  # 1/delta overflowed, or a uniform rounded up to 1.0
+    a = stream.standard_normal_into(np.empty((m, n)), 1.0 / delta)
+    if not np.isfinite(a).all():  # 1/delta overflowed
         raise InvalidParameter("A entries must be finite")
-    u = stream.uniform01_into(np.empty(int(m)), k)  # below k: (1 - 2**-53) * k rounds down
+    u = stream.uniform01_into(np.empty(m), k)  # below k: (1 - 2**-53) * k rounds down
     return _adopt(HashKey, k=k, delta=delta, a=a, u=u)
 
 

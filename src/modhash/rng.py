@@ -15,13 +15,17 @@ taken in bulk and the swaps are not done one by one: one sort groups the
 steps by target, and pointer doubling follows the chains of swaps that
 carry a value from slot to slot, in O(log n) whole-array passes with the
 same result as the loop.
+
+scipy.special, for the probit's ndtri, is imported inside the one method that
+draws normals, not with this module: the package imports this module in every
+process, and Bob's and Charlie's servers, like the CLI's start-up, never draw
+a normal. Only the first call pays the import; later ones find it cached.
 """
 
 import hashlib
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
-from scipy.special import ndtri
 
 from .errors import InvalidParameter
 
@@ -30,6 +34,7 @@ KEY_BLOCK = 1 << 15  # values per block: 256 KB of float64, small enough to stay
 
 _ZERO_NONCE = bytes(16)
 _TWO_NEG_53 = 2.0 ** -53
+_MAX_UNIFORM = 1.0 - _TWO_NEG_53  # the largest double below 1.0; ndtri gives 8.21 there
 _U64_MAX = np.uint64((1 << 64) - 1)
 _SHIFT = np.uint64(11)
 _F64, _U64, _BIG_U64, _U8 = (np.dtype(t) for t in (np.float64, np.uint64, ">u8", np.uint8))
@@ -88,10 +93,17 @@ class ChaChaStream:
 
     def standard_normal_into(self, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """Fill `out` with standard normals via the probit transform, times
-        scale; returns out."""
+        scale; returns out.
+
+        Each uniform is (v >> 11) + 0.5 times 2**-53, clamped to at most
+        1 - 2**-53: for v >> 11 = 2**53 - 1 alone the sum rounds up to 2**53,
+        which would make the uniform 1.0 and the normal infinite."""
+        from scipy.special import ndtri
+
         for block in _blocks(out):
             np.add(self._top53_into(block), 0.5, out=block)
             block *= _TWO_NEG_53
+            np.minimum(block, _MAX_UNIFORM, out=block)
             ndtri(block, out=block)
             block *= scale
         return out

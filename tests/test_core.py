@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import json
 import math
 import os
 import pathlib
@@ -24,6 +25,7 @@ from modhash import (
     apply_permutation,
     decode_binary_to_lee,
     encode_lee_to_binary,
+    expected_lee,
     generate_key,
     hamming_distance,
     hash_vector,
@@ -203,6 +205,26 @@ def test_nonpositive_dimensions_rejected(m, n):
         generate_key(8, m, n, SEED)
 
 
+# One call per numeric check: its name, the call, and whether it takes floats.
+_NUMERIC_CHECKS = {
+    "_check_real": (lambda v: expected_lee(v, 8), True),
+    "_check_size": (Permutation.identity, False),
+    "generate_key M": (lambda v: generate_key(8, v, 2, SEED), False),
+    "generate_key N": (lambda v: generate_key(8, 2, v, SEED), False),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_NUMERIC_CHECKS))
+@pytest.mark.parametrize("value", [True, False, np.int64(3), np.uint16(3), np.float32(2.5), np.float64(2.5)], ids=repr)
+def test_numeric_checks_refuse_bools_and_take_numpy_scalars(check, value):
+    call, takes_floats = _NUMERIC_CHECKS[check]
+    if isinstance(value, bool) or (isinstance(value, np.floating) and not takes_floats):
+        with pytest.raises(InvalidParameter):
+            call(value)
+    else:
+        assert call(value) == call(value.item())
+
+
 def test_short_seed_rejected():
     with pytest.raises(InvalidParameter):
         generate_key(8, 4, 4, b"short")
@@ -300,18 +322,65 @@ sys.stdout.write(hashlib.sha256(_projection(key, x).tobytes()).hexdigest())
 """
 
 
-def test_projection_bits_do_not_depend_on_the_blas_thread_count():
+def _run_fresh(code: str, **env_vars) -> str:
+    """Standard output of `code` run in a fresh interpreter on this modhash."""
     src = str(pathlib.Path(modhash.__file__).parents[1])
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _PROJECTION_DIGEST], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert out.returncode == 0, out.stderr
-        digests.add(out.stdout)
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_projection_bits_do_not_depend_on_the_blas_thread_count():
+    digests = {_run_fresh(_PROJECTION_DIGEST, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
     assert len(digests) == 1
+
+
+# The scipy modules loaded after each step, in a fresh interpreter: importing
+# the package and its CLI; Bob and Charlie running a session through the wire
+# on a key made by the public constructor; one key generation; one uniformity
+# check.
+_SCIPY_BY_STEP = """
+import json, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+steps = {}
+import modhash, modhash.cli
+from modhash import Envelope, HashKey, ProtocolKind, Role, hash_vector, start_session, wire
+from modhash.messages import HashSubmission, KeyShare
+steps["import"] = scipy_modules()
+
+key = HashKey(8, 1.0, np.arange(12.0).reshape(4, 3) / 7, np.full(4, 0.5))
+sid, kind = bytes(16), ProtocolKind.FULL_KEY_3P
+bob, _ = start_session(Role.BOB, kind, x=np.ones(3), session_id=sid)
+charlie, _ = start_session(Role.CHARLIE, kind, session_id=sid)
+relay = lambda env: wire.decode_frame(wire.encode_envelope(env))
+share = Envelope(sid, kind, Role.ALICE, KeyShare(k=8, delta=1.0, n=3, u=key.u, a=key.a))
+(bob_hash,) = bob.on_message(relay(share))
+charlie.on_message(relay(Envelope(sid, kind, Role.ALICE, HashSubmission(hash_vector(key, np.zeros(3))))))
+_, to_bob = charlie.on_message(relay(bob_hash))
+bob.on_message(relay(to_bob))
+assert bob.done and charlie.done
+steps["bob and charlie"] = scipy_modules()
+
+modhash.generate_key(8, 4, 3, bytes(32))
+steps["generate_key"] = scipy_modules()
+modhash.uniformity_report(2, 1, 1, [0.0], 200, bytes(32))
+steps["uniformity_report"] = scipy_modules()
+sys.stdout.write(json.dumps(steps))
+"""
+
+
+def test_scipy_is_imported_only_where_a_normal_or_a_quantile_is_computed():
+    steps = json.loads(_run_fresh(_SCIPY_BY_STEP))
+    assert steps["import"] == []
+    assert steps["bob and charlie"] == []
+    assert "scipy.special" in steps["generate_key"]
+    assert not any(name.startswith("scipy.stats") for name in steps["uniformity_report"])
 
 
 # Calls that hand a product to BLAS, whose threads outlive the call and whose

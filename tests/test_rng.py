@@ -1,4 +1,5 @@
-"""Fisher-Yates swap resolution against the sequential loop, and its memory.
+"""Fisher-Yates swap resolution against the sequential loop, and its memory;
+the probit's largest draws.
 
 `_resolve_swaps` replaces the per-slot swap loop with whole-array passes. It
 is checked here against `reference_permutation` from test_determinism on
@@ -10,9 +11,11 @@ import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
+from scipy.special import ndtri
 from test_determinism import SEED, CraftedStream, reference_permutation
 
 from modhash.rng import ChaChaStream, _resolve_swaps
@@ -66,3 +69,28 @@ def test_permutation_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 84 * n
+
+
+class _FixedDraws:
+    """A cipher stub whose keystream repeats one big-endian u64."""
+
+    def __init__(self, draw: int):
+        self._byte = np.frombuffer(draw.to_bytes(8, "big"), np.uint8)
+
+    def update_into(self, data, buf):
+        buf.reshape(-1, 8)[:] = self._byte
+
+
+@pytest.mark.parametrize(
+    "top53, uniform",
+    [
+        (2**53 - 1, 1 - 2.0**-53),  # (2**53 - 1) + 0.5 rounds up to 2**53: clamped
+        (2**53 - 2, (2**53 - 2) * 2.0**-53),  # + 0.5 rounds down, to even: not moved
+    ],
+)
+def test_probit_of_the_largest_draws_is_finite(top53, uniform):
+    stream = ChaChaStream(SEED)
+    stream._enc = _FixedDraws(top53 << 11 | 0x7FF)
+    normals = stream.standard_normal(4)
+    assert np.isfinite(normals).all()
+    assert np.array_equal(normals, np.full(4, ndtri(uniform)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from modhash import (
     InvalidParameter,
@@ -11,7 +12,8 @@ from modhash import (
     theoretical_curve,
     uniformity_report,
 )
-from modhash.simulate import format_csv, emit_csv
+from modhash.simulate import _chi2_threshold, emit_csv, format_csv
+from modhash.wire import MAX_WIRE_K
 
 SEED = bytes(range(32))
 
@@ -147,6 +149,13 @@ def test_uniformity_negative_control_fails():
     report = uniformity_report(8, 50, 8, np.zeros(8), 4000, SEED, zero_dither=True)
     assert not report.passed
     assert report.counts[0] == report.samples
+
+
+def test_uniformity_threshold_is_scipy_stats_chi2_quantile():
+    # computed through scipy.special, without importing scipy.stats
+    dof = np.arange(2, MAX_WIRE_K + 1, 2) - 1
+    assert np.array_equal(_chi2_threshold(dof), chi2.ppf(0.999, dof))
+    assert uniformity_report(2, 1, 1, [0.0], 200, SEED).threshold == chi2.ppf(0.999, 1)
 
 
 def test_uniformity_requires_enough_samples():
