@@ -42,16 +42,13 @@ from .errors import (
     InvalidInput,
     InvalidParameter,
     ModHashError,
-    OracleUnavailable,
     ProtocolViolation,
     TransportClosed,
 )
 from .messages import Envelope, ProtocolKind, Role
 from .protocol import (
-    HonestBrokerOracle,
     LocalRun,
     MatrixStore,
-    SecureHammingOracle,
     Session,
     deobfuscate_distance,
     drive_local,
@@ -91,19 +88,16 @@ __all__ = [
     "EstimateMode",
     "HashKey",
     "HashVector",
-    "HonestBrokerOracle",
     "InvalidInput",
     "InvalidParameter",
     "LocalRun",
     "MatrixStore",
     "ModHashError",
-    "OracleUnavailable",
     "Permutation",
     "ProtocolKind",
     "ProtocolParams",
     "ProtocolViolation",
     "Role",
-    "SecureHammingOracle",
     "Session",
     "SweepRow",
     "SweepSpec",

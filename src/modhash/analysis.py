@@ -47,9 +47,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
-from .core import DEFAULT_DELTA, _check_even_k, _check_real
+from .core import DEFAULT_DELTA, _check_even_k, _check_real, _check_size
 from .errors import InvalidInput, InvalidParameter
 
 # Curve terms with exponent above this are below 4.3e-18 and are dropped.
@@ -139,9 +137,7 @@ def plan_m(k: int, epsilon_stat: float, beta: int) -> int:
     """Hash length meeting the Hoeffding bound: ceil(ln2 (beta+1) k^2 / (8 eps^2))."""
     k = _check_even_k(k)
     epsilon_stat = _check_real(epsilon_stat, "epsilon_stat")
-    if not isinstance(beta, (int, np.integer)) or beta < 1:
-        raise InvalidParameter("beta must be a positive integer")
-    return math.ceil(math.log(2.0) * (beta + 1) * k * k / (8.0 * epsilon_stat**2))
+    return math.ceil(_hoeffding_rhs(k, epsilon_stat, _check_size(beta, "beta")))
 
 
 def _hoeffding_rhs(k: int, epsilon_stat: float, beta: int) -> float:
@@ -166,18 +162,15 @@ class ProtocolParams:
     padding: int = 0
 
     def __post_init__(self):
-        _check_even_k(self.k)
+        object.__setattr__(self, "k", _check_even_k(self.k))
         _check_real(self.threshold, "threshold")
         if self.epsilon <= 0 or self.epsilon_bias <= 0 or self.epsilon_stat <= 0:
             raise InvalidParameter("epsilon budgets must be positive")
         if abs(self.epsilon_bias + self.epsilon_stat - self.epsilon) > 1e-9 * self.epsilon:
             raise InvalidParameter("epsilon_bias + epsilon_stat must equal epsilon")
-        if not isinstance(self.beta, int) or self.beta < 1:
-            raise InvalidParameter("beta must be a positive integer")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise InvalidParameter("M must be a positive integer")
-        if not isinstance(self.padding, int) or self.padding < 0:
-            raise InvalidParameter("padding must be a nonnegative integer")
+        object.__setattr__(self, "beta", _check_size(self.beta, "beta"))
+        object.__setattr__(self, "m", _check_size(self.m, "M"))
+        object.__setattr__(self, "padding", _check_size(self.padding, "padding", zero_ok=True))
         if bias_bound(self.threshold, self.k) > self.epsilon_bias * (1 + 1e-12):
             raise InvalidParameter("k too small: bias bound exceeds epsilon_bias at the threshold")
         if self.m < _hoeffding_rhs(self.k, self.epsilon_stat, self.beta) * (1 - 1e-12):
@@ -198,9 +191,8 @@ class ProtocolParams:
         threshold defaults to k/4 with epsilon_bias = F(threshold, k).
         """
         k = _check_even_k(k)
-        if not isinstance(m, int) or m < 1:
-            raise InvalidParameter("M must be a positive integer")
-        eps_stat = math.sqrt(math.log(2.0) * (beta + 1) * k * k / (8.0 * m))
+        m, beta = _check_size(m, "M"), _check_size(beta, "beta")
+        eps_stat = math.sqrt(_hoeffding_rhs(k, 1.0, beta) / m)
         t = k / 4.0 if threshold is None else threshold
         eps_bias = bias_bound(t, k)
         if eps_bias <= 0:

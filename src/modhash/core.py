@@ -61,10 +61,11 @@ def _check_even_k(k) -> int:
     return int(k)
 
 
-def _check_size(size, name: str = "size") -> int:
-    """size as an int if it is a Python or numpy integer >= 1, not a bool."""
-    if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 1:
-        raise InvalidParameter(f"{name} must be a positive integer")
+def _check_size(size, name: str = "size", *, zero_ok: bool = False) -> int:
+    """size as an int if it is a Python or numpy integer, not a bool, >= 1
+    (or at 0, with zero_ok)."""
+    if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < (0 if zero_ok else 1):
+        raise InvalidParameter(f"{name} must be a {'nonnegative' if zero_ok else 'positive'} integer")
     return int(size)
 
 
@@ -297,12 +298,11 @@ def hash_vector(key: HashKey, x) -> HashVector:
 
 def lee_distance(a: int, b: int, k: int) -> int:
     """Shortest arc between a and b on the ring of circumference k."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidParameter("k must be a positive integer")
+    k = _check_size(k, "k")
     if not (0 <= a < k) or not (0 <= b < k):
         raise InvalidInput("a and b must lie in Z_k")
     d = abs(int(a) - int(b))
-    return min(d, int(k) - d)
+    return min(d, k - d)
 
 
 def _lee_componentwise(c1: np.ndarray, c2: np.ndarray, k: int) -> np.ndarray:

@@ -28,10 +28,6 @@ class ProtocolViolation(ModHashError):
     """A session received a message it must not accept in its current state."""
 
 
-class OracleUnavailable(ModHashError):
-    """The secure-Hamming oracle failed or was not provided."""
-
-
 class TransportClosed(ModHashError):
     """The peer endpoint closed or the connection was lost mid-session."""
 

@@ -25,7 +25,7 @@ class Role(IntEnum):
 class ProtocolKind(IntEnum):
     FULL_KEY_3P = 0        # Alice shares (k, A, U) with Bob; Charlie averages
     PUBLIC_A_3P = 1        # A is public by reference; secret dither + permutation
-    TWO_PARTY_HAMMING = 2  # no third party; secure Hamming oracle on ring codes
+    TWO_PARTY_HAMMING = 2  # no third party; Alice takes the Hamming distance of ring codes
     OBFUSCATED_3P = 3      # uniform padding + permutation hide the distance from Charlie
 
 
@@ -75,14 +75,14 @@ class DistanceResult:
 
 @dataclass(frozen=True, eq=False)
 class HammingRequest(_ValueEq):
-    """One party's ring code, forwarded to whoever evaluates the oracle."""
+    """Bob's ring code, sent to Alice, who computes the Hamming distance."""
 
     code: BinaryCode
 
 
 @dataclass(frozen=True)
 class HammingResponse:
-    """The oracle's output: the Hamming distance between both parties' codes."""
+    """Alice's answer: the Hamming distance between both parties' codes."""
 
     distance: int
 

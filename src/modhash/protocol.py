@@ -10,11 +10,13 @@ states and both Alice and Bob read:
                       returns the mean Lee distance to both.
     PUBLIC_A_3P       A by content address, U and a permutation of M slots;
                       hashes are permuted before submission.
-    TWO_PARTY_HAMMING (k, A, U). No Charlie: hashes are ring-coded and a
-                      pluggable secure Hamming oracle yields the distance.
+    TWO_PARTY_HAMMING (k, A, U). No Charlie: Bob sends his ring-coded hash to
+                      Alice, who computes the Hamming distance and returns
+                      it. Alice holds the key, so she can invert Bob's hash.
     OBFUSCATED_3P     (k, A, U), uniform pads z1, z2 of P slots and a
                       permutation of M+P slots; each owner appends its pad
-                      and permutes, so Charlie sees only a near-k/4 mean.
+                      and permutes, which pulls Charlie's mean towards k/4
+                      but does not hide the distance from him.
 
 Both owners de-mix Charlie's mean d as ((M+P) d - P d~) / M with d~ the
 pads' mean; with no pads (P = 0) this is d itself, exactly.
@@ -49,6 +51,7 @@ from .core import (
     HashKey,
     HashVector,
     Permutation,
+    _check_size,
     _frozen_array,
     _shared_key,
     apply_permutation,
@@ -63,7 +66,6 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
     ModHashError,
-    OracleUnavailable,
     ProtocolViolation,
 )
 from .messages import (
@@ -80,23 +82,6 @@ from .messages import (
     Role,
 )
 from .rng import ChaChaStream, subseed
-
-
-class SecureHammingOracle:
-    """Capability contract: given both parties' ring codes, yield their Hamming
-    distance to both and reveal nothing else. Implementations plug in real
-    two-party subprotocols; the contract is stated, not enforced."""
-
-    def hamming(self, code_a: BinaryCode, code_b: BinaryCode) -> int:
-        raise NotImplementedError
-
-
-class HonestBrokerOracle(SecureHammingOracle):
-    """In-process stand-in that simply computes the distance. It preserves the
-    reduction (Lee -> Hamming) and the message flow, not the cryptography."""
-
-    def hamming(self, code_a: BinaryCode, code_b: BinaryCode) -> int:
-        return hamming_distance(code_a, code_b)
 
 
 class MatrixStore:
@@ -133,8 +118,8 @@ class Phase(IntEnum):
     START = 0
     AWAIT_KEY = 1
     AWAIT_HASHES = 2
-    AWAIT_ORACLE_REQUEST = 3
-    AWAIT_ORACLE_RESPONSE = 4
+    AWAIT_HAMMING_REQUEST = 3
+    AWAIT_HAMMING_RESPONSE = 4
     AWAIT_RESULT = 5
     DONE = 6
     ABORTED = 7
@@ -158,23 +143,15 @@ _SHARE_SPECS = {
 
 
 def obfuscate_hash(h: HashVector, z: HashVector | None, perm: Permutation) -> HashVector:
-    """Append padding z (None = no padding) to h and permute the M+P slots."""
-    if z is not None:
-        if h.k != z.k:
-            raise DimensionMismatch(f"alphabet mismatch: {h.k} vs {z.k}")
-        h = concat_hashes(h, z)
-    if perm.size != h.m:
-        raise DimensionMismatch(f"permutation size {perm.size} != {h.m} slots")
-    return apply_permutation(h, perm)
+    """Append padding z (None = no padding) to h and permute the M+P slots.
+    concat_hashes and apply_permutation refuse a mismatched alphabet or size."""
+    return apply_permutation(h if z is None else concat_hashes(h, z), perm)
 
 
 def deobfuscate_distance(d, d_tilde, m: int, p: int) -> Fraction:
     """Recover the mean over the M true slots from the padded mean:
     ((M+P) d - P d~) / M, exact in rational arithmetic."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameter("M must be a positive integer")
-    if not isinstance(p, int) or p < 0:
-        raise InvalidParameter("P must be a nonnegative integer")
+    m, p = _check_size(m, "M"), _check_size(p, "P", zero_ok=True)
     d = Fraction(d)
     d_tilde = Fraction(d_tilde) if p else Fraction(0)
     return ((m + p) * d - p * d_tilde) / m
@@ -199,7 +176,6 @@ class Session:
         self._key: HashKey | None = None
         self._pads: tuple[HashVector, HashVector] | None = None
         self._code: BinaryCode | None = None
-        self._oracle: SecureHammingOracle | None = None
         self._store: MatrixStore | None = None
         self._received: dict[Role, HashVector] = {}
 
@@ -314,7 +290,7 @@ class Session:
 
     def _hash_and_send(self, key: HashKey, ks: KeyShare) -> list[Envelope]:
         """Both owners' one path from key share to outgoing hash: ring-coded
-        for the oracle, or padded, permuted and submitted to Charlie."""
+        for Alice, or padded, permuted and submitted to Charlie."""
         spec = _SHARE_SPECS[self.kind]
         self._key = key
         h = hash_vector(key, self._x)
@@ -323,9 +299,9 @@ class Session:
         if self.kind == ProtocolKind.TWO_PARTY_HAMMING:
             self._code = encode_lee_to_binary(h)
             if self.role == Role.ALICE:
-                self.phase = Phase.AWAIT_ORACLE_REQUEST
+                self.phase = Phase.AWAIT_HAMMING_REQUEST
                 return []
-            self.phase = Phase.AWAIT_ORACLE_RESPONSE
+            self.phase = Phase.AWAIT_HAMMING_RESPONSE
             return [self._envelope(HammingRequest(self._code), Role.ALICE)]
         if spec.permuted:
             # Role.ALICE == 0 appends pad1, Role.BOB == 1 appends pad2
@@ -343,13 +319,9 @@ class Session:
         return []
 
     def _on_hamming_request(self, env: Envelope) -> list[Envelope]:
-        code = env.body.code
-        if code.k != self._code.k or code.m != self._code.m:
-            raise DimensionMismatch("peer code shape disagrees")
-        try:
-            d = int(self._oracle.hamming(self._code, code))
-        except Exception as exc:
-            raise OracleUnavailable(f"secure Hamming oracle failed: {exc}") from exc
+        """Alice compares Bob's ring code with hers; hamming_distance refuses
+        a code of another alphabet or length."""
+        d = hamming_distance(self._code, env.body.code)
         self._finish(Fraction(d, self._key.m))
         return [self._envelope(HammingResponse(distance=d), Role.BOB)]
 
@@ -360,7 +332,7 @@ class Session:
     def _finish(self, true_mean: Fraction, observed: Fraction | None = None):
         """Estimate from the owners' mean (observed: Charlie's, if he averaged).
         A mean outside [0, k/2] fits no pair of hashes: the result, the pads
-        or the oracle lied."""
+        or the reported Hamming distance lied."""
         if not 0 <= true_mean <= Fraction(self._key.k, 2):
             raise DimensionMismatch(f"mean Lee distance {true_mean} outside [0, k/2]")
         self.observed_mean = true_mean if observed is None else observed
@@ -377,8 +349,8 @@ _MOVES = {
     (Role.CHARLIE, Phase.AWAIT_HASHES, HashSubmission): ((Role.ALICE, Role.BOB), Session._on_hash_submission),
     (Role.ALICE, Phase.AWAIT_RESULT, DistanceResult): ((Role.CHARLIE,), Session._on_distance_result),
     (Role.BOB, Phase.AWAIT_RESULT, DistanceResult): ((Role.CHARLIE,), Session._on_distance_result),
-    (Role.ALICE, Phase.AWAIT_ORACLE_REQUEST, HammingRequest): ((Role.BOB,), Session._on_hamming_request),
-    (Role.BOB, Phase.AWAIT_ORACLE_RESPONSE, HammingResponse): ((Role.ALICE,), Session._on_hamming_response),
+    (Role.ALICE, Phase.AWAIT_HAMMING_REQUEST, HammingRequest): ((Role.BOB,), Session._on_hamming_request),
+    (Role.BOB, Phase.AWAIT_HAMMING_RESPONSE, HammingResponse): ((Role.ALICE,), Session._on_hamming_response),
 }
 
 
@@ -395,7 +367,6 @@ def start_session(
     seed: bytes | None = None,
     session_id: bytes | None = None,
     matrix_store: MatrixStore | None = None,
-    oracle: SecureHammingOracle | None = None,
     mode: EstimateMode = EstimateMode.RAW,
 ) -> tuple[Session, list[Envelope]]:
     """Create one role's session and return it with its initial envelopes.
@@ -444,9 +415,6 @@ def start_session(
     p = params.padding if spec.padded else 0
     if spec.padded and p < 1:
         raise InvalidParameter(f"the {spec.name} protocol requires padding >= 1")
-    if kind == ProtocolKind.TWO_PARTY_HAMMING and oracle is None:
-        raise InvalidParameter(f"the {spec.name} protocol requires a secure Hamming oracle")
-    session._oracle = oracle
     key = generate_key(params.k, params.m, len(session._x), subseed(seed, b"key"))
     pad1 = pad2 = None
     if spec.padded:
@@ -493,7 +461,6 @@ def drive_local(
     seed: bytes,
     *,
     mode: EstimateMode = EstimateMode.RAW,
-    oracle: SecureHammingOracle | None = None,
     matrix_store: MatrixStore | None = None,
 ) -> LocalRun:
     """Run every role of one protocol in-process, handing each envelope
@@ -505,14 +472,12 @@ def drive_local(
     carries are recorded. Deterministic: same inputs and seed, same transcript.
     """
     kind = ProtocolKind(kind)
-    if kind == ProtocolKind.TWO_PARTY_HAMMING and oracle is None:
-        oracle = HonestBrokerOracle()
     if kind == ProtocolKind.PUBLIC_A_3P and matrix_store is None:
         matrix_store = MatrixStore()
 
     common = dict(params=params, mode=mode)
     alice, outgoing = start_session(
-        Role.ALICE, kind, x=x1, seed=seed, matrix_store=matrix_store, oracle=oracle, **common
+        Role.ALICE, kind, x=x1, seed=seed, matrix_store=matrix_store, **common
     )
     bob, _ = start_session(
         Role.BOB, kind, x=x2, session_id=alice.session_id, matrix_store=matrix_store, **common

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import expected_lee
-from .core import DEFAULT_DELTA, HashKey, _check_even_k, _check_real, generate_key, hash_vector, mean_lee_distance
+from .core import (
+    DEFAULT_DELTA,
+    HashKey,
+    _check_even_k,
+    _check_real,
+    _check_size,
+    generate_key,
+    hash_vector,
+    mean_lee_distance,
+)
 from .errors import InvalidParameter
 from .rng import ChaChaStream, check_seed, subseed
 
@@ -40,18 +49,15 @@ class SweepSpec:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "distances", tuple(float(d) for d in self.distances))
-        for k in self.k_values:
-            _check_even_k(k)
+        object.__setattr__(self, "k_values", tuple(_check_even_k(k) for k in self.k_values))
+        object.__setattr__(
+            self, "distances", tuple(_check_real(d, "every distance", zero_ok=True) for d in self.distances)
+        )
         if not self.k_values:
             raise InvalidParameter("at least one k is required")
-        if self.m < 1 or self.n < 1:
-            raise InvalidParameter("M and N must be positive")
-        if self.trials < 1:
-            raise InvalidParameter("trials must be >= 1")
-        for d in self.distances:
-            _check_real(d, "every distance", zero_ok=True)
+        object.__setattr__(self, "m", _check_size(self.m, "M"))
+        object.__setattr__(self, "n", _check_size(self.n, "N"))
+        object.__setattr__(self, "trials", _check_size(self.trials, "trials"))
         if list(self.distances) != sorted(self.distances):
             raise InvalidParameter("distances must be sorted ascending")
         _check_real(self.delta, "delta")

@@ -11,8 +11,8 @@ Networked deployment mirrors the protocol roles:
     CharlieServer   pure listener; pairs hash submissions by session id and
                     returns the distance result over the submitting connections.
     BobServer       listener for Alice's key share; submits Bob's hash to
-                    Charlie over one shared connection, or answers the
-                    oracle flow.
+                    Charlie over one shared connection, or sends his ring
+                    code back to Alice as a Hamming request.
     run_over_tcp    Alice's side: dials Bob (and Charlie), drives one session.
 
 Each server runs one selector loop on one thread. The loop accepts, buffers
@@ -67,7 +67,7 @@ from .messages import (
     Role,
     THREE_PARTY_KINDS,
 )
-from .protocol import HonestBrokerOracle, MatrixStore, Phase, Session, start_session
+from .protocol import MatrixStore, Phase, Session, start_session
 
 log = logging.getLogger("modhash.transport")
 
@@ -566,11 +566,10 @@ def run_over_tcp(
     kind = ProtocolKind(kind)
     if kind in THREE_PARTY_KINDS and charlie_address is None:
         raise InvalidParameter(f"{kind.name} requires a third-party address")
-    oracle = HonestBrokerOracle() if kind == ProtocolKind.TWO_PARTY_HAMMING else None
     if kind == ProtocolKind.PUBLIC_A_3P and matrix_store is None:
         matrix_store = MatrixStore()
     session, outgoing = start_session(
-        Role.ALICE, kind, params, x=x1, seed=seed, matrix_store=matrix_store, oracle=oracle, mode=mode,
+        Role.ALICE, kind, params, x=x1, seed=seed, matrix_store=matrix_store, mode=mode,
     )
     bob = TcpTransport.connect(*bob_address, timeout=timeout)
     charlie = None
@@ -581,7 +580,7 @@ def run_over_tcp(
         for env in outgoing:
             _send_envelope(bob if env.recipient == Role.BOB else charlie, env)
         # Alice awaits exactly one inbound flow per kind: the distance result
-        # from Charlie, or the oracle request from Bob.
+        # from Charlie, or Bob's Hamming request.
         inbound = charlie if kind in THREE_PARTY_KINDS else bob
         while not (session.done or session.aborted):
             frame = inbound.recv_frame()

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,8 +23,10 @@ from modhash import (
     InvalidInput,
     InvalidParameter,
     Permutation,
+    ProtocolParams,
     apply_permutation,
     decode_binary_to_lee,
+    deobfuscate_distance,
     encode_lee_to_binary,
     expected_lee,
     generate_key,
@@ -31,6 +34,7 @@ from modhash import (
     hash_vector,
     lee_distance,
     mean_lee_distance,
+    plan_m,
 )
 from modhash.core import _shared_key
 from modhash.rng import KEY_BLOCK, ChaChaStream
@@ -223,6 +227,38 @@ def test_numeric_checks_refuse_bools_and_take_numpy_scalars(check, value):
             call(value)
     else:
         assert call(value) == call(value.item())
+
+
+_PARAMS_8_4 = ProtocolParams.from_dimensions(8, 4)
+
+# Every count the package takes goes through core._check_size: each site's
+# call, and whether it takes 0 (a padding length may be 0).
+_COUNT_SITES = {
+    "lee_distance k": (lambda v: lee_distance(0, 1, v), False),
+    "plan_m beta": (lambda v: plan_m(8, 0.5, v), False),
+    "ProtocolParams beta": (lambda v: dataclasses.replace(_PARAMS_8_4, beta=v), False),
+    "ProtocolParams M": (lambda v: dataclasses.replace(_PARAMS_8_4, m=v), False),
+    "ProtocolParams padding": (lambda v: dataclasses.replace(_PARAMS_8_4, padding=v), True),
+    "from_dimensions M": (lambda v: ProtocolParams.from_dimensions(8, v), False),
+    "from_dimensions beta": (lambda v: ProtocolParams.from_dimensions(8, 4, beta=v), False),
+    "deobfuscate_distance M": (lambda v: deobfuscate_distance(1, 1, v, 0), False),
+    "deobfuscate_distance P": (lambda v: deobfuscate_distance(1, 1, 4, v), True),
+    "SweepSpec M": (lambda v: SweepSpec((8,), v, 4, (0.5,), 4, SEED), False),
+    "SweepSpec N": (lambda v: SweepSpec((8,), 4, v, (0.5,), 4, SEED), False),
+    "SweepSpec trials": (lambda v: SweepSpec((8,), 4, 4, (0.5,), v, SEED), False),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_COUNT_SITES))
+@pytest.mark.parametrize("value", [True, "x", 2.5, -1, 0, np.int64(4)], ids=repr)
+def test_every_count_goes_through_check_size(site, value):
+    call, zero_ok = _COUNT_SITES[site]
+    if type(value) is np.int64 or (type(value) is int and value == 0 and zero_ok):
+        # Kept as a Python int: np.int64(4) would show in the repr otherwise.
+        assert repr(call(value)) == repr(call(int(value)))
+    else:
+        with pytest.raises(InvalidParameter):
+            call(value)
 
 
 def test_short_seed_rejected():

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from modhash import (
+    BinaryCode,
     DimensionMismatch,
     EstimateMode,
     HashVector,
-    HonestBrokerOracle,
     InvalidParameter,
     ModHashError,
-    OracleUnavailable,
     Permutation,
     ProtocolKind,
     ProtocolParams,
@@ -31,6 +30,7 @@ from modhash.messages import (
     DistanceResult,
     Envelope,
     HammingRequest,
+    HammingResponse,
     HashSubmission,
     KeyShare,
 )
@@ -153,6 +153,18 @@ def test_mismatched_hash_lengths_abort():
         )
 
 
+@pytest.mark.parametrize(
+    "code", [BinaryCode(8, np.ones(4)), BinaryCode(6, np.zeros(3 * PARAMS.m))], ids=["short", "other-alphabet"]
+)
+def test_two_party_request_of_another_shape_aborts(code):
+    x1, _ = _vectors()
+    kind = ProtocolKind.TWO_PARTY_HAMMING
+    alice, _ = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
+    with pytest.raises(DimensionMismatch):
+        alice.on_message(Envelope(alice.session_id, kind, Role.BOB, HammingRequest(code), Role.ALICE))
+    assert alice.aborted and alice.result is None
+
+
 def test_obfuscated_result_that_demixes_below_zero_aborts():
     # Charlie's 0 is a valid mean, but the pads' mean makes the owners' one
     # negative: ((M+P)*0 - P*d~)/M = -139/64 at this seed.
@@ -167,22 +179,18 @@ def test_obfuscated_result_that_demixes_below_zero_aborts():
         alice.on_message(env)  # a second result is refused, not estimated
 
 
-class _LyingOracle(HonestBrokerOracle):
-    def hamming(self, code_a, code_b):
-        return 10**6
-
-
-def test_two_party_oracle_distance_past_the_diameter_aborts():
+def test_two_party_response_past_the_diameter_aborts():
     x1, x2 = _vectors()
     kind = ProtocolKind.TWO_PARTY_HAMMING
-    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED, oracle=_LyingOracle())
+    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
     bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
     (request,) = bob.on_message(outgoing[0].addressed_to(Role.BOB))
     assert isinstance(request.body, HammingRequest)
-    assert alice.phase == Phase.AWAIT_ORACLE_REQUEST
+    assert bob.phase == Phase.AWAIT_HAMMING_RESPONSE
+    lie = Envelope(alice.session_id, kind, Role.ALICE, HammingResponse(distance=10**6), Role.BOB)
     with pytest.raises(DimensionMismatch, match=r"outside \[0, k/2\]"):
-        alice.on_message(request)
-    assert alice.aborted and alice.result is None
+        bob.on_message(lie)
+    assert bob.aborted and bob.result is None
 
 
 _CHARLIE_NEVER_HOLDS = ("_key", "_perm", "_pads", "_x", "_code")
@@ -191,8 +199,7 @@ _CHARLIE_NEVER_HOLDS = ("_key", "_perm", "_pads", "_x", "_code")
 def _fresh_session(role, kind, session_id, store):
     x1, x2 = _vectors()
     if role == Role.ALICE:
-        oracle = HonestBrokerOracle() if kind == ProtocolKind.TWO_PARTY_HAMMING else None
-        return start_session(role, kind, PARAMS, x=x1, seed=SEED, matrix_store=store, oracle=oracle)[0]
+        return start_session(role, kind, PARAMS, x=x1, seed=SEED, matrix_store=store)[0]
     if role == Role.BOB:
         return start_session(role, kind, PARAMS, x=x2, session_id=session_id, matrix_store=store)[0]
     return start_session(role, kind, session_id=session_id)[0]
@@ -338,6 +345,35 @@ def test_charlie_traffic_never_contains_secrets():
             assert needle[::-1] not in blob  # either endianness
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [
+        ProtocolKind.FULL_KEY_3P,
+        ProtocolKind.PUBLIC_A_3P,
+        ProtocolKind.OBFUSCATED_3P,
+        pytest.param(
+            ProtocolKind.TWO_PARTY_HAMMING,
+            marks=pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 2: Bob sends his ring-coded hash to Alice, who holds (A, U)"
+            ),
+        ),
+    ],
+    ids=lambda k: k.name,
+)
+def test_no_key_holder_receives_a_peer_hash(kind):
+    # A hash under a key its recipient holds gives the hashed vector away:
+    # Alice generated (A, U), and Bob holds them once her key share arrives.
+    x1, x2 = _vectors()
+    run = drive_local(kind, x1, x2, PARAMS, SEED)
+    holders = {Role.ALICE}
+    for t in run.transcript:
+        body = decode_frame(t.data).body
+        if t.recipient in holders:
+            assert not isinstance(body, (HashSubmission, HammingRequest)), f"{t.recipient.name} got a hash"
+        if isinstance(body, KeyShare):
+            holders.add(t.recipient)
+
+
 def test_obfuscated_padding_length_on_the_wire():
     x1, x2 = _vectors()
     run = drive_local(ProtocolKind.OBFUSCATED_3P, x1, x2, PARAMS, SEED)
@@ -393,11 +429,6 @@ def test_public_a_unknown_digest_aborts():
         bob.on_message(outgoing[0].addressed_to(Role.BOB))
 
 
-class _FailingOracle(HonestBrokerOracle):
-    def hamming(self, code_a, code_b):
-        raise RuntimeError("link down")
-
-
 class _ForgetfulStore(MatrixStore):
     """Hands out digests but keeps no matrix, so Bob cannot resolve one."""
 
@@ -410,10 +441,9 @@ class _ForgetfulStore(MatrixStore):
     [
         (ProtocolKind.FULL_KEY_3P, 15, {}, DimensionMismatch, Role.BOB),
         (ProtocolKind.TWO_PARTY_HAMMING, 15, {}, DimensionMismatch, Role.BOB),
-        (ProtocolKind.TWO_PARTY_HAMMING, 16, {"oracle": _FailingOracle()}, OracleUnavailable, Role.ALICE),
         (ProtocolKind.PUBLIC_A_3P, 16, {"matrix_store": _ForgetfulStore()}, ProtocolViolation, Role.BOB),
     ],
-    ids=["bob-n-mismatch-3p", "bob-n-mismatch-2p", "oracle-raises", "unknown-digest"],
+    ids=["bob-n-mismatch-3p", "bob-n-mismatch-2p", "unknown-digest"],
 )
 def test_every_session_error_carries_its_aborts_into_the_transcript(monkeypatch, kind, n2, options, error, failed):
     # Before, only violations the session itself built carried Aborts.
@@ -463,7 +493,7 @@ def test_bob_refuses_a_share_lacking_what_its_kind_needs(kind, strip, reason):
 
 def test_two_party_equals_direct_computation():
     x1, x2 = _vectors()
-    two = drive_local(ProtocolKind.TWO_PARTY_HAMMING, x1, x2, PARAMS, SEED, oracle=HonestBrokerOracle())
+    two = drive_local(ProtocolKind.TWO_PARTY_HAMMING, x1, x2, PARAMS, SEED)
     est_a, est_b = two.alice_estimate, two.bob_estimate
     run = drive_local(ProtocolKind.FULL_KEY_3P, x1, x2, PARAMS, SEED)
     assert est_a.mean_lee == run.mean_lee
@@ -471,19 +501,13 @@ def test_two_party_equals_direct_computation():
 
 
 def test_two_party_worked_example():
-    from modhash import encode_lee_to_binary
+    from modhash import encode_lee_to_binary, hamming_distance
 
     h1 = HashVector(6, np.array([0, 1]))
     h2 = HashVector(6, np.array([3, 5]))
-    d = HonestBrokerOracle().hamming(encode_lee_to_binary(h1), encode_lee_to_binary(h2))
+    d = hamming_distance(encode_lee_to_binary(h1), encode_lee_to_binary(h2))
     assert d == 5
     assert Fraction(d, 2) == mean_lee_distance(h1, h2)
-
-
-def test_two_party_requires_oracle():
-    x1, x2 = _vectors()
-    with pytest.raises(InvalidParameter):
-        start_session(Role.ALICE, ProtocolKind.TWO_PARTY_HAMMING, PARAMS, x=x1, seed=SEED)
 
 
 def test_curve_mode_estimates_distance():

@@ -40,6 +40,10 @@ def test_spec_validation():
         _small_spec(distances=(1.0, 0.5))
     with pytest.raises(InvalidParameter):
         _small_spec(distances=(-1.0, 0.5))
+    with pytest.raises(InvalidParameter):
+        _small_spec(k_values=(8.5,))  # not truncated to 8
+    with pytest.raises(InvalidParameter):
+        _small_spec(distances=("0.5",))
 
 
 def test_zero_distance_row_is_exact():
