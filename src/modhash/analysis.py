@@ -244,7 +244,6 @@ class DistanceEstimate:
 
     mean_lee: Fraction
     k: int
-    m: int | None
     value: float | None
     mode: EstimateMode = field(default=EstimateMode.RAW, compare=False)
 
@@ -295,7 +294,6 @@ def estimate_distance(
     k: int,
     mode: EstimateMode = EstimateMode.RAW,
     delta: float = DEFAULT_DELTA,
-    m: int | None = None,
 ) -> DistanceEstimate:
     """Turn an observed mean Lee distance into a distance estimate.
 
@@ -311,11 +309,11 @@ def estimate_distance(
         raise InvalidInput(f"mean Lee distance must lie in [0, k/2], got {frac}")
     target = float(frac)
     if target >= k / 4.0 - k / 400.0:
-        return DistanceEstimate(mean_lee=frac, k=k, m=m, value=None, mode=mode)
+        return DistanceEstimate(mean_lee=frac, k=k, value=None, mode=mode)
     if mode is EstimateMode.RAW:
         value = target
     elif mode is EstimateMode.CURVE_INVERTED:
         value = _invert_curve(target, k, delta)
     else:
         raise InvalidParameter(f"unknown estimation mode: {mode!r}")
-    return DistanceEstimate(mean_lee=frac, k=k, m=m, value=value, mode=mode)
+    return DistanceEstimate(mean_lee=frac, k=k, value=value, mode=mode)

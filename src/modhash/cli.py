@@ -168,7 +168,7 @@ def _cmd_hash(args) -> int:
 
 def _cmd_estimate(args) -> int:
     mean = Fraction(args.mean_lee)
-    est = estimate_distance(mean, args.k, _MODES[args.mode], m=args.m)
+    est = estimate_distance(mean, args.k, _MODES[args.mode])
     _emit(mean_lee=_fmt_fraction(mean), estimate=est)
     return 0
 
@@ -356,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mean-lee", required=True, help="rational like 5/2 or decimal")
     p.add_argument("--mode", choices=sorted(_MODES), default="raw")
-    p.add_argument("--m", type=int)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("run", help="execute one protocol end to end")

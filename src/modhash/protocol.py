@@ -337,7 +337,7 @@ class Session:
             raise DimensionMismatch(f"mean Lee distance {true_mean} outside [0, k/2]")
         self.observed_mean = true_mean if observed is None else observed
         self.true_mean = true_mean
-        self.result = estimate_distance(true_mean, self._key.k, mode=self.mode, m=self._key.m)
+        self.result = estimate_distance(true_mean, self._key.k, mode=self.mode)
         self.phase = Phase.DONE
 
 

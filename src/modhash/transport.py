@@ -1,10 +1,11 @@
 """Framed transports and networked role endpoints.
 
 TcpTransport carries the frames produced by the wire module over one
-connected socket with three calls -- send_frame / recv_frame / close. In
-process, drive_local needs no transport: it hands each frame straight to the
-recipient's session. A single connection may interleave frames of many
-sessions; receivers demultiplex by session id.
+connected socket with three calls -- send_frame / recv_frame / close -- and is
+the one connection class of all three roles. In process, drive_local needs no
+transport: it hands each frame straight to the recipient's session. A single
+connection may interleave frames of many sessions; receivers demultiplex by
+session id.
 
 Networked deployment mirrors the protocol roles:
 
@@ -15,14 +16,17 @@ Networked deployment mirrors the protocol roles:
                     code back to Alice as a Hamming request.
     run_over_tcp    Alice's side: dials Bob (and Charlie), drives one session.
 
-Each server runs one selector loop on one thread. The loop accepts, buffers
-partial frames per connection, queues writes until the peer takes them, and
-is the only owner of every Session the server drives. Bob dials Charlie when
-a three-party session first needs him, keeps that connection for every later
+Each server runs one selector loop on one thread. The loop accepts, reads and
+writes every connection through a non-blocking TcpTransport, and is the only
+owner of every Session the server drives. Bob dials Charlie when a
+three-party session first needs him, keeps that connection for every later
 session, and routes Charlie's replies by session id. A session leaves its
 table as soon as it ends, or after _IDLE_S without a message; the ids of
 ended sessions stay in a bounded window, so a replayed message is refused
 rather than opening a new session.
+
+Alice waits on both of her blocking connections (one for two-party) with a
+selector, so an Abort from either peer ends her run at once.
 
 A session that fails -- a session error, the idle sweep or a lost
 connection -- ends in _RoleServer._abort, which sends the Aborts that
@@ -80,14 +84,26 @@ _RECV_CHUNK = 1 << 20
 
 
 class TcpTransport:
-    """Frame-oriented wrapper over a connected TCP socket.
+    """Frames over one connected socket, for every role: the bytes read that
+    do not yet make a whole frame, and the bytes queued that the peer has not
+    taken.
 
-    Each call sends or reads one complete frame, raising TransportClosed on
-    EOF or connection loss. A transport belongs to one thread.
+    On a blocking socket (Alice's) each call sends or reads one whole frame.
+    On a non-blocking one (a server's) send_frame queues what the peer does
+    not take at once, for flush; recv_frame returns None when no frame is
+    whole, and reads at most once between two Nones, so reading until None
+    is one read per readiness event. A lost connection raises
+    TransportClosed. A transport belongs to one thread.
     """
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, peer=None):
         self._sock = sock
+        self.peer = peer
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.partial_since: float | None = None
+        self.closed = False
+        self._has_read = False  # since recv_frame last returned None
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float | None = None) -> "TcpTransport":
@@ -95,35 +111,65 @@ class TcpTransport:
         later send and receive; one that expires raises TransportClosed."""
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
             raise TransportClosed(f"cannot connect to {host}:{port}: {exc}") from exc
-        return cls(sock)
-
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        while n:
-            try:
-                chunk = self._sock.recv(min(n, 1 << 20))
-            except OSError as exc:
-                raise TransportClosed(f"connection lost: {exc}") from exc
-            if not chunk:
-                raise TransportClosed("peer closed the connection")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
+        return cls(sock, (host, port))
 
     def send_frame(self, data: bytes):
         try:
-            self._sock.sendall(data)
+            if self._sock.getblocking():
+                self._sock.sendall(data)
+                return
+            sent = 0 if self.outbuf else self._sock.send(data)
+        except BlockingIOError:
+            sent = 0
         except OSError as exc:
             raise TransportClosed(f"send failed: {exc}") from exc
+        self.outbuf += memoryview(data)[sent:]
 
-    def recv_frame(self) -> bytes:
-        header = self._recv_exact(4)
-        length = wire.frame_length(header)  # DecodeError on absurd lengths
-        return header + self._recv_exact(length)
+    def flush(self):
+        """Send what the socket takes now of the queued bytes."""
+        try:
+            sent = self._sock.send(self.outbuf)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            raise TransportClosed(f"send failed: {exc}") from exc
+        del self.outbuf[:sent]
+
+    def _frame_end(self) -> int:
+        """Where the whole frame at the head of inbuf ends, or 0 if none is whole."""
+        buf = self.inbuf
+        if len(buf) < 4:
+            return 0
+        end = 4 + wire.frame_length(bytes(buf[:4]))  # DecodeError on absurd lengths
+        return end if len(buf) >= end else 0
+
+    def recv_frame(self) -> bytes | None:
+        while not (end := self._frame_end()):
+            if self._has_read and not self._sock.getblocking():
+                self._has_read = False
+                return None
+            try:
+                data = self._sock.recv(_RECV_CHUNK)
+            except BlockingIOError:
+                return None
+            except OSError as exc:
+                raise TransportClosed(f"connection lost: {exc}") from exc
+            if not data:
+                raise TransportClosed("peer closed the connection")
+            if not self.inbuf:
+                self.partial_since = time.monotonic()
+            self.inbuf += data
+            self._has_read = True
+        frame = bytes(self.inbuf[:end])
+        del self.inbuf[:end]
+        self.partial_since = time.monotonic() if self.inbuf else None
+        return frame
 
     def close(self):
+        self.closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -131,30 +177,7 @@ class TcpTransport:
         self._sock.close()
 
 
-def _send_envelope(transport, env: Envelope):
-    transport.send_frame(wire.encode_envelope(env))
-
-
 # ------------------------------------------------------------------ servers
-
-
-class _Conn:
-    """One non-blocking socket in a server's loop: the bytes read that do not
-    yet make a whole frame, and the bytes queued that the peer has not taken."""
-
-    __slots__ = ("sock", "peer", "inbuf", "outbuf", "partial_since", "closed")
-
-    def __init__(self, sock: socket.socket, peer):
-        sock.setblocking(False)
-        # Frames of many sessions share a connection; Nagle would hold each
-        # small one until the previous was acknowledged.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock = sock
-        self.peer = peer
-        self.inbuf = bytearray()
-        self.outbuf = bytearray()
-        self.partial_since: float | None = None
-        self.closed = False
 
 
 class _Live:
@@ -165,7 +188,7 @@ class _Live:
 
     def __init__(self, session: Session):
         self.session = session
-        self.routes: dict[Role, _Conn] = {}
+        self.routes: dict[Role, TcpTransport] = {}
         self.touched = time.monotonic()
 
 
@@ -235,8 +258,7 @@ class _RoleServer:
         finally:
             for key in list(self._selector.get_map().values()):
                 if key.data is not None:
-                    key.data.closed = True
-                    key.data.sock.close()
+                    key.data.close()
 
     def _accept(self) -> bool:
         """Accept one connection; False if accepting should pause a while."""
@@ -255,85 +277,57 @@ class _RoleServer:
             sock.close()
         return True
 
-    def _register(self, sock: socket.socket, peer) -> _Conn:
-        conn = _Conn(sock, peer)
+    def _register(self, sock: socket.socket, peer) -> TcpTransport:
+        sock.setblocking(False)
+        # Frames of many sessions share a connection; Nagle would hold each
+        # small one until the previous was acknowledged.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = TcpTransport(sock, peer)
         self._selector.register(sock, selectors.EVENT_READ, conn)
         return conn
 
-    def _read(self, conn: _Conn):
+    def _read(self, conn: TcpTransport):
         try:
-            data = conn.sock.recv(_RECV_CHUNK)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
+            while not conn.closed and (frame := conn.recv_frame()) is not None:
+                self._serve(conn, wire.decode_frame(frame))
+        except TransportClosed:
             self._drop(conn)
-            return
-        buf = conn.inbuf
-        buf += data
-        completed = False
-        while len(buf) >= 4 and not conn.closed:
-            try:
-                end = 4 + wire.frame_length(bytes(buf[:4]))
-                if len(buf) < end:
-                    break
-                frame = bytes(buf[:end])
-                del buf[:end]
-                env = wire.decode_frame(frame)
-            except DecodeError as exc:
-                # Bad frame: this connection is unusable, but the server lives on.
-                log.warning("%s: dropping connection from %s: %s", self.role.name, conn.peer, exc)
-                self._drop(conn)
-                return
-            completed = True
-            self._serve(conn, env)
-        if not buf:
-            conn.partial_since = None
-        elif completed or conn.partial_since is None:
-            conn.partial_since = time.monotonic()
+        except DecodeError as exc:
+            # Bad frame: this connection is unusable, but the server lives on.
+            log.warning("%s: dropping connection from %s: %s", self.role.name, conn.peer, exc)
+            self._drop(conn)
 
-    def _send(self, conn: _Conn, env: Envelope):
+    def _send(self, conn: TcpTransport, env: Envelope):
         """Queue one frame; the loop never waits for a peer to read."""
         if conn.closed:
             return
-        data = wire.encode_envelope(env)
-        if not conn.outbuf:
-            try:
-                sent = conn.sock.send(data)
-            except (BlockingIOError, InterruptedError):
-                sent = 0
-            except OSError:
-                self._drop(conn)
-                return
-            if sent == len(data):
-                return
-            data = memoryview(data)[sent:]
-            self._selector.modify(conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn)
-        conn.outbuf += data
+        queued = bool(conn.outbuf)
+        try:
+            conn.send_frame(wire.encode_envelope(env))
+        except TransportClosed:
+            self._drop(conn)
+            return
         if len(conn.outbuf) > _MAX_UNSENT:
             log.warning("%s: dropping connection from %s: %d bytes unsent", self.role.name, conn.peer, len(conn.outbuf))
             self._drop(conn)
+        elif conn.outbuf and not queued:
+            self._selector.modify(conn._sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn)
 
-    def _flush(self, conn: _Conn):
+    def _flush(self, conn: TcpTransport):
         try:
-            sent = conn.sock.send(conn.outbuf)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
+            conn.flush()
+        except TransportClosed:
             self._drop(conn)
             return
-        del conn.outbuf[:sent]
         if not conn.outbuf:
-            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+            self._selector.modify(conn._sock, selectors.EVENT_READ, conn)
 
-    def _drop(self, conn: _Conn):
+    def _drop(self, conn: TcpTransport):
         """Close a connection and abort the sessions that were waiting on it."""
         if conn.closed:
             return
-        conn.closed = True
-        self._selector.unregister(conn.sock)
-        conn.sock.close()
+        self._selector.unregister(conn._sock)
+        conn.close()
         for live in [live for live in self._sessions.values() if conn in self._awaited(live)]:
             self._abort(live, "connection lost")
 
@@ -351,7 +345,7 @@ class _RoleServer:
 
     # -------------------------------------------------------------- sessions
 
-    def _serve(self, conn: _Conn, env: Envelope):
+    def _serve(self, conn: TcpTransport, env: Envelope):
         """Handle one envelope. An error ends the open session it names through
         _abort; with no open session, only the sender is told, unless what it
         sent was itself an Abort."""
@@ -366,7 +360,7 @@ class _RoleServer:
             if not isinstance(env.body, Abort):
                 self._send(conn, Envelope(env.session_id, env.kind, self.role, Abort(reason=str(exc))))
 
-    def _handle(self, conn: _Conn, env: Envelope):
+    def _handle(self, conn: TcpTransport, env: Envelope):
         raise NotImplementedError
 
     def _awaited(self, live: _Live):
@@ -453,7 +447,7 @@ class CharlieServer(_RoleServer):
 
     role = Role.CHARLIE
 
-    def _handle(self, conn: _Conn, env: Envelope):
+    def _handle(self, conn: TcpTransport, env: Envelope):
         live = self._live(env.session_id)
         if live is None:
             if not isinstance(env.body, HashSubmission):
@@ -486,9 +480,9 @@ class BobServer(_RoleServer):
         self._charlie_address = charlie_address
         self._matrix_store = matrix_store
         self._mode = mode
-        self._link: _Conn | None = None
+        self._link: TcpTransport | None = None
 
-    def _handle(self, conn: _Conn, env: Envelope):
+    def _handle(self, conn: TcpTransport, env: Envelope):
         if conn is self._link:  # Charlie's replies never open a session
             live = self._sessions.get(env.session_id)
             if live is None:
@@ -515,12 +509,12 @@ class BobServer(_RoleServer):
         waits_on = Role.CHARLIE if live.session.kind in THREE_PARTY_KINDS else Role.ALICE
         return (live.routes.get(waits_on),)
 
-    def _drop(self, conn: _Conn):
+    def _drop(self, conn: TcpTransport):
         if conn is self._link:
             self._link = None  # the next three-party session dials again
         super()._drop(conn)
 
-    def _charlie_link(self) -> _Conn:
+    def _charlie_link(self) -> TcpTransport:
         if self._link is None:
             if self._charlie_address is None:
                 raise ProtocolViolation("no third-party address configured")
@@ -571,27 +565,31 @@ def run_over_tcp(
     session, outgoing = start_session(
         Role.ALICE, kind, params, x=x1, seed=seed, matrix_store=matrix_store, mode=mode,
     )
-    bob = TcpTransport.connect(*bob_address, timeout=timeout)
-    charlie = None
+    links = {Role.BOB: TcpTransport.connect(*bob_address, timeout=timeout)}
     received: list[bytes] = []
     try:
         if charlie_address is not None:
-            charlie = TcpTransport.connect(*charlie_address, timeout=timeout)
-        for env in outgoing:
-            _send_envelope(bob if env.recipient == Role.BOB else charlie, env)
-        # Alice awaits exactly one inbound flow per kind: the distance result
-        # from Charlie, or Bob's Hamming request.
-        inbound = charlie if kind in THREE_PARTY_KINDS else bob
-        while not (session.done or session.aborted):
-            frame = inbound.recv_frame()
-            received.append(frame)
-            env = wire.decode_frame(frame).addressed_to(Role.ALICE)
-            for out in session.on_message(env):
-                _send_envelope(bob if out.recipient == Role.BOB else charlie, out)
+            links[Role.CHARLIE] = TcpTransport.connect(*charlie_address, timeout=timeout)
+        with selectors.DefaultSelector() as selector:
+            for conn in links.values():
+                selector.register(conn._sock, selectors.EVENT_READ, conn)
+            while True:
+                for env in outgoing:
+                    links[env.recipient].send_frame(wire.encode_envelope(env))
+                if session.done or session.aborted:
+                    break
+                # Frames already buffered first: the selector sees only unread bytes.
+                conn = next((c for c in links.values() if c._frame_end()), None)
+                if conn is None:
+                    ready = selector.select(timeout)
+                    if not ready:
+                        raise TransportClosed(f"no frame within {timeout:g} s")
+                    conn = ready[0][0].data
+                received.append(conn.recv_frame())
+                outgoing = session.on_message(wire.decode_frame(received[-1]).addressed_to(Role.ALICE))
     finally:
-        bob.close()
-        if charlie is not None:
-            charlie.close()
+        for conn in links.values():
+            conn.close()
     if session.aborted:
         raise ProtocolViolation(f"session aborted: {session.abort_reason}")
     return RunResult(session, received)

@@ -331,10 +331,9 @@ def test_estimate_saturates_at_quarter_k():
 
 
 def test_estimate_raw_returns_mean():
-    est = estimate_distance(Fraction(5, 2), 16, EstimateMode.RAW, m=100)
+    est = estimate_distance(Fraction(5, 2), 16, EstimateMode.RAW)
     assert est.value == 2.5
     assert est.mean_lee == Fraction(5, 2)
-    assert est.m == 100
 
 
 def test_estimate_range_check():

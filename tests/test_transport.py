@@ -17,6 +17,7 @@ from modhash import (
     InvalidInput,
     ProtocolKind,
     ProtocolParams,
+    ProtocolViolation,
     Role,
     TransportClosed,
     drive_local,
@@ -367,7 +368,7 @@ def test_bob_redials_charlie_after_losing_the_link():
         alice.send_frame(share)
         _eventually(lambda: sid in bob._sessions and sid in charlie._sessions)
         assert list(bob._sessions) == list(charlie._sessions) == [sid]
-        bob._link.sock.shutdown(socket.SHUT_RDWR)
+        bob._link._sock.shutdown(socket.SHUT_RDWR)
         env = decode_frame(alice.recv_frame())
         assert isinstance(env.body, Abort) and env.body.reason == "connection lost"
         alice.close()
@@ -464,6 +465,21 @@ def test_a_share_bob_refuses_also_ends_charlies_half_of_the_session():
         to_charlie.close()
 
 
+def test_alice_hears_bobs_abort_at_once():
+    # Before, Alice read only Charlie's connection on three-party kinds, so
+    # Bob's Abort went unread until her own timeout ran out.
+    x1, x2 = _vectors()
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolViolation, match="no matrix store to resolve the public matrix"):
+            run_over_tcp(ProtocolKind.PUBLIC_A_3P, x1, PARAMS, SEED, bob.address, charlie.address, timeout=10)
+        assert time.monotonic() - t0 < 1.0
+        _eventually(lambda: not charlie._sessions, timeout=1.0)
+        assert charlie._sessions == {} and bob._sessions == {}
+
+
 @pytest.mark.parametrize("ended", [True, False], ids=["ended", "unknown"])
 @pytest.mark.parametrize("role", [Role.BOB, Role.CHARLIE], ids=["bob", "charlie"])
 def test_an_abort_for_no_open_session_is_not_answered(role, ended):
@@ -523,7 +539,7 @@ def test_a_peer_that_stops_reading_is_dropped_without_stalling_others(monkeypatc
             k.data for k in charlie._selector.get_map().values()
             if k.data is not None and k.data.peer == staller._sock.getsockname()
         ]
-        conn.sock = _Starved(conn.sock)
+        conn._sock = _Starved(conn._sock)
         staller._sock.sendall(b"".join(pair(i) for i in range(1, 20)))
         _eventually(lambda: conn.outbuf)
         assert 0 < len(conn.outbuf) <= 4096 and not conn.closed
