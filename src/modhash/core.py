@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidParameter
-from .rng import ChaChaStream, check_seed
+from .rng import KEY_BLOCK, ChaChaStream, check_seed
 
 DEFAULT_DELTA = math.sqrt(2.0 / math.pi)
 
@@ -269,11 +269,63 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
     return _adopt(HashKey, k=k, delta=delta, a=a, u=u)
 
 
+def _hashes_under_fresh_key(
+    k: int, m: int, n: int, seed: bytes, delta: float, xs, dither: bool = True
+) -> list[HashVector]:
+    """[hash_vector(generate_key(k, m, n, seed, delta), x) for x in xs], bit for
+    bit and with the same error for each fault, without ever holding A.
+
+    A is drawn from the key's stream exactly as generate_key draws it, but in
+    blocks of whole rows, at most rng.KEY_BLOCK values each (one row where a
+    row is longer), into one reused buffer; each block is checked and
+    projected onto every x, one einsum per x as in _projection, while it is
+    still in cache. U is drawn last and added. Without dither, U is neither
+    drawn nor added: the hashes of a key whose dither is all zeros. The
+    inputs are checked before anything is drawn.
+    """
+    k = _check_even_k(k)
+    m, n = _check_size(m, "M"), _check_size(n, "N")
+    delta = _check_real(delta, "delta")
+    stream = ChaChaStream(check_seed(seed))
+    xs = [_checked_input(x, n) for x in xs]
+    zs = np.empty((len(xs), m))
+    rows = max(1, KEY_BLOCK // n)
+    buf = np.empty((min(rows, m), n))
+    for start in range(0, m, rows):
+        block = stream.standard_normal_into(buf[: m - start], 1.0 / delta)
+        if not np.isfinite(block).all():  # 1/delta overflowed
+            raise InvalidParameter("A entries must be finite")
+        for x, z in zip(xs, zs):
+            np.einsum("ij,j->i", block, x, out=z[start : start + len(block)])
+    if dither:
+        zs += stream.uniform01_into(np.empty(m), k)
+    return [_adopt(HashVector, k=k, components=c) for c in _sealed(_components(zs, k))]
+
+
 def _projection(key: HashKey, x: np.ndarray) -> np.ndarray:
     """A x + U in numpy's own loop. Not `key.a @ x`: BLAS runs a large one on
     workers that spin ~0.1 s after it returns, in an order (so to the last bit)
     set by their number."""
     return np.einsum("ij,j->i", key.a, x) + key.u
+
+
+def _checked_input(x, n: int) -> np.ndarray:
+    """x as a float64 vector of n finite entries."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidInput("input must be a 1-D vector")
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"input has length {x.shape[0]}, key expects {n}")
+    if not np.isfinite(x).all():
+        raise InvalidInput("input entries must be finite")
+    return x
+
+
+def _components(z: np.ndarray, k: int) -> np.ndarray:
+    """floor(z) mod k of projections z = A x + U that did not overflow."""
+    if not np.isfinite(z).all():
+        raise InvalidInput("projection overflowed the floating-point range")
+    return np.mod(np.floor(z), k).astype(np.int64)
 
 
 def hash_vector(key: HashKey, x) -> HashVector:
@@ -282,18 +334,8 @@ def hash_vector(key: HashKey, x) -> HashVector:
     The modulo is mathematical (result always in {0..k-1}), so arbitrarily
     negative projections still land in Z_k.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInput("input must be a 1-D vector")
-    if x.shape[0] != key.n:
-        raise DimensionMismatch(f"input has length {x.shape[0]}, key expects {key.n}")
-    if not np.isfinite(x).all():
-        raise InvalidInput("input entries must be finite")
-    z = _projection(key, x)
-    if not np.isfinite(z).all():
-        raise InvalidInput("projection overflowed the floating-point range")
-    comps = np.mod(np.floor(z), key.k)
-    return _adopt(HashVector, k=key.k, components=comps.astype(np.int64))
+    z = _projection(key, _checked_input(x, key.n))
+    return _adopt(HashVector, k=key.k, components=_components(z, key.k))
 
 
 def lee_distance(a: int, b: int, k: int) -> int:

@@ -9,6 +9,12 @@ knee, plateau at k/4) observed in simulation.
 Per-trial seeds are derived from (master seed, k, distance, trial index), so
 trials are order-independent and every sweep is bit-reproducible.
 
+Sweeps and uniformity checks never hold a key matrix: each trial draws A in
+cache-sized blocks of rows and projects every block onto its inputs at once
+(core._hashes_under_fresh_key), with the same bits as generate_key followed
+by hash_vector. A criterion-6 trial (M = 500, N = 5000) thus never holds its
+20 MB A.
+
 The uniformity check's chi-square quantile comes from scipy.special, imported
 where it is used: this module loads with the package in every process, and
 scipy.stats, which would give the same quantile, costs more to import than
@@ -24,12 +30,12 @@ import numpy as np
 from .analysis import expected_lee
 from .core import (
     DEFAULT_DELTA,
-    HashKey,
     _check_even_k,
     _check_real,
     _check_size,
-    generate_key,
-    hash_vector,
+    _hashes_under_fresh_key,
+    generate_key,  # noqa: F401 -- not called here, but perfbench's tracer wraps this module's name
+    hash_vector,  # noqa: F401 -- likewise
     mean_lee_distance,
 )
 from .errors import InvalidParameter
@@ -102,8 +108,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             for trial in range(spec.trials):
                 tseed = _trial_seed(spec.seed, k, distance, trial)
                 x1, x2 = _pair_at_distance(ChaChaStream(tseed, b"inputs"), spec.n, distance)
-                key = generate_key(k, spec.m, spec.n, subseed(tseed, b"key"), spec.delta)
-                means[trial] = float(mean_lee_distance(hash_vector(key, x1), hash_vector(key, x2)))
+                h1, h2 = _hashes_under_fresh_key(k, spec.m, spec.n, subseed(tseed, b"key"), spec.delta, (x1, x2))
+                means[trial] = float(mean_lee_distance(h1, h2))
             mean = float(means.mean())
             std = float(means.std(ddof=1)) if spec.trials > 1 else 0.0
             expected = expected_lee(distance, k, spec.delta)
@@ -172,6 +178,7 @@ def uniformity_report(
     family used as the negative control that gives this test its power.
     """
     k = _check_even_k(k)
+    m, n, samples = _check_size(m, "M"), _check_size(n, "N"), _check_size(samples, "samples")
     if samples < 100 * k:
         raise InvalidParameter(f"need at least 100*k = {100 * k} samples for a stable histogram")
     x = np.asarray(x, dtype=np.float64)
@@ -179,10 +186,9 @@ def uniformity_report(
     n_keys = -(-samples // m)
     counts = np.zeros(k, dtype=np.int64)
     for i in range(n_keys):
-        key = generate_key(k, m, n, subseed(seed, b"uniformity" + struct.pack(">I", i)))
-        if zero_dither:
-            key = HashKey(k=k, delta=key.delta, a=key.a, u=np.zeros(m))
-        counts += np.bincount(hash_vector(key, x).components, minlength=k)
+        key_seed = subseed(seed, b"uniformity" + struct.pack(">I", i))
+        (h,) = _hashes_under_fresh_key(k, m, n, key_seed, DEFAULT_DELTA, (x,), dither=not zero_dither)
+        counts += np.bincount(h.components, minlength=k)
     total = int(counts.sum())
     expected = total / k
     statistic = float(((counts - expected) ** 2 / expected).sum())

@@ -34,6 +34,8 @@ Session.abort builds to every peer the session has a route to. A message
 that names no open session and cannot open one is refused with an Abort on
 the connection it came on. An Abort is never answered, and Bob drops
 Charlie's replies for no open session, so two servers cannot trade Aborts.
+Charlie keeps the id of an Abort for a session he has not opened in the
+window of ended sessions, so the submission it overtook is refused at once.
 
 Serialization of hash keys to the documented JSON interchange format also
 lives here.
@@ -80,7 +82,7 @@ _TICK_S = 0.25  # longest a server loop sleeps: how soon stop() and deadlines ac
 _IDLE_S = 30.0  # a session without a message, or a partial frame, is dropped after this
 _FINISHED_WINDOW = 1 << 16  # ids of ended sessions kept to refuse replays
 _MAX_UNSENT = 64 << 20  # bytes queued to a peer that does not read before it is dropped
-_RECV_CHUNK = 1 << 20
+_RECV_CHUNK = 1 << 16  # a larger request costs each read a fresh mapping
 
 
 class TcpTransport:
@@ -391,9 +393,14 @@ class _RoleServer:
     def _end(self, session_id: bytes):
         live = self._sessions.pop(session_id, None)
         if live is not None:
-            self._finished[session_id] = Phase.DONE if live.session.done else Phase.ABORTED
-            if len(self._finished) > _FINISHED_WINDOW:
-                self._finished.popitem(last=False)
+            self._finish(session_id, Phase.DONE if live.session.done else Phase.ABORTED)
+
+    def _finish(self, session_id: bytes, phase: Phase):
+        """Keep an ended session's id in the replay window, which holds the
+        last _FINISHED_WINDOW of them."""
+        self._finished[session_id] = phase
+        if len(self._finished) > _FINISHED_WINDOW:
+            self._finished.popitem(last=False)
 
     def _abort(self, live: _Live, reason: str):
         """The one exit of a failed session: take it out of the table and send
@@ -450,6 +457,11 @@ class CharlieServer(_RoleServer):
     def _handle(self, conn: TcpTransport, env: Envelope):
         live = self._live(env.session_id)
         if live is None:
+            if isinstance(env.body, Abort):
+                # A peer's Abort overtook the submission that would have opened
+                # the session: the submission, when it comes, is refused at once.
+                self._finish(env.session_id, Phase.ABORTED)
+                return
             if not isinstance(env.body, HashSubmission):
                 raise ProtocolViolation("session must open with a hash submission")
             live = self._open(start_session(Role.CHARLIE, env.kind, session_id=env.session_id)[0])

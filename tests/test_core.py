@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import modhash
@@ -36,9 +38,9 @@ from modhash import (
     mean_lee_distance,
     plan_m,
 )
-from modhash.core import _shared_key
+from modhash.core import DEFAULT_DELTA, _hashes_under_fresh_key, _shared_key
 from modhash.rng import KEY_BLOCK, ChaChaStream
-from modhash.simulate import SweepSpec, run_sweep
+from modhash.simulate import SweepSpec, run_sweep, uniformity_report
 
 SEED = bytes(range(32))
 
@@ -246,6 +248,8 @@ _COUNT_SITES = {
     "SweepSpec M": (lambda v: SweepSpec((8,), v, 4, (0.5,), 4, SEED), False),
     "SweepSpec N": (lambda v: SweepSpec((8,), 4, v, (0.5,), 4, SEED), False),
     "SweepSpec trials": (lambda v: SweepSpec((8,), 4, 4, (0.5,), v, SEED), False),
+    "uniformity_report M": (lambda v: uniformity_report(2, v, 4, np.ones(4), 200, SEED), False),
+    "uniformity_report N": (lambda v: uniformity_report(2, 4, v, np.ones(4), 200, SEED), False),
 }
 
 
@@ -323,6 +327,64 @@ def test_hash_component_independence_proxy():
     corr = np.corrcoef(comps.T)
     off_diag = corr[~np.eye(4, dtype=bool)]
     assert np.abs(off_diag).max() < 3.0 / math.sqrt(n_keys)
+
+
+def _key_path_hashes(k, m, n, seed, delta, xs, dither):
+    key = generate_key(k, m, n, seed, delta)
+    if not dither:
+        key = HashKey(k, key.delta, key.a, np.zeros(m))
+    return [hash_vector(key, x) for x in xs]
+
+
+_SWEEP_TRIAL = dict(k=8, seed=SEED, delta=DEFAULT_DELTA, inputs=2, scale=1.0, dither=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([2, 8, 28, 1024]),
+    # rows of A per block: KEY_BLOCK // n for short rows, 2-3 for mid rows,
+    # and one row for rows longer than a block
+    n=st.one_of(st.integers(1, 9), st.integers(10, 12000), st.integers(KEY_BLOCK - 1, KEY_BLOCK + 2)),
+    blocks=st.integers(0, 2),
+    extra=st.integers(-1, 3),
+    seed=st.binary(min_size=32, max_size=32),
+    delta=st.sampled_from([DEFAULT_DELTA, 0.05, 3.0]),
+    inputs=st.integers(1, 3),
+    scale=st.sampled_from([1e-3, 1.0, 1e4]),
+    dither=st.booleans(),
+)
+@example(n=1, blocks=0, extra=1, **_SWEEP_TRIAL)  # M = N = 1
+@example(n=KEY_BLOCK + 1, blocks=2, extra=1, **_SWEEP_TRIAL)  # rows longer than a block
+@example(n=5000, blocks=83, extra=2, **_SWEEP_TRIAL)  # 500 x 5000, criterion 6's shape
+def test_hashes_under_fresh_key_match_the_key_path(k, n, blocks, extra, seed, delta, inputs, scale, dither):
+    # m on both sides of every block edge: whole blocks, one row short of
+    # them, and a few rows past them
+    m = max(1, blocks * max(1, KEY_BLOCK // n) + extra)
+    xs = np.random.default_rng(int.from_bytes(seed[:8], "big")).standard_normal((inputs, n)) * scale
+    got = _hashes_under_fresh_key(k, m, n, seed, delta, xs, dither=dither)
+    want = _key_path_hashes(k, m, n, seed, delta, xs, dither)
+    assert [h.k for h in got] == [k] * inputs
+    assert all(np.array_equal(g.components, w.components) for g, w in zip(got, want))
+    assert all(not h.components.flags.writeable for h in got)
+
+
+@pytest.mark.parametrize(
+    "delta, xs",
+    [
+        (1e-320, [np.zeros(4)]),  # 1/delta overflows: A is not finite
+        (DEFAULT_DELTA, [np.zeros((2, 2))]),
+        (DEFAULT_DELTA, [np.zeros(4), np.zeros(5)]),
+        (DEFAULT_DELTA, [np.array([1.0, np.nan, 0.0, 0.0])]),
+        (DEFAULT_DELTA, [np.full(4, 1.5e308)]),  # the projection overflows
+    ],
+    ids=["non-finite A", "2-D input", "wrong length", "non-finite input", "overflow"],
+)
+def test_hashes_under_fresh_key_raise_what_the_key_path_raises(delta, xs):
+    with pytest.raises(modhash.ModHashError) as want:
+        _key_path_hashes(8, 3, 4, SEED, delta, xs, True)
+    with pytest.raises(type(want.value)) as got:
+        _hashes_under_fresh_key(8, 3, 4, SEED, delta, xs)
+    assert str(got.value) == str(want.value)
 
 
 def _cpu_burned_asleep(seconds: float = 0.3) -> float:

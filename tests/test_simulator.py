@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_sweep_is_reproducible():
     rows1 = run_sweep(_small_spec())
     rows2 = run_sweep(_small_spec())
     assert format_csv(rows1) == format_csv(rows2)
+
+
+def test_a_sweep_trial_never_holds_a_key_matrix():
+    # Criterion 6's shape, whose A alone is 20 MB: a trial used to draw it
+    # whole, check it in a 2.5 MB mask and read it back once per input.
+    run_sweep(_small_spec(k_values=(8,), distances=(1.0,), trials=1))  # loads scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        run_sweep(SweepSpec((8,), 500, 5000, (1.0,), 1, SEED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_sweep_tracks_theory_within_hoeffding_bands():
@@ -165,3 +179,5 @@ def test_uniformity_threshold_is_scipy_stats_chi2_quantile():
 def test_uniformity_requires_enough_samples():
     with pytest.raises(InvalidParameter):
         uniformity_report(8, 50, 8, np.zeros(8), 100, SEED)
+    with pytest.raises(InvalidParameter):  # TypeError before
+        uniformity_report(8, 50, 8, np.zeros(8), 4000.5, SEED)

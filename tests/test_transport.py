@@ -2,6 +2,7 @@ import errno
 import json
 import logging
 import os
+import selectors
 import socket
 import struct
 import threading
@@ -27,7 +28,7 @@ from modhash import (
     run_over_tcp,
 )
 from modhash import transport
-from modhash.messages import Abort, DistanceResult, Envelope, HashSubmission
+from modhash.messages import Abort, DistanceResult, Envelope, HashSubmission, KeyShare
 from modhash.protocol import MatrixStore
 from modhash.transport import (
     BobServer,
@@ -78,6 +79,33 @@ def test_tcp_reassembles_split_frames():
     for i in range(0, len(frame), 7):  # dribble the bytes
         raw_a.sendall(frame[i : i + 7])
     assert b.recv_frame() == frame
+    raw_a.close()
+    b.close()
+
+
+@pytest.mark.parametrize("blocking", [True, False], ids=["blocking", "selector"])
+def test_a_key_share_frame_arrives_whole_over_many_reads(blocking):
+    # The planned point's key share: 2989 x 100 doubles of A, 2.4 MB.
+    key = generate_key(28, 2989, 100, SEED)
+    share = KeyShare(k=key.k, delta=key.delta, n=key.n, u=key.u, a=key.a)
+    frame = encode_envelope(Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.ALICE, share))
+    assert len(frame) > 2 * transport._RECV_CHUNK
+    raw_a, raw_b = socket.socketpair()
+    sender = threading.Thread(target=raw_a.sendall, args=(frame,))
+    sender.start()
+    b = TcpTransport(raw_b)
+    if blocking:
+        got = b.recv_frame()
+    else:
+        raw_b.setblocking(False)
+        with selectors.DefaultSelector() as sel:
+            sel.register(raw_b, selectors.EVENT_READ)
+            got = None
+            while got is None:
+                assert sel.select(5.0), "no data within 5 s"
+                got = b.recv_frame()
+    sender.join(5.0)
+    assert not sender.is_alive() and got == frame and not b.inbuf
     raw_a.close()
     b.close()
 
@@ -478,6 +506,24 @@ def test_alice_hears_bobs_abort_at_once():
         assert time.monotonic() - t0 < 1.0
         _eventually(lambda: not charlie._sessions, timeout=1.0)
         assert charlie._sessions == {} and bob._sessions == {}
+
+
+def test_charlie_refuses_a_submission_that_an_abort_overtook():
+    # Before, Charlie dropped the Abort, and the submission then opened a
+    # session that waited out _IDLE_S for a submission that never came.
+    sid = b"\x06" * 16
+    with CharlieServer() as charlie:
+        charlie.start()
+        bob = TcpTransport.connect(*charlie.address, timeout=5.0)
+        bob.send_frame(encode_envelope(Envelope(sid, ProtocolKind.FULL_KEY_3P, Role.BOB, Abort(reason="bad share"))))
+        alice = TcpTransport.connect(*charlie.address, timeout=1.0)
+        _eventually(lambda: sid in charlie._finished)
+        alice.send_frame(_frame(sid, Role.ALICE, (0, 1, 2)))
+        env = decode_frame(alice.recv_frame())  # TransportClosed after 1 s
+        assert env.session_id == sid and env.body == Abort(reason="message after ABORTED")
+        assert charlie._sessions == {}
+        alice.close()
+        bob.close()
 
 
 @pytest.mark.parametrize("ended", [True, False], ids=["ended", "unknown"])
