@@ -14,7 +14,8 @@ Networked deployment mirrors the protocol roles:
     BobServer       listener for Alice's key share; submits Bob's hash to
                     Charlie over one shared connection, or sends his ring
                     code back to Alice as a Hamming request.
-    run_over_tcp    Alice's side: dials Bob (and Charlie), drives one session.
+    run_over_tcp    Alice's side: drives one session over her connections to
+                    Bob (and Charlie).
 
 Each server runs one selector loop on one thread. The loop accepts, reads and
 writes every connection through a non-blocking TcpTransport, and is the only
@@ -26,7 +27,12 @@ ended sessions stay in a bounded window, so a replayed message is refused
 rather than opening a new session.
 
 Alice waits on both of her blocking connections (one for two-party) with a
-selector, so an Abort from either peer ends her run at once.
+selector, so an Abort from either peer ends her run at once. Like Bob's link,
+her connections outlive a session: each thread keeps at most one idle
+connection per peer role, and reuses it while it goes to the same address
+and its peer has neither closed it nor sent anything since. A session that
+fails closes its connections; the thread's exit closes its idle ones. An
+Abort that names an earlier session of a kept connection is dropped.
 
 A session that fails -- a session error, the idle sweep or a lost
 connection -- ends in _RoleServer._abort, which sends the Aborts that
@@ -165,7 +171,8 @@ class TcpTransport:
                 self.partial_since = time.monotonic()
             self.inbuf += data
             self._has_read = True
-        frame = bytes(self.inbuf[:end])
+        with memoryview(self.inbuf) as view:  # one copy; released before the resize
+            frame = bytes(view[:end])
         del self.inbuf[:end]
         self.partial_since = time.monotonic() if self.inbuf else None
         return frame
@@ -556,6 +563,41 @@ class RunResult:
         self.received_frames = tuple(received_frames)
 
 
+class _Idle(dict):
+    """Alice's idle connections on one thread, at most one per peer role.
+    Freed, and so closed, when the thread exits."""
+
+    def __del__(self):
+        for conn in self.values():
+            conn._sock.close()  # socket.close alone still works at interpreter exit
+
+
+class _PerThread(threading.local):
+    def __init__(self):  # runs once in each thread that touches _alice
+        self.idle = _Idle()
+
+
+_alice = _PerThread()
+
+
+def _take(role: Role, address, timeout: float | None) -> TcpTransport:
+    """This thread's idle connection to role, if it goes to address and its
+    peer has neither closed it nor sent anything since; else a new one."""
+    conn = _alice.idle.pop(role, None)
+    if conn is not None:
+        conn._sock.settimeout(0)
+        try:
+            conn._sock.recv(1, socket.MSG_PEEK)  # a byte, or b"" for a close
+        except BlockingIOError:
+            if conn.peer == tuple(address):
+                conn._sock.settimeout(timeout)
+                return conn
+        except OSError:
+            pass
+        conn.close()
+    return TcpTransport.connect(*address, timeout=timeout)
+
+
 def run_over_tcp(
     kind: ProtocolKind,
     x1,
@@ -568,7 +610,15 @@ def run_over_tcp(
     matrix_store: MatrixStore | None = None,
     timeout: float | None = 30.0,
 ) -> RunResult:
-    """Drive one session as Alice against live Bob/Charlie endpoints."""
+    """Drive one session as Alice against live Bob/Charlie endpoints.
+
+    The connections come from this thread's idle ones when they still go to
+    the same addresses and their peers have neither closed them nor sent
+    anything since; otherwise they are dialled. A session that ends DONE
+    leaves its connections idle for this thread's next session; any other
+    end closes them. timeout (None = block) bounds the connect and each
+    wait, to send or for a frame; expiry raises TransportClosed.
+    """
     kind = ProtocolKind(kind)
     if kind in THREE_PARTY_KINDS and charlie_address is None:
         raise InvalidParameter(f"{kind.name} requires a third-party address")
@@ -577,11 +627,13 @@ def run_over_tcp(
     session, outgoing = start_session(
         Role.ALICE, kind, params, x=x1, seed=seed, matrix_store=matrix_store, mode=mode,
     )
-    links = {Role.BOB: TcpTransport.connect(*bob_address, timeout=timeout)}
+    links = {}
     received: list[bytes] = []
+    ended = False
     try:
+        links[Role.BOB] = _take(Role.BOB, bob_address, timeout)
         if charlie_address is not None:
-            links[Role.CHARLIE] = TcpTransport.connect(*charlie_address, timeout=timeout)
+            links[Role.CHARLIE] = _take(Role.CHARLIE, charlie_address, timeout)
         with selectors.DefaultSelector() as selector:
             for conn in links.values():
                 selector.register(conn._sock, selectors.EVENT_READ, conn)
@@ -597,11 +649,22 @@ def run_over_tcp(
                     if not ready:
                         raise TransportClosed(f"no frame within {timeout:g} s")
                     conn = ready[0][0].data
-                received.append(conn.recv_frame())
-                outgoing = session.on_message(wire.decode_frame(received[-1]).addressed_to(Role.ALICE))
+                frame = conn.recv_frame()
+                env = wire.decode_frame(frame)
+                if isinstance(env.body, Abort) and env.session_id != session.session_id:
+                    # A peer ended an earlier session of this connection after Alice had.
+                    log.warning("session %s: Abort for no open session", env.session_id.hex()[:8])
+                    outgoing = []
+                    continue
+                received.append(frame)
+                outgoing = session.on_message(env.addressed_to(Role.ALICE))
+        ended = session.done
     finally:
-        for conn in links.values():
-            conn.close()
+        for role, conn in links.items():
+            if ended and not conn.inbuf:
+                _alice.idle[role] = conn
+            else:
+                conn.close()
     if session.aborted:
         raise ProtocolViolation(f"session aborted: {session.abort_reason}")
     return RunResult(session, received)

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_keygen_hash_roundtrip(capsys, tmp_path, vectors):
         capsys, "keygen", "--k", "8", "--m", "24", "--n", "16", "--seed", "s1", "--out", key_file
     )
     assert code == 0
-    doc = json.loads(open(key_file).read())
+    doc = json.loads(Path(key_file).read_text())
     assert doc["k"] == 8 and doc["M"] == 24 and doc["N"] == 16
     assert len(doc["a"]) == 24 * 16
 
@@ -79,7 +80,7 @@ def test_keygen_seed_form(capsys, tmp_path):
         "--out", key_file, "--seed-only",
     )
     assert code == 0
-    doc = json.loads(open(key_file).read())
+    doc = json.loads(Path(key_file).read_text())
     assert "seed" in doc and "a" not in doc
 
 
@@ -263,15 +264,15 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
             "--distances", "0,1,2", "--seed", "s"]
     assert main(argv + ["--out", out1]) == 0
     assert main(argv + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    assert len(open(out1).read().splitlines()) == 4
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    assert len(Path(out1).read_text().splitlines()) == 4
 
 
 def test_curve_csv(capsys, tmp_path):
     out = str(tmp_path / "curve.csv")
     code, fields = _run(capsys, "curve", "--k", "8", "--grid-points", "5", "--out", out)
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "distance,expected_lee"
     assert lines[1] == "0,0"
     assert len(lines) == 6
@@ -330,21 +331,23 @@ def test_serve_subprocess_three_process_flow(vectors, tmp_path, capsys):
     import subprocess
     import sys
 
+    procs = []
+
     def spawn(*argv):
         proc = subprocess.Popen(
             [sys.executable, "-m", "modhash.cli", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
+        procs.append(proc)
         for line in proc.stdout:
             m = re.match(r"listening=(.*):(\d+)", line.strip())
             if m:
-                return proc, (m.group(1), int(m.group(2)))
+                return m.group(1), int(m.group(2))
         raise AssertionError("server never reported its address")
 
-    charlie_proc = bob_proc = None
     try:
-        charlie_proc, charlie_addr = spawn("serve", "--role", "charlie", "--listen", "127.0.0.1:0")
-        bob_proc, bob_addr = spawn(
+        charlie_addr = spawn("serve", "--role", "charlie", "--listen", "127.0.0.1:0")
+        bob_addr = spawn(
             "serve", "--role", "bob", "--listen", "127.0.0.1:0", "--x2", vectors[1],
             "--charlie", f"{charlie_addr[0]}:{charlie_addr[1]}",
         )
@@ -363,9 +366,8 @@ def test_serve_subprocess_three_process_flow(vectors, tmp_path, capsys):
         assert fields["mean_lee"] == local["mean_lee"]
         assert fields["alice_estimate"] == local["alice_estimate"]
     finally:
-        for proc in (charlie_proc, bob_proc):
-            if proc is not None:
-                proc.send_signal(signal.SIGTERM)
-        for proc in (charlie_proc, bob_proc):
-            if proc is not None:
+        for proc in procs:
+            proc.send_signal(signal.SIGTERM)
+        for proc in procs:
+            with proc.stdout:  # closed even if the server does not exit cleanly
                 assert proc.wait(timeout=10) == 0

@@ -266,6 +266,48 @@ class _FailOnceListener:
         return getattr(self._sock, name)
 
 
+def _on_a_new_thread(fn):
+    """Run fn on a thread of its own, so that it starts with no idle
+    connection and its idle connections close when it ends; re-raise what
+    it raised."""
+    out = {}
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # noqa: B036 - handed to the calling thread
+            out["error"] = exc
+
+    t = threading.Thread(target=target)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive(), "Alice's thread did not finish"
+    if "error" in out:
+        raise out.pop("error")
+
+
+class _CountingListener:
+    """Listener that counts the connections it accepts."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.accepted = 0
+
+    def accept(self):
+        pair = self._sock.accept()
+        self.accepted += 1
+        return pair
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _start_counting_accepts(*servers):
+    for server in servers:
+        server._listener = _CountingListener(server._listener)
+        server.start()
+
+
 def test_servers_keep_accepting_after_transient_accept_error(caplog):
     # Before, one EMFILE from accept() ended the accept loop for good.
     x1, x2 = _vectors()
@@ -605,7 +647,8 @@ def test_a_peer_that_stops_reading_is_dropped_without_stalling_others(monkeypatc
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_tables_threads_and_descriptors_stay_flat():
-    # Before, every session stayed in Bob's and Charlie's tables for ever.
+    # Before, every session stayed in Bob's and Charlie's tables for ever,
+    # and Alice dialled both servers again for every session.
     params = ProtocolParams.from_dimensions(8, 244)
     rng = np.random.default_rng(5)
     x2 = rng.standard_normal(50)
@@ -613,21 +656,36 @@ def test_tables_threads_and_descriptors_stay_flat():
     kinds = (ProtocolKind.FULL_KEY_3P, ProtocolKind.TWO_PARTY_HAMMING, ProtocolKind.OBFUSCATED_3P)
     open_fds = lambda: len(os.listdir("/proc/self/fd"))  # noqa: E731
     with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
-        charlie.start()
-        bob.start()
-        fds = open_fds() + 2  # from the first session on: both ends of the Bob-Charlie link
-        run_over_tcp(kinds[0], x1, params, bytes(32), bob.address, charlie.address)
-        _eventually(lambda: open_fds() == fds)
-        threads = threading.active_count()
-        for i in range(1, 300):
-            kind = kinds[i % 3]
-            charlie_address = charlie.address if kind != ProtocolKind.TWO_PARTY_HAMMING else None
-            run_over_tcp(kind, x1, params, i.to_bytes(32, "big"), bob.address, charlie_address)
-        _eventually(lambda: not (bob._sessions or charlie._sessions) and open_fds() == fds)
-        assert bob._sessions == {} and charlie._sessions == {}
-        assert threading.active_count() == threads
-        assert open_fds() == fds
+        _start_counting_accepts(charlie, bob)
+        before = open_fds()
+
+        def alice():  # on a thread of its own, which starts with no idle connection
+            # From the first session on: both ends of the Bob-Charlie link and
+            # of Alice's idle connections to Bob and to Charlie.
+            fds = before + 6
+            run_over_tcp(kinds[0], x1, params, bytes(32), bob.address, charlie.address)
+            _eventually(lambda: open_fds() == fds)
+            threads = threading.active_count()
+            for i in range(1, 300):
+                kind = kinds[i % 3]
+                charlie_address = charlie.address if kind != ProtocolKind.TWO_PARTY_HAMMING else None
+                run_over_tcp(kind, x1, params, i.to_bytes(32, "big"), bob.address, charlie_address)
+            _eventually(lambda: not (bob._sessions or charlie._sessions) and open_fds() == fds)
+            assert bob._sessions == {} and charlie._sessions == {}
+            assert threading.active_count() == threads
+            assert open_fds() == fds
+            mine = {conn._sock.getsockname() for conn in transport._alice.idle.values()}
+            for server in (bob, charlie):
+                conns = [k.data for k in server._selector.get_map().values() if k.data is not None]
+                assert len(conns) == 2  # Alice's and Bob's link to Charlie
+                assert sum(conn.peer in mine for conn in conns) == 1
+
+        _on_a_new_thread(alice)
         assert len(bob.results) == 300
+        assert bob._listener.accepted == 1
+        assert charlie._listener.accepted == 2  # Alice and Bob's link
+        _eventually(lambda: open_fds() == before + 2)  # Alice's thread has closed hers
+        assert open_fds() == before + 2
 
 
 def test_concurrent_sessions_complete_independently():
@@ -658,6 +716,136 @@ def test_concurrent_sessions_complete_independently():
             }
             for b in (1, 2, 3, 4):
                 assert results[b].mean_lee == expected[b]
+
+
+# ------------------------------------------------------------------ Alice's idle connections
+
+
+def test_alice_dials_again_after_the_servers_restart_on_the_same_ports():
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        run_over_tcp(kind, x1, PARAMS, SEED, bob.address, charlie.address)
+        kept = dict(transport._alice.idle)
+    assert set(kept) == {Role.BOB, Role.CHARLIE}
+    with CharlieServer(port=charlie.address[1]) as charlie2, \
+            BobServer(x2, charlie_address=charlie2.address, port=bob.address[1]) as bob2:
+        _start_counting_accepts(charlie2, bob2)
+        seed = bytes([12]) * 32
+        run = run_over_tcp(kind, x1, PARAMS, seed, bob2.address, charlie2.address)
+        assert run.mean_lee == drive_local(kind, x1, x2, PARAMS, seed).mean_lee
+        assert bob2.wait_result(run.session_id, 5.0) is not None
+        assert all(conn.closed for conn in kept.values())
+        assert bob2._listener.accepted == 1 and charlie2._listener.accepted == 2
+
+
+def test_a_kept_connection_serves_only_the_address_it_was_dialled_to():
+    x1, x2 = _vectors()
+    kind = ProtocolKind.TWO_PARTY_HAMMING
+    with BobServer(x2) as bob, BobServer(x2 + 1.0) as other:
+        _start_counting_accepts(bob, other)
+        run_over_tcp(kind, x1, PARAMS, SEED, bob.address)
+        kept = transport._alice.idle[Role.BOB]
+        seed = bytes([15]) * 32
+        run = run_over_tcp(kind, x1, PARAMS, seed, other.address)
+        assert run.mean_lee == drive_local(kind, x1, x2 + 1.0, PARAMS, seed).mean_lee
+        assert other.wait_result(run.session_id, 5.0) is not None
+        assert kept.closed and transport._alice.idle[Role.BOB].peer == other.address
+        assert bob._listener.accepted == other._listener.accepted == 1
+
+
+@pytest.mark.parametrize("failure", ["abort", "timeout"])
+def test_a_failed_session_closes_the_connections_it_reused(failure):
+    x1, x2 = _vectors()
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        run_over_tcp(ProtocolKind.FULL_KEY_3P, x1, PARAMS, SEED, bob.address, charlie.address)
+        kept = dict(transport._alice.idle)
+        assert set(kept) == {Role.BOB, Role.CHARLIE}
+        if failure == "abort":  # Bob has no matrix store, so he aborts a public-A share
+            kind, error = ProtocolKind.PUBLIC_A_3P, ProtocolViolation
+        else:  # Bob takes the key share and never answers it
+            handle = bob._handle
+            bob._handle = lambda conn, env: None if isinstance(env.body, KeyShare) else handle(conn, env)
+            kind, error = ProtocolKind.FULL_KEY_3P, TransportClosed
+        with pytest.raises(error):
+            run_over_tcp(kind, x1, PARAMS, bytes([13]) * 32, bob.address, charlie.address, timeout=0.3)
+        assert transport._alice.idle == {}
+        assert all(conn.closed for conn in kept.values())
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_concurrent_alices_keep_their_own_connections_until_they_exit():
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+    open_fds = lambda: len(os.listdir("/proc/self/fd"))  # noqa: E731
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        _start_counting_accepts(charlie, bob)
+        before = open_fds()
+        both_connected = threading.Barrier(2)
+        seen = {}
+
+        def alice(t):
+            conns = set()
+            for i in range(20):
+                run_over_tcp(kind, x1, PARAMS, bytes([t, i]) * 16, bob.address, charlie.address)
+                conns.add(tuple(transport._alice.idle[role] for role in (Role.BOB, Role.CHARLIE)))
+                if i == 0:
+                    both_connected.wait(timeout=10)
+            seen[t] = conns
+
+        threads = [threading.Thread(target=alice, args=(t,)) for t in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert len(seen[1]) == len(seen[2]) == 1  # one connection per peer for all 20 sessions
+        ((bob1, charlie1),), ((bob2, charlie2),) = seen[1], seen[2]
+        assert bob1 is not bob2 and charlie1 is not charlie2
+        assert bob._listener.accepted == 2 and charlie._listener.accepted == 3  # and Bob's link
+        # Closed as each thread exited; the servers then close their ends.
+        assert all(conn._sock.fileno() == -1 for conn in (bob1, charlie1, bob2, charlie2))
+        _eventually(lambda: open_fds() == before + 2)
+        assert open_fds() == before + 2  # both ends of Bob's link to Charlie
+
+
+@pytest.mark.parametrize("body", [Abort(reason="late"), DistanceResult(mean_lee=Fraction(0), count=1)],
+                         ids=["abort", "result"])
+def test_a_frame_for_an_earlier_session_on_a_kept_connection(body, caplog):
+    # A late Abort is dropped and the session goes on; any other frame for
+    # another session is still refused.
+    x1, x2 = _vectors()
+    kind = ProtocolKind.TWO_PARTY_HAMMING  # Bob answers Alice: the stray frame comes first
+    with BobServer(x2) as bob:
+        _start_counting_accepts(bob)
+        first = run_over_tcp(kind, x1, PARAMS, SEED, bob.address)
+        stray, handle = Envelope(first.session_id, kind, Role.BOB, body), bob._handle
+
+        def stray_first(conn, env):  # before Bob serves a key share
+            if isinstance(env.body, KeyShare):
+                bob._send(conn, stray)
+            handle(conn, env)
+
+        bob._handle = stray_first
+        seed = bytes([14]) * 32
+        with caplog.at_level(logging.WARNING, logger="modhash.transport"):
+            if isinstance(body, Abort):
+                run = run_over_tcp(kind, x1, PARAMS, seed, bob.address, timeout=7.0)
+                assert run.mean_lee == drive_local(kind, x1, x2, PARAMS, seed).mean_lee
+                assert len(run.received_frames) == len(first.received_frames)
+                kept = transport._alice.idle[Role.BOB]
+                assert kept.peer == bob.address and kept._sock.gettimeout() == 7.0  # the call's, on reuse
+            else:
+                with pytest.raises(ProtocolViolation, match="message for a different session"):
+                    run_over_tcp(kind, x1, PARAMS, seed, bob.address)
+                assert Role.BOB not in transport._alice.idle
+        assert bob._listener.accepted == 1
+        warned = [r.getMessage() for r in caplog.records if r.name == "modhash.transport"]
+        late = f"session {first.session_id.hex()[:8]}: Abort for no open session"
+        assert (late in warned) == isinstance(body, Abort)
 
 
 # ------------------------------------------------------------------ key files
