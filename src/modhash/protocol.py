@@ -30,6 +30,9 @@ checks the envelope, looks the move up and runs its handler. Any error ends
 the session through Session.abort, the one place that builds the Aborts for
 the other parties.
 
+A session keeps only what a later move reads. Once an owner has hashed, it
+holds (k, M), its own ring code (Alice, two-party) and, for a padded kind,
+P and the pads' exact mean d~: never A, U, a permutation or the pads.
 Charlie is honest-but-curious: his state machine never holds A, U, any
 permutation, or a plaintext vector, for any protocol kind. Confidential
 delivery of key shares is assumed from the environment, not implemented here.
@@ -81,7 +84,7 @@ from .messages import (
     ProtocolKind,
     Role,
 )
-from .rng import ChaChaStream, subseed
+from .rng import KEY_BLOCK, ChaChaStream, subseed
 
 
 class MatrixStore:
@@ -93,14 +96,26 @@ class MatrixStore:
 
     @staticmethod
     def digest(a: np.ndarray) -> bytes:
+        """SHA-256 of the dims as u32 and the entries as big-endian f64,
+        row-major; converted KEY_BLOCK entries at a time."""
         a = np.asarray(a, dtype=np.float64)
         h = hashlib.sha256()
         h.update(np.array(a.shape, dtype=">u4").tobytes())
-        h.update(a.astype(">f8", order="C"))
+        flat = a.reshape(-1)
+        for start in range(0, flat.size, KEY_BLOCK):
+            h.update(flat[start : start + KEY_BLOCK].astype(">f8"))
         return h.digest()
 
     def put(self, a: np.ndarray) -> bytes:
-        a = _frozen_array(a, np.float64)  # the caller may write to its own array later
+        """Store a and return its digest. A read-only float64 array that owns
+        its data, as this package's keys and decoded shares are sealed, is
+        kept without a copy; any other is copied, since its owner may write
+        to it later."""
+        if not (
+            isinstance(a, np.ndarray) and a.dtype == np.float64
+            and not a.flags.writeable and a.flags.owndata
+        ):
+            a = _frozen_array(a, np.float64)
         d = self.digest(a)
         self._matrices[d] = a
         return d
@@ -171,11 +186,13 @@ class Session:
         self.observed_mean: Fraction | None = None  # Charlie-visible mean
         self.true_mean: Fraction | None = None      # after de-obfuscation
         self.abort_reason: str | None = None
-        # role-private material
+        # role-private material: the input until it is hashed, then only what
+        # a later move reads
         self._x = None
-        self._key: HashKey | None = None
-        self._pads: tuple[HashVector, HashVector] | None = None
-        self._code: BinaryCode | None = None
+        self._k: int | None = None
+        self._m: int | None = None
+        self._padding: tuple[int, Fraction] | None = None  # (P, d~) of a padded kind
+        self._code: BinaryCode | None = None  # Alice's, two-party
         self._store: MatrixStore | None = None
         self._received: dict[Role, HashVector] = {}
 
@@ -290,31 +307,34 @@ class Session:
 
     def _hash_and_send(self, key: HashKey, ks: KeyShare) -> list[Envelope]:
         """Both owners' one path from key share to outgoing hash: ring-coded
-        for Alice, or padded, permuted and submitted to Charlie."""
+        for Alice, or padded, permuted and submitted to Charlie. The session
+        keeps neither the key nor the share, only what a later move reads."""
         spec = _SHARE_SPECS[self.kind]
-        self._key = key
+        self._k, self._m = key.k, key.m
         h = hash_vector(key, self._x)
         self._x = None  # plaintext no longer needed
-        self._pads = (ks.pad1, ks.pad2) if spec.padded else None
         if self.kind == ProtocolKind.TWO_PARTY_HAMMING:
-            self._code = encode_lee_to_binary(h)
+            code = encode_lee_to_binary(h)
             if self.role == Role.ALICE:
+                self._code = code
                 self.phase = Phase.AWAIT_HAMMING_REQUEST
                 return []
             self.phase = Phase.AWAIT_HAMMING_RESPONSE
-            return [self._envelope(HammingRequest(self._code), Role.ALICE)]
+            return [self._envelope(HammingRequest(code), Role.ALICE)]
+        if spec.padded:
+            self._padding = (ks.pad1.m, mean_lee_distance(ks.pad1, ks.pad2))
         if spec.permuted:
             # Role.ALICE == 0 appends pad1, Role.BOB == 1 appends pad2
-            h = obfuscate_hash(h, self._pads[self.role] if spec.padded else None, ks.permutation)
+            pad = (ks.pad1, ks.pad2)[self.role] if spec.padded else None
+            h = obfuscate_hash(h, pad, ks.permutation)
         self.phase = Phase.AWAIT_RESULT
         return [self._envelope(HashSubmission(h), Role.CHARLIE)]
 
     def _on_distance_result(self, env: Envelope) -> list[Envelope]:
-        res, m = env.body, self._key.m
-        p = self._pads[0].m if self._pads else 0
+        res, m = env.body, self._m
+        p, d_tilde = self._padding or (0, 0)
         if res.count != m + p:
             raise DimensionMismatch(f"result covers {res.count} components, expected {m + p}")
-        d_tilde = mean_lee_distance(*self._pads) if self._pads else 0
         self._finish(deobfuscate_distance(res.mean_lee, d_tilde, m, p), res.mean_lee)
         return []
 
@@ -322,22 +342,22 @@ class Session:
         """Alice compares Bob's ring code with hers; hamming_distance refuses
         a code of another alphabet or length."""
         d = hamming_distance(self._code, env.body.code)
-        self._finish(Fraction(d, self._key.m))
+        self._finish(Fraction(d, self._m))
         return [self._envelope(HammingResponse(distance=d), Role.BOB)]
 
     def _on_hamming_response(self, env: Envelope) -> list[Envelope]:
-        self._finish(Fraction(env.body.distance, self._key.m))
+        self._finish(Fraction(env.body.distance, self._m))
         return []
 
     def _finish(self, true_mean: Fraction, observed: Fraction | None = None):
         """Estimate from the owners' mean (observed: Charlie's, if he averaged).
         A mean outside [0, k/2] fits no pair of hashes: the result, the pads
         or the reported Hamming distance lied."""
-        if not 0 <= true_mean <= Fraction(self._key.k, 2):
+        if not 0 <= true_mean <= Fraction(self._k, 2):
             raise DimensionMismatch(f"mean Lee distance {true_mean} outside [0, k/2]")
         self.observed_mean = true_mean if observed is None else observed
         self.true_mean = true_mean
-        self.result = estimate_distance(true_mean, self._key.k, mode=self.mode)
+        self.result = estimate_distance(true_mean, self._k, mode=self.mode)
         self.phase = Phase.DONE
 
 
@@ -434,11 +454,12 @@ def start_session(
 
 @dataclass(frozen=True)
 class TranscriptEntry:
-    """One delivered frame, with routing metadata for audits."""
+    """One delivered frame, with routing metadata for audits. data is the
+    bytearray encode_envelope returned."""
 
     sender: Role
     recipient: Role
-    data: bytes
+    data: bytearray
 
 
 @dataclass(frozen=True)
@@ -489,13 +510,15 @@ def drive_local(
 
     transcript: list[TranscriptEntry] = []
     queue = deque(outgoing)
+    del outgoing
     try:
         while queue:
             env = queue.popleft()
             data = wire.encode_envelope(env)
-            transcript.append(TranscriptEntry(env.sender, env.recipient, data))
-            received = wire.decode_frame(data).addressed_to(env.recipient)
-            queue.extend(sessions[env.recipient].on_message(received))
+            recipient = env.recipient
+            transcript.append(TranscriptEntry(env.sender, recipient, data))
+            del env  # its frame stands for it: a key share's A is freed before Bob decodes his own
+            queue.extend(sessions[recipient].on_message(wire.decode_frame(data).addressed_to(recipient)))
     except ModHashError as exc:
         for abort_env in exc.aborts:
             transcript.append(

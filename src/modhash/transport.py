@@ -61,7 +61,7 @@ import numpy as np
 
 from . import wire
 from .analysis import EstimateMode
-from .core import HashKey, generate_key
+from .core import HashKey, _check_even_k, _check_real, _check_size, generate_key
 from .errors import (
     DecodeError,
     InvalidInput,
@@ -222,7 +222,7 @@ class _RoleServer:
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
         self._result_cv = threading.Condition()
-        self.results: dict[bytes, object] = {}  # session_id -> DistanceEstimate
+        self.results: OrderedDict[bytes, object] = OrderedDict()  # session_id -> DistanceEstimate
         self._sessions: dict[bytes, _Live] = {}
         self._finished: OrderedDict[bytes, Phase] = OrderedDict()  # replay window
 
@@ -425,12 +425,17 @@ class _RoleServer:
     # -------------------------------------------------------------- callers
 
     def _record_result(self, session_id: bytes, result):
+        """Keep an estimate for wait_result; like the replay window, results
+        holds the last _FINISHED_WINDOW of them."""
         with self._result_cv:
             self.results[session_id] = result
+            if len(self.results) > _FINISHED_WINDOW:
+                self.results.popitem(last=False)
             self._result_cv.notify_all()
 
     def wait_result(self, session_id: bytes, timeout: float = 30.0):
-        """Block until this session's estimate exists (or raise on timeout)."""
+        """Block until this session's estimate exists (or raise on timeout,
+        as for an estimate that has left the window)."""
         with self._result_cv:
             if self._result_cv.wait_for(lambda: session_id in self.results, timeout):
                 return self.results[session_id]
@@ -640,6 +645,7 @@ def run_over_tcp(
             while True:
                 for env in outgoing:
                     links[env.recipient].send_frame(wire.encode_envelope(env))
+                outgoing, env = (), None  # no envelope sent, a key share least of all, outlives its send
                 if session.done or session.aborted:
                     break
                 # Frames already buffered first: the selector sees only unread bytes.
@@ -654,7 +660,6 @@ def run_over_tcp(
                 if isinstance(env.body, Abort) and env.session_id != session.session_id:
                     # A peer ended an earlier session of this connection after Alice had.
                     log.warning("session %s: Abort for no open session", env.session_id.hex()[:8])
-                    outgoing = []
                     continue
                 received.append(frame)
                 outgoing = session.on_message(env.addressed_to(Role.ALICE))
@@ -693,17 +698,25 @@ def key_to_json(key: HashKey, include_matrix: bool = True, seed: bytes | None = 
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _dims(doc: dict) -> tuple[int, int]:
+    """A file's (M, N), which must be JSON integers >= 1, as in a key."""
+    return _check_size(doc["M"], "M"), _check_size(doc["N"], "N")
+
+
 def key_from_json(text: str) -> HashKey:
-    """Load a key from either JSON form."""
+    """Load a key from either JSON form. k, M and N must be JSON integers and
+    delta a JSON number, checked as generate_key checks them: nothing is
+    rounded or parsed from a string."""
     try:
         doc = json.loads(text)
-        k, delta, m, n = int(doc["k"]), float(doc["delta"]), int(doc["M"]), int(doc["N"])
+        k, delta = _check_even_k(doc["k"]), _check_real(doc["delta"], "delta")
+        m, n = _dims(doc)
         if "seed" in doc:
             return generate_key(k, m, n, bytes.fromhex(doc["seed"]), delta)
         a = np.asarray(doc["a"], dtype=np.float64).reshape(m, n)
         u = np.asarray(doc["u"], dtype=np.float64)
         return HashKey(k=k, delta=delta, a=a, u=u)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidParameter) as exc:
         raise InvalidInput(f"not a valid key file: {exc}") from exc
 
 
@@ -715,8 +728,9 @@ def matrix_to_json(a: np.ndarray) -> str:
 
 
 def matrix_from_json(text: str) -> np.ndarray:
+    """Load a matrix file; M and N are checked as in key_from_json."""
     try:
         doc = json.loads(text)
-        return np.asarray(doc["a"], dtype=np.float64).reshape(int(doc["M"]), int(doc["N"]))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        return np.asarray(doc["a"], dtype=np.float64).reshape(*_dims(doc))
+    except (KeyError, TypeError, ValueError, InvalidParameter) as exc:
         raise InvalidInput(f"not a valid matrix file: {exc}") from exc

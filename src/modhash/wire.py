@@ -29,6 +29,10 @@ Payload formats per family:
 Encoding is canonical: a valid message has exactly one byte representation,
 and decode(encode(msg)) == msg. decode_frame is total -- any byte string
 yields either a message or a typed DecodeError, never another exception.
+Encoding allocates the frame once, at its final length, and writes each
+field into it at its offset: arrays are converted to big-endian straight
+into their slot, so a key share's matrix is copied once, into the frame, and
+no other copy of it is made. The frame is returned as that bytearray.
 Decoding reads the frame through memoryviews, without slicing copies, but a
 decoded message never holds a view into the frame: every array, digest and
 string in it is its own copy, so the frame's buffer may be reused at once.
@@ -76,17 +80,17 @@ def _check_wire_k(k: int, exc=EncodingError):
 
 # ---------------------------------------------------------------- encoding
 #
-# Body encoders return the payload as a list of parts (bytes, or C-contiguous
-# big-endian arrays), which encode_envelope joins behind the header in one
-# copy: a key share's matrix is converted to big-endian once and copied once
-# more into the frame.
+# Body encoders return the payload as a list of parts: bytes, or a pair
+# (array, big-endian wire dtype). encode_envelope sizes the frame from the
+# parts and writes each into its slot; an array is cast to its wire dtype on
+# the way in, so no converted copy of it is ever made.
 
 def _encode_hash_submission(body: msgs.HashSubmission) -> list:
     v = body.vector
     _check_wire_k(v.k)
     if int(v.components.max()) >= v.k:  # unreachable for a valid HashVector
         raise EncodingError("component >= k")
-    return [struct.pack(">II", v.k, v.m), v.components.astype(">u2")]
+    return [struct.pack(">II", v.k, v.m), (v.components, ">u2")]
 
 
 def _encode_key_share(body: msgs.KeyShare) -> list:
@@ -100,16 +104,16 @@ def _encode_key_share(body: msgs.KeyShare) -> list:
         a = np.asarray(body.a, dtype=np.float64)
         if a.shape != (m, body.n):
             raise EncodingError("A shape disagrees with (m, n)")
-        out += [b"\x00", a.astype(">f8", order="C")]
+        out += [b"\x00", (a, ">f8")]
     else:
         if len(body.a_digest) != 32:
             raise EncodingError("matrix digest must be 32 bytes")
         out += [b"\x01", body.a_digest]
-    out.append(u.astype(">f8"))
+    out.append((u, ">f8"))
     if body.permutation is None:
         out.append(struct.pack(">I", 0))
     else:
-        out += [struct.pack(">I", body.permutation.size), body.permutation.mapping.astype(">u4")]
+        out += [struct.pack(">I", body.permutation.size), (body.permutation.mapping, ">u4")]
     if body.pad1 is None and body.pad2 is None:
         out.append(struct.pack(">I", 0))
     elif body.pad1 is not None and body.pad2 is not None and body.pad1.m == body.pad2.m:
@@ -117,8 +121,8 @@ def _encode_key_share(body: msgs.KeyShare) -> list:
             raise EncodingError("padding alphabet disagrees with k")
         out += [
             struct.pack(">I", body.pad1.m),
-            body.pad1.components.astype(">u2"),
-            body.pad2.components.astype(">u2"),
+            (body.pad1.components, ">u2"),
+            (body.pad2.components, ">u2"),
         ]
     else:
         raise EncodingError("pad1 and pad2 must both be set, with equal length")
@@ -139,7 +143,7 @@ def _encode_distance_result(body: msgs.DistanceResult) -> list:
 def _encode_hamming_request(body: msgs.HammingRequest) -> list:
     code = body.code
     _check_wire_k(code.k)
-    return [struct.pack(">II", code.k, code.m), np.packbits(code.bits)]  # MSB-first, zero-padded
+    return [struct.pack(">II", code.k, code.m), np.packbits(code.bits).tobytes()]  # MSB-first, zero-padded
 
 
 def _encode_hamming_response(body: msgs.HammingResponse) -> list:
@@ -318,8 +322,16 @@ _CODECS = {
 _DECODERS = {family: decode for family, _, decode in _CODECS.values()}
 
 
-def encode_envelope(env: msgs.Envelope) -> bytes:
-    """Serialize an envelope to one canonical frame (length prefix included)."""
+def _nbytes(part) -> int:
+    if isinstance(part, tuple):
+        values, dtype = part
+        return values.size * np.dtype(dtype).itemsize
+    return memoryview(part).nbytes
+
+
+def encode_envelope(env: msgs.Envelope) -> bytearray:
+    """Serialize an envelope to one canonical frame (length prefix included),
+    returned as a bytearray that nothing else references."""
     if len(env.session_id) != msgs.SESSION_ID_BYTES:
         raise EncodingError("session id must be 16 bytes")
     codec = _CODECS.get(type(env.body))
@@ -328,8 +340,20 @@ def encode_envelope(env: msgs.Envelope) -> bytes:
     family, encode, _ = codec
     parts = encode(env.body)
     msg_type = (family << 4) | (int(env.kind) << 2) | int(env.sender)
-    length = HEADER_LEN + sum(memoryview(part).nbytes for part in parts)
-    return b"".join([struct.pack(">IBB", length, VERSION, msg_type), env.session_id, *parts])
+    sizes = [_nbytes(part) for part in parts]
+    frame = bytearray(4 + HEADER_LEN + sum(sizes))
+    struct.pack_into(">IBB", frame, 0, len(frame) - 4, VERSION, msg_type)
+    frame[6:22] = env.session_id
+    pos = 22
+    for part, size in zip(parts, sizes):
+        if isinstance(part, tuple):
+            values, dtype = part
+            slot = np.frombuffer(frame, dtype, values.size, pos).reshape(values.shape)
+            slot[...] = values  # cast, and byte-swapped, straight into the frame in C order
+        else:
+            frame[pos : pos + size] = part
+        pos += size
+    return frame
 
 
 def decode_frame(data: bytes) -> msgs.Envelope:

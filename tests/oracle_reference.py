@@ -27,12 +27,20 @@ which is far below one ulp of d there; the script prints that bound.
 
 Inputs are the exact doubles the tests pass, including delta.
 
+reference_frame is a second, unrelated oracle: it encodes a protocol envelope
+the plain way, converting every field to bytes and joining them, from the
+frame layout in the wire module's docstring. test_wire.py checks the
+library's one-pass encoder against it.
+
 Run:  python tests/oracle_reference.py
 """
 
 import math
+import struct
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 DELTA = math.sqrt(2.0 / math.pi)
 POINTS = [(0.5, 8), (1.0, 8), (2.0, 8), (2.0, 16), (3.0, 6)]
@@ -108,6 +116,57 @@ def main():
         note = f"  # F(d, k) = {dist * math.exp(-k * k / (4 * math.pi * dist * dist)):.1e}" if dist < 1e-2 and delta == DELTA else ""
         print(f"    {key}: ({float(value)!r}, {which!r}),{note}")
     print("}")
+
+
+def _payload(body) -> bytes:
+    name = type(body).__name__
+    if name == "KeyShare":
+        m = len(body.u)
+        parts = [struct.pack(">IdII", body.k, body.delta, body.n, m)]
+        if body.a is not None:
+            parts += [b"\x00", np.asarray(body.a, dtype=np.float64).astype(">f8", order="C").tobytes()]
+        else:
+            parts += [b"\x01", bytes(body.a_digest)]
+        parts.append(np.asarray(body.u, dtype=np.float64).astype(">f8").tobytes())
+        perm = body.permutation
+        if perm is None:
+            parts.append(struct.pack(">I", 0))
+        else:
+            parts += [struct.pack(">I", perm.size), perm.mapping.astype(">u4").tobytes()]
+        if body.pad1 is None:
+            parts.append(struct.pack(">I", 0))
+        else:
+            parts.append(struct.pack(">I", body.pad1.m))
+            parts += [pad.components.astype(">u2").tobytes() for pad in (body.pad1, body.pad2)]
+        return b"".join(parts)
+    if name == "HashSubmission":
+        v = body.vector
+        return struct.pack(">II", v.k, v.m) + v.components.astype(">u2").tobytes()
+    if name == "DistanceResult":
+        frac = Fraction(body.mean_lee)
+        return struct.pack(">QQI", frac.numerator, frac.denominator, body.count)
+    if name == "HammingRequest":
+        code = body.code
+        return struct.pack(">II", code.k, code.m) + np.packbits(code.bits).tobytes()
+    if name == "HammingResponse":
+        return struct.pack(">Q", body.distance)
+    if name == "Abort":
+        reason = body.reason.encode("utf-8")
+        return struct.pack(">H", len(reason)) + reason
+    raise TypeError(f"no reference encoding for {name}")
+
+
+_FAMILIES = {"KeyShare": 1, "HashSubmission": 2, "DistanceResult": 3,
+             "HammingRequest": 4, "HammingResponse": 5, "Abort": 6}
+
+
+def reference_frame(env) -> bytes:
+    """The frame of a valid envelope: u32 length, version 1, msg_type
+    (family << 4 | kind << 2 | sender), the session id and the payload."""
+    payload = _payload(env.body)
+    msg_type = (_FAMILIES[type(env.body).__name__] << 4) | (int(env.kind) << 2) | int(env.sender)
+    rest = bytes([1, msg_type]) + bytes(env.session_id) + payload
+    return struct.pack(">I", len(rest)) + rest
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -193,7 +195,7 @@ def test_two_party_response_past_the_diameter_aborts():
     assert bob.aborted and bob.result is None
 
 
-_CHARLIE_NEVER_HOLDS = ("_key", "_perm", "_pads", "_x", "_code")
+_CHARLIE_NEVER_HOLDS = ("_x", "_code", "_padding")
 
 
 def _fresh_session(role, kind, session_id, store):
@@ -489,6 +491,57 @@ def test_bob_refuses_a_share_lacking_what_its_kind_needs(kind, strip, reason):
     assert bob.aborted
     assert {e.recipient for e in err.value.aborts} == {Role.ALICE, Role.CHARLIE}
     assert all(isinstance(e.body, Abort) for e in err.value.aborts)
+
+
+# ------------------------------------------------------------------ memory
+
+
+def _arrays(value):
+    """Every array an envelope, or a value in it, holds."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.name)
+def test_owners_keep_nothing_they_sent_or_received_once_they_have_hashed(kind):
+    # Before, Alice and Bob kept their HashKey (so A and U), the obfuscated
+    # kind both pads, and Bob his ring code, until the session ended.
+    x1, x2 = _vectors()
+    store = MatrixStore()
+    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED, matrix_store=store)
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id, matrix_store=store)
+    share = decode_frame(wire.encode_envelope(outgoing[0])).addressed_to(Role.BOB)
+    held = [weakref.ref(a) for env in outgoing for a in _arrays(env)]
+    del outgoing
+    answers = bob.on_message(share)
+    held += [weakref.ref(a) for env in [share, *answers] for a in _arrays(env)]
+    del share, answers
+    assert Phase.START < alice.phase < Phase.DONE and Phase.START < bob.phase < Phase.DONE
+    assert [ref() for ref in held if ref() is not None] == []
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.name)
+def test_a_local_run_at_the_planned_point_holds_one_key_matrix_and_its_frame(kind):
+    # Before, both owners kept A until the end and the encoder made a
+    # big-endian copy of A besides the frame: 7.2-10.7 MB traced, where one
+    # A is 2.4 MB.
+    params = ProtocolParams.from_dimensions(28, 2989)  # P = 10 M
+    x1, step = np.random.default_rng(3).standard_normal((2, 100))
+    x2 = x1 + 0.1 * step
+    drive_local(kind, x1, x2, params, SEED)  # loads scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        drive_local(kind, x1, x2, params, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = params.m * len(x1) * 8
+    slots = params.m + (params.padding if kind == ProtocolKind.OBFUSCATED_3P else 0)
+    # A and the frame that carries it, A's finiteness mask, and O(M + P) arrays
+    assert peak < 2 * matrix + matrix // 8 + 16 * 8 * slots
 
 
 def test_two_party_equals_direct_computation():

@@ -7,6 +7,8 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +29,9 @@ from modhash import (
     key_to_json,
     run_over_tcp,
 )
-from modhash import transport
+from modhash import protocol, transport
 from modhash.messages import Abort, DistanceResult, Envelope, HashSubmission, KeyShare
-from modhash.protocol import MatrixStore
+from modhash.protocol import MatrixStore, Phase, start_session
 from modhash.transport import (
     BobServer,
     CharlieServer,
@@ -688,6 +690,29 @@ def test_tables_threads_and_descriptors_stay_flat():
         assert open_fds() == before + 2
 
 
+def test_bob_keeps_the_results_of_the_last_window_of_sessions(monkeypatch):
+    # Before, BobServer.results kept one estimate per session for ever.
+    monkeypatch.setattr(transport, "_FINISHED_WINDOW", 2)
+    x1, x2 = _vectors()
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        sids = []
+
+        def alice():
+            for i in range(4):
+                run = run_over_tcp(
+                    ProtocolKind.FULL_KEY_3P, x1, PARAMS, i.to_bytes(32, "big"), bob.address, charlie.address
+                )
+                sids.append(run.session_id)
+
+        _on_a_new_thread(alice)
+        bob.wait_result(sids[-1], timeout=5.0)
+        assert list(bob.results) == sids[-2:]  # oldest out first
+        with pytest.raises(TransportClosed, match="no result"):
+            bob.wait_result(sids[0], timeout=0.1)
+
+
 def test_concurrent_sessions_complete_independently():
     x1, x2 = _vectors()
     with CharlieServer() as charlie:
@@ -848,6 +873,88 @@ def test_a_frame_for_an_earlier_session_on_a_kept_connection(body, caplog):
         assert (late in warned) == isinstance(body, Abort)
 
 
+# ------------------------------------------------------------------ memory
+
+
+def test_bob_sessions_waiting_for_charlie_hold_no_key_matrix():
+    # Before, each of Bob's sessions kept its key, so an A of 1.6 MB here,
+    # until Charlie answered.
+    params = ProtocolParams.from_dimensions(8, 500)
+    n, sessions = 400, 6
+    x1, x2 = np.random.default_rng(4).standard_normal((2, n))
+    shares = []  # Alice's key shares alone: Charlie never gets her submission
+    for i in range(sessions):
+        _, outgoing = start_session(
+            Role.ALICE, ProtocolKind.FULL_KEY_3P, params, x=x1, seed=i.to_bytes(32, "big")
+        )
+        shares.append(encode_envelope(outgoing[0]))
+    del outgoing
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        charlie.start()
+        bob.start()
+        conn = TcpTransport.connect(*bob.address, timeout=5.0)
+        try:
+            conn.send_frame(shares.pop())  # dials Charlie and loads scipy outside the trace
+            _eventually(lambda: len(charlie._sessions) == 1)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                while shares:
+                    conn.send_frame(shares.pop())
+                _eventually(lambda: len(charlie._sessions) == sessions)
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            waiting = [live.session.phase for live in list(bob._sessions.values())]
+        finally:
+            conn.close()
+    assert waiting == [Phase.AWAIT_RESULT] * sessions
+    assert grown < params.m * n * 8  # all five sessions together, less than one A
+
+
+def test_alice_holds_no_key_matrix_while_she_waits(monkeypatch):
+    # Before, Alice's session kept its key and run_over_tcp the key share it
+    # had sent, until the session ended.
+    x1, _ = _vectors()
+    matrices = []
+    generate = protocol.generate_key
+
+    def generate_key(*args, **kwargs):
+        key = generate(*args, **kwargs)
+        matrices.append(weakref.ref(key.a))
+        return key
+
+    monkeypatch.setattr(protocol, "generate_key", generate_key)
+    got_share, release, outcome = threading.Event(), threading.Event(), {}
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def bob():  # takes the key share and never answers
+            sock, _ = listener.accept()
+            conn = TcpTransport(sock)
+            conn.recv_frame()
+            got_share.set()
+            release.wait(10)
+            conn.close()
+
+        def alice():
+            try:
+                run_over_tcp(ProtocolKind.TWO_PARTY_HAMMING, x1, PARAMS, SEED, listener.getsockname()[:2])
+            except TransportClosed as exc:
+                outcome["error"] = exc
+
+        threads = [threading.Thread(target=bob), threading.Thread(target=alice)]
+        for t in threads:
+            t.start()
+        assert got_share.wait(10)
+        _eventually(lambda: matrices[0]() is None)
+        freed, waiting = matrices[0]() is None, threads[1].is_alive()
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+    assert waiting and freed
+    assert "peer closed" in str(outcome["error"])
+
+
 # ------------------------------------------------------------------ key files
 
 
@@ -871,6 +978,34 @@ def test_key_json_rejects_garbage():
         key_from_json("{not json")
     with pytest.raises(InvalidInput):
         key_from_json(json.dumps({"k": 8}))
+
+
+_KEY_DOC = {"k": 8, "delta": 1, "M": 1, "N": 1, "a": [0.1], "u": [0.5]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", 8.9), ("k", 8.0), ("k", True), ("k", "8"), ("M", True), ("M", 1.9), ("N", 1.5), ("N", "1"),
+     ("delta", "1"), ("delta", True)],
+)
+def test_key_files_refuse_sizes_they_would_have_to_coerce(field, value):
+    # Before, int() and float() took whatever the file held: k = 8.9 loaded
+    # as k = 8, M = true as one row.
+    key_from_json(json.dumps(_KEY_DOC))
+    with pytest.raises(InvalidInput, match="not a valid key file"):
+        key_from_json(json.dumps({**_KEY_DOC, field: value}))
+
+
+def test_key_and_matrix_files_refuse_coerced_sizes_in_every_form():
+    with pytest.raises(InvalidInput):
+        key_from_json(json.dumps({"k": 8.9, "delta": 1, "M": True, "N": 1.5, "a": [0.1], "u": [0.5]}))
+    with pytest.raises(InvalidInput):
+        key_from_json(json.dumps({"k": 8.9, "delta": 1, "M": 6, "N": 4, "seed": SEED.hex()}))
+    matrix = {"M": 1, "N": 1, "a": [0.1]}
+    assert matrix_from_json(json.dumps(matrix)).shape == (1, 1)
+    for field, value in (("M", 1.9), ("M", True), ("N", "1")):
+        with pytest.raises(InvalidInput, match="not a valid matrix file"):
+            matrix_from_json(json.dumps({**matrix, field: value}))
 
 
 def test_matrix_json_roundtrip():

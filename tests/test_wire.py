@@ -1,8 +1,12 @@
 import struct
 from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_reference import reference_frame
 
 from modhash import (
     EncodingError,
@@ -79,6 +83,68 @@ def test_roundtrip_every_message_type():
         assert back.sender == env.sender
         # canonical: re-encoding reproduces the bytes
         assert encode_envelope(back) == data
+
+
+_WIRE_K = st.one_of(st.sampled_from([2, 8, 28, 65534]), st.integers(1, 32767).map(lambda h: 2 * h))
+
+
+@st.composite
+def _key_shares(draw):
+    k, m, n = draw(_WIRE_K), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    u = draw(hnp.arrays(np.float64, m, elements=st.floats(0, k, exclude_max=True)))
+    a = a_digest = permutation = pad1 = pad2 = None
+    if draw(st.booleans()):
+        a_digest = draw(st.binary(min_size=32, max_size=32))
+    elif draw(st.booleans()):
+        a = draw(hnp.arrays(np.float64, (m, n), elements=finite))
+    else:  # a transposed view: the frame holds its rows, not its memory order
+        a = draw(hnp.arrays(np.float64, (n, m), elements=finite)).T
+    p = draw(st.integers(1, 8)) if draw(st.booleans()) else 0
+    if p:
+        symbols = hnp.arrays(np.int64, p, elements=st.integers(0, k - 1))
+        pad1, pad2 = HashVector(k, draw(symbols)), HashVector(k, draw(symbols))
+    if draw(st.booleans()):
+        permutation = Permutation(m + p, np.array(draw(st.permutations(range(m + p)))))
+    delta = draw(st.floats(min_value=1e-300, max_value=1e300))
+    return KeyShare(
+        k=k, delta=delta, n=n, u=u, a=a, a_digest=a_digest,
+        permutation=permutation, pad1=pad1, pad2=pad2,
+    )
+
+
+@st.composite
+def _hash_vectors(draw):
+    k = draw(_WIRE_K)
+    return HashVector(k, draw(hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, k - 1))))
+
+
+_BODIES = st.one_of(
+    _key_shares(),
+    _hash_vectors().map(HashSubmission),
+    st.builds(
+        lambda num, den, count: DistanceResult(mean_lee=Fraction(num, den), count=count),
+        st.integers(0, (1 << 64) - 1), st.integers(1, (1 << 64) - 1), st.integers(1, (1 << 32) - 1),
+    ),
+    _hash_vectors().map(lambda h: HammingRequest(encode_lee_to_binary(h))),
+    st.integers(0, (1 << 64) - 1).map(lambda d: HammingResponse(distance=d)),
+    st.text(max_size=40).map(lambda reason: Abort(reason=reason)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    body=_BODIES,
+    session_id=st.binary(min_size=16, max_size=16),
+    kind=st.sampled_from(ProtocolKind),
+    sender=st.sampled_from(Role),
+)
+def test_one_pass_encoder_matches_the_join_based_reference(body, session_id, kind, sender):
+    env = Envelope(session_id=session_id, kind=kind, sender=sender, body=body)
+    frame = encode_envelope(env)
+    assert isinstance(frame, bytearray)
+    assert frame == reference_frame(env)
+    assert decode_frame(frame) == env
 
 
 def test_decoded_messages_hold_no_views_into_the_frame():
