@@ -19,6 +19,7 @@ Hamming distance between codes equals Lee distance between symbols, which
 lets a secure Hamming-distance subprotocol stand in for a third party.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidParameter
-from .rng import KEY_BLOCK, ChaChaStream, check_seed
+from .rng import KEY_BLOCK, ChaChaStream, _probit, _uniform01, check_seed, subseed
 
 DEFAULT_DELTA = math.sqrt(2.0 / math.pi)
 
@@ -269,37 +270,100 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
     return _adopt(HashKey, k=k, delta=delta, a=a, u=u)
 
 
-def _hashes_under_fresh_key(
-    k: int, m: int, n: int, seed: bytes, delta: float, xs, dither: bool = True
-) -> list[HashVector]:
-    """[hash_vector(generate_key(k, m, n, seed, delta), x) for x in xs], bit for
-    bit and with the same error for each fault, without ever holding A.
+# einsum sums a row of more than this many values (numpy's iterator buffer) in
+# pieces where the row is its operand's only one, and in one pass where it is
+# one of several: rows this long are never batched across keys, so that every
+# sum keeps the order it has one key at a time.
+_ONE_PASS_ROW = 8192
 
-    A is drawn from the key's stream exactly as generate_key draws it, but in
-    blocks of whole rows, at most rng.KEY_BLOCK values each (one row where a
-    row is longer), into one reused buffer; each block is checked and
-    projected onto every x, one einsum per x as in _projection, while it is
-    still in cache. U is drawn last and added. Without dither, U is neither
-    drawn nor added: the hashes of a key whose dither is all zeros. The
-    inputs are checked before anything is drawn.
+
+def _pairs_at_distance(seeds, n: int, distance: float) -> np.ndarray:
+    """(len(seeds), 2, n): for each seed s, x1 and x2 = x1 + distance * (a
+    uniform random direction), both drawn from ChaChaStream(s, b"inputs") as
+    x1 then the direction, a direction of norm 0 being redrawn from the same
+    stream. x2 may be non-finite where distance / norm overflows."""
+    pairs = np.empty((len(seeds), 2, n))
+    for seed, pair in zip(seeds, pairs):
+        ChaChaStream(seed, b"inputs")._draws_into(pair)
+    x1, direction = _probit(pairs)[:, 0], pairs[:, 1]
+    # not np.linalg.norm: from ~10^4 values its BLAS ddot is threaded, and the
+    # workers spin on after it returns
+    sq_norms = np.einsum("ij,ij->i", direction, direction)
+    for i in np.flatnonzero(sq_norms == 0.0):  # probability zero, but stay total
+        stream = ChaChaStream(seeds[i], b"inputs")
+        stream._draws_into(np.empty((2, n)))  # back to where the pair left it
+        while sq_norms[i] == 0.0:
+            direction[i] = stream.standard_normal(n)
+            sq_norms[i] = np.einsum("i,i->", direction[i], direction[i])
+    with np.errstate(over="ignore", invalid="ignore"):  # x2 is checked by the caller
+        direction *= (distance / np.sqrt(sq_norms))[:, None]
+        direction += x1
+    return pairs
+
+
+def _hashes_under_fresh_keys(k: int, m: int, n: int, delta: float, seeds, *, x=None, distance=None, dither=True):
+    """Hash under one fresh key per seed, yielding (keys, inputs, M) arrays of
+    components, a block of keys at a time, in seed order.
+
+    With x, each seed is a key seed and every key hashes x. With distance,
+    each seed is a trial's: its key seed is subseed(seed, b"key"), and it
+    hashes the two inputs of _pairs_at_distance. Each key's hashes are
+    hash_vector(generate_key(k, m, n, key seed, delta), input), and a call
+    fails as the first failing key would there, but no key matrix is ever
+    held. Without dither, U is neither drawn nor added (an all-zero dither).
+    x is checked before anything is drawn.
+
+    Each key's stream is drawn as generate_key draws it, A row-major then U,
+    into buffers of at most rng.KEY_BLOCK values of A: keys that fit share
+    one, and a larger key streams through it in whole rows. Past each key's
+    stream set-up and fill, the probit, the uniforms, the projection and
+    floor mod k each run once over a buffer, with the operations of the key
+    path; "tij,tj->ti" sums each row as "ij,j->i" does there. One exception
+    is kept from the sweeps that hashed one key at a time: a block that is a
+    single row longer than _ONE_PASS_ROW values is summed in pieces, while
+    hash_vector sums each row of a key of two or more rows in one pass, so
+    the last bit of such a projection may differ.
     """
     k = _check_even_k(k)
     m, n = _check_size(m, "M"), _check_size(n, "N")
-    delta = _check_real(delta, "delta")
-    stream = ChaChaStream(check_seed(seed))
-    xs = [_checked_input(x, n) for x in xs]
-    zs = np.empty((len(xs), m))
-    rows = max(1, KEY_BLOCK // n)
-    buf = np.empty((min(rows, m), n))
-    for start in range(0, m, rows):
-        block = stream.standard_normal_into(buf[: m - start], 1.0 / delta)
-        if not np.isfinite(block).all():  # 1/delta overflowed
-            raise InvalidParameter("A entries must be finite")
-        for x, z in zip(xs, zs):
-            np.einsum("ij,j->i", block, x, out=z[start : start + len(block)])
-    if dither:
-        zs += stream.uniform01_into(np.empty(m), k)
-    return [_adopt(HashVector, k=k, components=c) for c in _sealed(_components(zs, k))]
+    scale = 1.0 / _check_real(delta, "delta")
+    if x is not None:
+        x = _checked_input(x, n)
+    keys_per_block = max(1, KEY_BLOCK // (m * n)) if n <= _ONE_PASS_ROW else 1
+    rows = min(m, max(1, KEY_BLOCK // n))
+    seeds = iter(seeds)
+    while block_seeds := list(itertools.islice(seeds, keys_per_block)):
+        t = len(block_seeds)
+        if x is None:
+            xs = _pairs_at_distance(block_seeds, n, distance)
+            key_seeds = (subseed(s, b"key") for s in block_seeds)
+            bad_x = ~np.isfinite(xs[:, 1]).all(axis=1)
+        else:
+            xs, key_seeds, bad_x = np.broadcast_to(x, (t, 1, n)), block_seeds, np.zeros(t, dtype=bool)
+        # whole keys draw A, then U, one stream at a time; a larger key (the
+        # block's only one) keeps its stream from one row block to the next
+        streams = map(ChaChaStream, key_seeds) if rows == m else list(map(ChaChaStream, key_seeds))
+        a, u, z = np.empty((t, rows, n)), np.empty((t, m)), np.empty((t, xs.shape[1], m))
+        bad_a = np.zeros(t, dtype=bool)
+        for start in range(0, m, rows):
+            block = a[:, : m - start]
+            for stream, key_rows, key_u in zip(streams, block, u):
+                stream._draws_into(key_rows)
+                if dither and start + rows >= m:
+                    stream._draws_into(key_u)
+            bad_a |= ~np.isfinite(_probit(block, scale)).all(axis=(1, 2))  # 1/delta overflowed
+            for i in range(xs.shape[1]):
+                np.einsum("tij,tj->ti", block, xs[:, i], out=z[:, i, start : start + rows])
+        if dither:
+            z += _uniform01(u, k)[:, None]
+        bad = bad_x | bad_a | ~np.isfinite(z).all(axis=(1, 2))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_x[i]:
+                _checked_input(xs[i, 1], n)
+            if bad_a[i]:
+                raise InvalidParameter("A entries must be finite")
+        yield _components(z, k)  # raises where a projection overflowed
 
 
 def _projection(key: HashKey, x: np.ndarray) -> np.ndarray:

@@ -16,10 +16,11 @@ steps by target, and pointer doubling follows the chains of swaps that
 carry a value from slot to slot, in O(log n) whole-array passes with the
 same result as the loop.
 
-scipy.special, for the probit's ndtri, is imported inside the one method that
-draws normals, not with this module: the package imports this module in every
-process, and Bob's and Charlie's servers, like the CLI's start-up, never draw
-a normal. Only the first call pays the import; later ones find it cached.
+scipy.special, for the probit's ndtri, is imported inside the one function
+that makes normals (_probit), not with this module: the package imports this
+module in every process, and Bob's and Charlie's servers, like the CLI's
+start-up, never draw a normal. Only the first call pays the import; later
+ones find it cached.
 """
 
 import hashlib
@@ -74,38 +75,26 @@ class ChaChaStream:
     def uint64(self, n: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * n), dtype=">u8")
 
-    def _top53_into(self, block: np.ndarray) -> np.ndarray:
-        """Overwrite the float64 `block` with its share of the stream: one
-        big-endian u64 draw v per value, reduced to v >> 11 in place. Returns
-        the block's uint64 view."""
-        self._enc.update_into(_ZERO_BLOCK[: 8 * block.size], block.view(_U8))
-        top53 = block.view(_U64)
-        np.right_shift(block.view(_BIG_U64), _SHIFT, out=top53)
-        return top53
+    def _draws_into(self, out: np.ndarray) -> np.ndarray:
+        """Overwrite the C-contiguous float64 array `out` with its share of the
+        stream, one big-endian u64 draw per value in memory order, for
+        _uniform01 or _probit to turn into numbers in place; returns out."""
+        for block in (out,) if out.size <= KEY_BLOCK else _blocks(out):
+            self._enc.update_into(_ZERO_BLOCK[: 8 * block.size], block.view(_U8))
+        return out
 
     def uniform01_into(self, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """Fill `out` with doubles uniform on [0, 1), 53 bits each, times
         scale; returns out."""
         for block in _blocks(out):
-            np.multiply(self._top53_into(block), _TWO_NEG_53, out=block)
-            block *= scale
+            _uniform01(self._draws_into(block), scale)
         return out
 
     def standard_normal_into(self, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """Fill `out` with standard normals via the probit transform, times
-        scale; returns out.
-
-        Each uniform is (v >> 11) + 0.5 times 2**-53, clamped to at most
-        1 - 2**-53: for v >> 11 = 2**53 - 1 alone the sum rounds up to 2**53,
-        which would make the uniform 1.0 and the normal infinite."""
-        from scipy.special import ndtri
-
+        """Fill `out` with standard normals via the probit transform (see
+        _probit), times scale; returns out."""
         for block in _blocks(out):
-            np.add(self._top53_into(block), 0.5, out=block)
-            block *= _TWO_NEG_53
-            np.minimum(block, _MAX_UNIFORM, out=block)
-            ndtri(block, out=block)
-            block *= scale
+            _probit(self._draws_into(block), scale)
         return out
 
     def uniform01(self, n: int) -> np.ndarray:
@@ -162,6 +151,39 @@ class ChaChaStream:
         np.remainder(draws, bounds, out=js[:0:-1].view(_U64))
         del bounds, draws  # freed before the resolution, to keep peak memory down
         return _resolve_swaps(js)
+
+
+def _top53(draws: np.ndarray) -> np.ndarray:
+    """Reduce each big-endian u64 draw v held in the float64 array `draws` to
+    v >> 11, in place; returns the array's uint64 view."""
+    top53 = draws.view(_U64)
+    np.right_shift(draws.view(_BIG_U64), _SHIFT, out=top53)
+    return top53
+
+
+def _uniform01(draws: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Turn the draws in `draws` into doubles uniform on [0, 1), 53 bits each,
+    times scale, in place; returns draws."""
+    np.multiply(_top53(draws), _TWO_NEG_53, out=draws)
+    draws *= scale
+    return draws
+
+
+def _probit(draws: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Turn the draws in `draws` into standard normals times scale, in place;
+    returns draws.
+
+    Each uniform is (v >> 11) + 0.5 times 2**-53, clamped to at most
+    1 - 2**-53: for v >> 11 = 2**53 - 1 alone the sum rounds up to 2**53,
+    which would make the uniform 1.0 and the normal infinite."""
+    from scipy.special import ndtri
+
+    np.add(_top53(draws), 0.5, out=draws)
+    draws *= _TWO_NEG_53
+    np.minimum(draws, _MAX_UNIFORM, out=draws)
+    ndtri(draws, out=draws)
+    draws *= scale
+    return draws
 
 
 def _resolve_swaps(js: np.ndarray) -> np.ndarray:

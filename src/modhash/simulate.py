@@ -9,11 +9,15 @@ knee, plateau at k/4) observed in simulation.
 Per-trial seeds are derived from (master seed, k, distance, trial index), so
 trials are order-independent and every sweep is bit-reproducible.
 
-Sweeps and uniformity checks never hold a key matrix: each trial draws A in
-cache-sized blocks of rows and projects every block onto its inputs at once
-(core._hashes_under_fresh_key), with the same bits as generate_key followed
-by hash_vector. A criterion-6 trial (M = 500, N = 5000) thus never holds its
-20 MB A.
+A row of a sweep, and a uniformity check, run their trials in bulk
+(core._hashes_under_fresh_keys). Each trial only sets up its streams and
+draws its inputs and key into buffers shared by a block of trials; the
+probit, the pair geometry, the projection, floor mod k and each trial's Lee
+mean then run as whole-array passes over the block. Many small keys share
+a block (a row of 100 trials at M = N = 1 takes one), and a key larger than
+a block streams through it in rows, so a criterion-6 trial (M = 500,
+N = 5000) never holds its 20 MB A. The bits are those the trials had one
+at a time, down to each mean being exactly lee_sum / M.
 
 The uniformity check's chi-square quantile comes from scipy.special, imported
 where it is used: this module loads with the package in every process, and
@@ -21,7 +25,6 @@ scipy.stats, which would give the same quantile, costs more to import than
 the rest of the package together.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -33,13 +36,14 @@ from .core import (
     _check_even_k,
     _check_real,
     _check_size,
-    _hashes_under_fresh_key,
+    _hashes_under_fresh_keys,
+    _lee_componentwise,
     generate_key,  # noqa: F401 -- not called here, but perfbench's tracer wraps this module's name
     hash_vector,  # noqa: F401 -- likewise
-    mean_lee_distance,
+    mean_lee_distance,  # noqa: F401 -- likewise
 )
 from .errors import InvalidParameter
-from .rng import ChaChaStream, check_seed, subseed
+from .rng import check_seed, subseed
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,8 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(_check_even_k(k) for k in self.k_values))
+        if any(k >= 1 << 32 for k in self.k_values):  # each trial's seed packs k in 32 bits
+            raise InvalidParameter("every k must be below 2**32")
         object.__setattr__(
             self, "distances", tuple(_check_real(d, "every distance", zero_ok=True) for d in self.distances)
         )
@@ -86,30 +92,19 @@ def _trial_seed(master: bytes, k: int, distance: float, trial: int) -> bytes:
     return subseed(master, b"trial" + struct.pack(">IdI", k, distance, trial))
 
 
-def _pair_at_distance(stream: ChaChaStream, n: int, distance: float) -> tuple[np.ndarray, np.ndarray]:
-    """x1 random normal; x2 = x1 + distance * (uniform random direction)."""
-    x1 = stream.standard_normal(n)
-    norm = 0.0
-    while norm == 0.0:  # probability zero, but stay total
-        direction = stream.standard_normal(n)
-        # not np.linalg.norm: from ~10^4 values its BLAS ddot is threaded, and
-        # the workers spin on after it returns
-        norm = math.sqrt(np.einsum("i,i->", direction, direction))
-    return x1, x1 + (distance / norm) * direction
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Empirical mean-Lee statistics against the theoretical curve, row per
     (k, distance) in grid order."""
     rows = []
     for k in spec.k_values:
         for distance in spec.distances:
-            means = np.empty(spec.trials)
-            for trial in range(spec.trials):
-                tseed = _trial_seed(spec.seed, k, distance, trial)
-                x1, x2 = _pair_at_distance(ChaChaStream(tseed, b"inputs"), spec.n, distance)
-                h1, h2 = _hashes_under_fresh_key(k, spec.m, spec.n, subseed(tseed, b"key"), spec.delta, (x1, x2))
-                means[trial] = float(mean_lee_distance(h1, h2))
+            seeds = (_trial_seed(spec.seed, k, distance, trial) for trial in range(spec.trials))
+            lee_sums = np.concatenate([
+                _lee_componentwise(h[:, 0], h[:, 1], k).sum(axis=1)
+                for h in _hashes_under_fresh_keys(k, spec.m, spec.n, spec.delta, seeds, distance=distance)
+            ])
+            # exact int / int, as float(mean_lee_distance(h1, h2)) divides
+            means = np.array([lee_sum / spec.m for lee_sum in lee_sums.tolist()])
             mean = float(means.mean())
             std = float(means.std(ddof=1)) if spec.trials > 1 else 0.0
             expected = expected_lee(distance, k, spec.delta)
@@ -183,12 +178,10 @@ def uniformity_report(
         raise InvalidParameter(f"need at least 100*k = {100 * k} samples for a stable histogram")
     x = np.asarray(x, dtype=np.float64)
     check_seed(seed)
-    n_keys = -(-samples // m)
+    seeds = (subseed(seed, b"uniformity" + struct.pack(">I", i)) for i in range(-(-samples // m)))
     counts = np.zeros(k, dtype=np.int64)
-    for i in range(n_keys):
-        key_seed = subseed(seed, b"uniformity" + struct.pack(">I", i))
-        (h,) = _hashes_under_fresh_key(k, m, n, key_seed, DEFAULT_DELTA, (x,), dither=not zero_dither)
-        counts += np.bincount(h.components, minlength=k)
+    for h in _hashes_under_fresh_keys(k, m, n, DEFAULT_DELTA, seeds, x=x, dither=not zero_dither):
+        counts += np.bincount(h.ravel(), minlength=k)
     total = int(counts.sum())
     expected = total / k
     statistic = float(((counts - expected) ** 2 / expected).sum())

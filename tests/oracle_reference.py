@@ -32,6 +32,12 @@ the plain way, converting every field to bytes and joining them, from the
 frame layout in the wire module's docstring. test_wire.py checks the
 library's one-pass encoder against it.
 
+reference_sweep, reference_hashes_under_fresh_key and
+reference_uniformity_counts are the Monte-Carlo harness as it was written
+before it batched its trials: one trial, one key and one einsum per input
+at a time. test_simulator.py checks that run_sweep and uniformity_report
+give the same bits.
+
 Run:  python tests/oracle_reference.py
 """
 
@@ -41,6 +47,21 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+
+from modhash.core import (
+    HashVector,
+    _adopt,
+    _check_even_k,
+    _check_real,
+    _check_size,
+    _checked_input,
+    _components,
+    _sealed,
+    mean_lee_distance,
+)
+from modhash.errors import InvalidParameter
+from modhash.rng import KEY_BLOCK, ChaChaStream, check_seed, subseed
+from modhash.simulate import SweepRow, _trial_seed, expected_lee
 
 DELTA = math.sqrt(2.0 / math.pi)
 POINTS = [(0.5, 8), (1.0, 8), (2.0, 8), (2.0, 16), (3.0, 6)]
@@ -167,6 +188,68 @@ def reference_frame(env) -> bytes:
     msg_type = (_FAMILIES[type(env.body).__name__] << 4) | (int(env.kind) << 2) | int(env.sender)
     rest = bytes([1, msg_type]) + bytes(env.session_id) + payload
     return struct.pack(">I", len(rest)) + rest
+
+
+def reference_hashes_under_fresh_key(k, m, n, seed, delta, xs, dither=True):
+    """[hash_vector(generate_key(k, m, n, seed, delta), x) for x in xs] without
+    holding A: A in blocks of whole rows, one einsum per x and block, then U
+    (not drawn without dither)."""
+    k = _check_even_k(k)
+    m, n = _check_size(m, "M"), _check_size(n, "N")
+    delta = _check_real(delta, "delta")
+    stream = ChaChaStream(check_seed(seed))
+    xs = [_checked_input(x, n) for x in xs]
+    zs = np.empty((len(xs), m))
+    rows = max(1, KEY_BLOCK // n)
+    buf = np.empty((min(rows, m), n))
+    for start in range(0, m, rows):
+        block = stream.standard_normal_into(buf[: m - start], 1.0 / delta)
+        if not np.isfinite(block).all():
+            raise InvalidParameter("A entries must be finite")
+        for x, z in zip(xs, zs):
+            np.einsum("ij,j->i", block, x, out=z[start : start + len(block)])
+    if dither:
+        zs += stream.uniform01_into(np.empty(m), k)
+    return [_adopt(HashVector, k=k, components=c) for c in _sealed(_components(zs, k))]
+
+
+def _reference_pair(stream, n, distance):
+    x1 = stream.standard_normal(n)
+    norm = 0.0
+    while norm == 0.0:
+        direction = stream.standard_normal(n)
+        norm = math.sqrt(np.einsum("i,i->", direction, direction))
+    return x1, x1 + (distance / norm) * direction
+
+
+def reference_sweep(spec):
+    """run_sweep one trial at a time."""
+    rows = []
+    for k in spec.k_values:
+        for distance in spec.distances:
+            means = np.empty(spec.trials)
+            for trial in range(spec.trials):
+                tseed = _trial_seed(spec.seed, k, distance, trial)
+                x1, x2 = _reference_pair(ChaChaStream(tseed, b"inputs"), spec.n, distance)
+                h1, h2 = reference_hashes_under_fresh_key(
+                    k, spec.m, spec.n, subseed(tseed, b"key"), spec.delta, (x1, x2)
+                )
+                means[trial] = float(mean_lee_distance(h1, h2))
+            mean = float(means.mean())
+            std = float(means.std(ddof=1)) if spec.trials > 1 else 0.0
+            expected = expected_lee(distance, k, spec.delta)
+            rows.append(SweepRow(k, distance, mean, std, expected, abs(mean - expected)))
+    return rows
+
+
+def reference_uniformity_counts(k, m, n, x, samples, seed, zero_dither=False):
+    """uniformity_report's histogram, one key at a time."""
+    counts = np.zeros(k, dtype=np.int64)
+    for i in range(-(-samples // m)):
+        key_seed = subseed(seed, b"uniformity" + struct.pack(">I", i))
+        (h,) = reference_hashes_under_fresh_key(k, m, n, key_seed, DELTA, (x,), dither=not zero_dither)
+        counts += np.bincount(h.components, minlength=k)
+    return tuple(int(c) for c in counts)
 
 
 if __name__ == "__main__":

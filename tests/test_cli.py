@@ -268,6 +268,15 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
     assert len(Path(out1).read_text().splitlines()) == 4
 
 
+def test_sweep_refuses_a_k_too_large_for_its_trial_seeds(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--k", "4294967296", "--m", "1", "--n", "1", "--trials", "2",
+            "--grid-points", "2", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "InvalidParameter: every k must be below 2**32\n"
+    assert not out.exists()
+
+
 def test_curve_csv(capsys, tmp_path):
     out = str(tmp_path / "curve.csv")
     code, fields = _run(capsys, "curve", "--k", "8", "--grid-points", "5", "--out", out)
