@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidParameter
-from .rng import KEY_BLOCK, ChaChaStream, _probit, _uniform01, check_seed, subseed
+from .rng import KEY_BLOCK, NORMAL_BOUND, ChaChaStream, _rectangle, _resolve_into, _uniform01, check_seed, subseed
 
 DEFAULT_DELTA = math.sqrt(2.0 / math.pi)
 
@@ -125,15 +125,16 @@ class HashKey(_ValueEq):
         object.__setattr__(self, "u", _frozen_array(self.u, np.float64))
         self._check_arrays()
 
-    def _check_arrays(self):
+    def _check_arrays(self, scan_a: bool = True, scan_u: bool = True):
+        """Check the shapes of A and U, and the values of those scanned."""
         a, u = self.a, self.u
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidParameter("A must be a 2-D matrix with M, N >= 1")
-        if not np.isfinite(a).all():
+        if scan_a and not np.isfinite(a).all():
             raise InvalidParameter("A entries must be finite")
         if u.ndim != 1 or u.shape[0] != a.shape[0]:
             raise DimensionMismatch("U must have one entry per row of A")
-        if not np.isfinite(u).all() or (u < 0).any() or (u >= self.k).any():
+        if scan_u and (not np.isfinite(u).all() or (u < 0).any() or (u >= self.k).any()):
             raise InvalidParameter("every dither entry must satisfy 0 <= u < k")
 
     @property
@@ -145,14 +146,16 @@ class HashKey(_ValueEq):
         return self.a.shape[1]
 
 
-def _shared_key(k, delta, a, u) -> HashKey:
+def _shared_key(k, delta, a, u, *, a_checked: bool = False, u_checked: bool = False) -> HashKey:
     """Bob's key over the A and U of a key share he has just received.
 
-    Every check of the HashKey constructor runs, but read-only float64 arrays
-    (a decoded share's, or Alice's own key's when the share is handed over in
-    memory) are taken without a copy; any other array is copied. A read-only
-    array may still alias memory its sender can write, so such a key stays
-    with the session that made it, which hashes with it at once.
+    Every check of the HashKey constructor runs, except the scan of the
+    values of A or U where the wire decoder has already made it (a_checked,
+    u_checked). Read-only float64 arrays (a decoded share's, or Alice's own
+    key's when the share is handed over in memory) are taken without a copy;
+    any other array is copied. A read-only array may still alias memory its
+    sender can write, so such a key stays with the session that made it,
+    which hashes with it at once.
     """
     k = _check_even_k(k)
     _check_real(delta, "delta")
@@ -162,7 +165,7 @@ def _shared_key(k, delta, a, u) -> HashKey:
         for v in (a, u)
     )
     key = _adopt(HashKey, k=k, delta=delta, a=a, u=u)
-    key._check_arrays()
+    key._check_arrays(scan_a=not a_checked, scan_u=not u_checked)
     return key
 
 
@@ -254,26 +257,34 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
     A entries are i.i.d. normal with mean 0 and standard deviation 1/delta
     (variance pi/2 at the default delta = sqrt(2/pi)); dither entries are
     i.i.d. uniform on [0, k). The seed feeds a single ChaCha20 stream consumed
-    as all of A (row-major) followed by all of U, with normals produced by the
-    probit transform; the same (k, m, n, seed, delta) always yields a
-    bit-identical key. Each array is produced in place, block by block (see
-    rng.KEY_BLOCK), and handed to the key without a copy.
+    as all of A (row-major) followed by all of U, one draw per value, with
+    normals from the ziggurat of the rng module; the same (k, m, n, seed,
+    delta) always yields a bit-identical key. Each array is produced in place,
+    block by block (see rng.KEY_BLOCK), and handed to the key without a copy.
     """
     k = _check_even_k(k)
     m, n = _check_size(m, "M"), _check_size(n, "N")
     delta = _check_real(delta, "delta")
+    scale = 1.0 / delta
     stream = ChaChaStream(check_seed(seed))
-    a = stream.standard_normal_into(np.empty((m, n)), 1.0 / delta)
-    if not np.isfinite(a).all():  # 1/delta overflowed
+    a = stream.standard_normal_into(np.empty((m, n)), scale)
+    # A is finite if the largest normal times scale is; else look at every entry
+    if not math.isfinite(NORMAL_BOUND * scale) and not np.isfinite(a).all():
         raise InvalidParameter("A entries must be finite")
     u = stream.uniform01_into(np.empty(m), k)  # below k: (1 - 2**-53) * k rounds down
     return _adopt(HashKey, k=k, delta=delta, a=a, u=u)
 
 
+# A sweep's buffer of A holds this many rng.KEY_BLOCKs of values, 1 MB, still
+# within a core's L2 cache. The ziggurat resolves the values outside their
+# rectangles once per buffer, at a numpy overhead of about 0.15 ms whatever
+# their number, so a buffer of one KEY_BLOCK paid it four times as often.
+_SWEEP_BLOCKS = 4
+
 # einsum sums a row of more than this many values (numpy's iterator buffer) in
 # pieces where the row is its operand's only one, and in one pass where it is
-# one of several: rows this long are never batched across keys, so that every
-# sum keeps the order it has one key at a time.
+# one of several, as in every key of two or more rows: rows this long are
+# never batched across keys, and never drawn alone where a key has more.
 _ONE_PASS_ROW = 8192
 
 
@@ -282,16 +293,20 @@ def _pairs_at_distance(seeds, n: int, distance: float) -> np.ndarray:
     uniform random direction), both drawn from ChaChaStream(s, b"inputs") as
     x1 then the direction, a direction of norm 0 being redrawn from the same
     stream. x2 may be non-finite where distance / norm overflows."""
-    pairs = np.empty((len(seeds), 2, n))
+    pairs, keys = np.empty((len(seeds), 2, n)), []
     for seed, pair in zip(seeds, pairs):
-        ChaChaStream(seed, b"inputs")._draws_into(pair)
-    x1, direction = _probit(pairs)[:, 0], pairs[:, 1]
+        stream = ChaChaStream(seed, b"inputs")
+        keys.append(stream._key)
+        stream._draws_into(pair)
+    flat = pairs.reshape(-1)
+    _resolve_into(flat, 2 * n, _rectangle(flat, 1.0), keys, 0, 1.0, {})
+    x1, direction = pairs[:, 0], pairs[:, 1]
     # not np.linalg.norm: from ~10^4 values its BLAS ddot is threaded, and the
     # workers spin on after it returns
     sq_norms = np.einsum("ij,ij->i", direction, direction)
     for i in np.flatnonzero(sq_norms == 0.0):  # probability zero, but stay total
         stream = ChaChaStream(seeds[i], b"inputs")
-        stream._draws_into(np.empty((2, n)))  # back to where the pair left it
+        stream.standard_normal_into(pairs[i])  # the same pair again, then more directions
         while sq_norms[i] == 0.0:
             direction[i] = stream.standard_normal(n)
             sq_norms[i] = np.einsum("i,i->", direction[i], direction[i])
@@ -314,46 +329,58 @@ def _hashes_under_fresh_keys(k: int, m: int, n: int, delta: float, seeds, *, x=N
     x is checked before anything is drawn.
 
     Each key's stream is drawn as generate_key draws it, A row-major then U,
-    into buffers of at most rng.KEY_BLOCK values of A: keys that fit share
-    one, and a larger key streams through it in whole rows. Past each key's
-    stream set-up and fill, the probit, the uniforms, the projection and
-    floor mod k each run once over a buffer, with the operations of the key
-    path; "tij,tj->ti" sums each row as "ij,j->i" does there. One exception
-    is kept from the sweeps that hashed one key at a time: a block that is a
-    single row longer than _ONE_PASS_ROW values is summed in pieces, while
-    hash_vector sums each row of a key of two or more rows in one pass, so
-    the last bit of such a projection may differ.
+    into one buffer of at most _SWEEP_BLOCKS * rng.KEY_BLOCK values of A:
+    keys that fit share it, and a larger key streams through it in whole
+    rows (at least two of them where rows are longer than _ONE_PASS_ROW and
+    the key has more than one). Past each key's stream set-up and fill, the
+    ziggurat, the uniforms, the projection and floor mod k each run once over
+    the buffer, with the operations of the key path; "tij,tj->ti" sums each
+    row as "ij,j->i" does there.
     """
     k = _check_even_k(k)
     m, n = _check_size(m, "M"), _check_size(n, "N")
     scale = 1.0 / _check_real(delta, "delta")
+    unbounded = not math.isfinite(NORMAL_BOUND * scale)  # some A entry may overflow
     if x is not None:
         x = _checked_input(x, n)
-    keys_per_block = max(1, KEY_BLOCK // (m * n)) if n <= _ONE_PASS_ROW else 1
-    rows = min(m, max(1, KEY_BLOCK // n))
+    capacity = _SWEEP_BLOCKS * KEY_BLOCK
+    keys_per_block = max(1, capacity // (m * n)) if n <= _ONE_PASS_ROW else 1
+    rows = min(m, max(2 if n > _ONE_PASS_ROW else 1, capacity // n))
+    starts = list(range(0, m, rows))
+    if n > _ONE_PASS_ROW and len(starts) > 1 and m - starts[-1] == 1:
+        del starts[-1]  # the last row joins the block before it
+    stops = starts[1:] + [m]
+    block_rows = max(stop - start for start, stop in zip(starts, stops))
+    buffer = None  # one for every block, so that no block faults it in again
     seeds = iter(seeds)
     while block_seeds := list(itertools.islice(seeds, keys_per_block)):
-        t = len(block_seeds)
+        t = len(block_seeds)  # no later block has more keys than the first
+        if buffer is None:
+            buffer = np.empty(t * block_rows * n)
         if x is None:
             xs = _pairs_at_distance(block_seeds, n, distance)
-            key_seeds = (subseed(s, b"key") for s in block_seeds)
+            key_seeds = [subseed(s, b"key") for s in block_seeds]
             bad_x = ~np.isfinite(xs[:, 1]).all(axis=1)
         else:
             xs, key_seeds, bad_x = np.broadcast_to(x, (t, 1, n)), block_seeds, np.zeros(t, dtype=bool)
         # whole keys draw A, then U, one stream at a time; a larger key (the
         # block's only one) keeps its stream from one row block to the next
-        streams = map(ChaChaStream, key_seeds) if rows == m else list(map(ChaChaStream, key_seeds))
-        a, u, z = np.empty((t, rows, n)), np.empty((t, m)), np.empty((t, xs.shape[1], m))
-        bad_a = np.zeros(t, dtype=bool)
-        for start in range(0, m, rows):
-            block = a[:, : m - start]
+        streams = map(ChaChaStream, key_seeds) if len(starts) == 1 else list(map(ChaChaStream, key_seeds))
+        a = buffer[: t * block_rows * n].reshape(t, block_rows, n)
+        u, z = np.empty((t, m)), np.empty((t, xs.shape[1], m))
+        bad_a, redraws = np.zeros(t, dtype=bool), {}
+        for start, stop in zip(starts, stops):
+            block = a[:, : stop - start]  # C-contiguous: t is 1 wherever this is not all of a
             for stream, key_rows, key_u in zip(streams, block, u):
                 stream._draws_into(key_rows)
-                if dither and start + rows >= m:
+                if dither and stop == m:
                     stream._draws_into(key_u)
-            bad_a |= ~np.isfinite(_probit(block, scale)).all(axis=(1, 2))  # 1/delta overflowed
+            flat = block.reshape(-1)
+            _resolve_into(flat, (stop - start) * n, _rectangle(flat, scale), key_seeds, start * n, scale, redraws)
+            if unbounded:
+                bad_a |= ~np.isfinite(block).all(axis=(1, 2))
             for i in range(xs.shape[1]):
-                np.einsum("tij,tj->ti", block, xs[:, i], out=z[:, i, start : start + rows])
+                np.einsum("tij,tj->ti", block, xs[:, i], out=z[:, i, start:stop])
         if dither:
             z += _uniform01(u, k)[:, None]
         bad = bad_x | bad_a | ~np.isfinite(z).all(axis=(1, 2))

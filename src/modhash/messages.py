@@ -8,6 +8,7 @@ never appears on the wire.
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,6 +53,9 @@ class KeyShare(_ValueEq):
     permutation: Permutation | None = None
     pad1: HashVector | None = None
     pad2: HashVector | None = None
+    # True only on a share the wire decoder built: it has checked u, and a
+    # where the share carries it, as HashKey would, so Bob need not again
+    _checked: ClassVar[bool] = False
 
     @property
     def m(self) -> int:

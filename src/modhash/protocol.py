@@ -303,7 +303,10 @@ class Session:
         if spec.permuted and (ks.permutation is None or ks.permutation.size != ks.m + p):
             slots = "M+P" if spec.padded else "M"
             raise ProtocolViolation(f"{spec.name} key share must carry a permutation of {slots} slots")
-        return self._hash_and_send(_shared_key(ks.k, ks.delta, a, ks.u), ks)
+        # the wire decoder has checked U, and A where the share carries it
+        key = _shared_key(ks.k, ks.delta, a, ks.u, a_checked=ks._checked and ks.a is not None,
+                          u_checked=ks._checked)
+        return self._hash_and_send(key, ks)
 
     def _hash_and_send(self, key: HashKey, ks: KeyShare) -> list[Envelope]:
         """Both owners' one path from key share to outgoing hash: ring-coded

@@ -12,12 +12,12 @@ trials are order-independent and every sweep is bit-reproducible.
 A row of a sweep, and a uniformity check, run their trials in bulk
 (core._hashes_under_fresh_keys). Each trial only sets up its streams and
 draws its inputs and key into buffers shared by a block of trials; the
-probit, the pair geometry, the projection, floor mod k and each trial's Lee
-mean then run as whole-array passes over the block. Many small keys share
-a block (a row of 100 trials at M = N = 1 takes one), and a key larger than
-a block streams through it in rows, so a criterion-6 trial (M = 500,
-N = 5000) never holds its 20 MB A. The bits are those the trials had one
-at a time, down to each mean being exactly lee_sum / M.
+ziggurat's normals, the pair geometry, the projection, floor mod k and each
+trial's Lee mean then run as whole-array passes over the block. Many small
+keys share a block (a row of 100 trials at M = N = 1 takes one), and a key
+larger than a block streams through it in rows, so a criterion-6 trial
+(M = 500, N = 5000) never holds its 20 MB A. The bits are those the trials
+had one at a time, down to each mean being exactly lee_sum / M.
 
 The uniformity check's chi-square quantile comes from scipy.special, imported
 where it is used: this module loads with the package in every process, and

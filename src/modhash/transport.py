@@ -80,6 +80,7 @@ from .messages import (
     THREE_PARTY_KINDS,
 )
 from .protocol import MatrixStore, Phase, Session, start_session
+from .rng import NORMAL_SAMPLER
 
 log = logging.getLogger("modhash.transport")
 
@@ -684,7 +685,8 @@ def key_to_json(key: HashKey, include_matrix: bool = True, seed: bytes | None = 
     The explicit-matrix form {k, delta, M, N, a, u} is the interoperable one.
     With include_matrix=False a {seed} form is written instead; it is marked
     non-interoperable because it only reproduces the key under this package's
-    own deterministic generator.
+    own deterministic generator, and it names the normal sampler
+    (rng.NORMAL_SAMPLER) that generator uses.
     """
     doc = {"k": key.k, "delta": key.delta, "M": key.m, "N": key.n}
     if include_matrix:
@@ -694,6 +696,7 @@ def key_to_json(key: HashKey, include_matrix: bool = True, seed: bytes | None = 
         if seed is None:
             raise InvalidParameter("the seed form requires the generating seed")
         doc["seed"] = seed.hex()
+        doc["sampler"] = NORMAL_SAMPLER
         doc["non_interoperable"] = True
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -706,12 +709,19 @@ def _dims(doc: dict) -> tuple[int, int]:
 def key_from_json(text: str) -> HashKey:
     """Load a key from either JSON form. k, M and N must be JSON integers and
     delta a JSON number, checked as generate_key checks them: nothing is
-    rounded or parsed from a string."""
+    rounded or parsed from a string. A seed form must name this package's
+    normal sampler: one written for another (or before the sampler was
+    named) would load as a different key."""
     try:
         doc = json.loads(text)
         k, delta = _check_even_k(doc["k"]), _check_real(doc["delta"], "delta")
         m, n = _dims(doc)
         if "seed" in doc:
+            if doc.get("sampler") != NORMAL_SAMPLER:
+                raise InvalidParameter(
+                    f"the seed form's normals come from sampler {doc.get('sampler')!r}, "
+                    f"not this package's {NORMAL_SAMPLER!r}"
+                )
             return generate_key(k, m, n, bytes.fromhex(doc["seed"]), delta)
         a = np.asarray(doc["a"], dtype=np.float64).reshape(m, n)
         u = np.asarray(doc["u"], dtype=np.float64)

@@ -241,10 +241,12 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
         pad1 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
         pad2 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
     r.done()
-    return msgs.KeyShare(
+    share = msgs.KeyShare(
         k=k, delta=delta, n=n, u=u, a=a, a_digest=a_digest,
         permutation=permutation, pad1=pad1, pad2=pad2,
     )
+    object.__setattr__(share, "_checked", True)
+    return share
 
 
 def _decode_distance_result(r: _Reader) -> msgs.DistanceResult:

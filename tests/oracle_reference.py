@@ -34,33 +34,41 @@ library's one-pass encoder against it.
 
 reference_sweep, reference_hashes_under_fresh_key and
 reference_uniformity_counts are the Monte-Carlo harness as it was written
-before it batched its trials: one trial, one key and one einsum per input
-at a time. test_simulator.py checks that run_sweep and uniformity_report
-give the same bits.
+before it batched its trials: one trial at a time, each key made by
+generate_key and applied by hash_vector. test_simulator.py checks that
+run_sweep and uniformity_report give the same bits.
+
+reference_normals is the normal sampler one value at a time, in plain
+Python floats: the ziggurat's layers found afresh with mpmath (the r that
+closes the top layer, by root finding), each value's draws read from the
+ChaCha20 keystreams through `cryptography` directly, and the exp and log of
+the wedge and tail tests written out as scalar code. test_rng.py checks the
+package's whole-array sampler against it bit for bit.
 
 Run:  python tests/oracle_reference.py
 """
 
+import functools
+import hashlib
 import math
 import struct
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from modhash.core import (
-    HashVector,
-    _adopt,
+    HashKey,
     _check_even_k,
     _check_real,
     _check_size,
     _checked_input,
-    _components,
-    _sealed,
+    generate_key,
+    hash_vector,
     mean_lee_distance,
 )
-from modhash.errors import InvalidParameter
-from modhash.rng import KEY_BLOCK, ChaChaStream, check_seed, subseed
+from modhash.rng import ChaChaStream, subseed
 from modhash.simulate import SweepRow, _trial_seed, expected_lee
 
 DELTA = math.sqrt(2.0 / math.pi)
@@ -191,26 +199,15 @@ def reference_frame(env) -> bytes:
 
 
 def reference_hashes_under_fresh_key(k, m, n, seed, delta, xs, dither=True):
-    """[hash_vector(generate_key(k, m, n, seed, delta), x) for x in xs] without
-    holding A: A in blocks of whole rows, one einsum per x and block, then U
-    (not drawn without dither)."""
-    k = _check_even_k(k)
-    m, n = _check_size(m, "M"), _check_size(n, "N")
-    delta = _check_real(delta, "delta")
-    stream = ChaChaStream(check_seed(seed))
+    """[hash_vector(generate_key(k, m, n, seed, delta), x) for x in xs], with
+    an all-zero dither instead of U without dither, the inputs being checked
+    before the key is made."""
+    _check_even_k(k), _check_size(m, "M"), _check_size(n, "N"), _check_real(delta, "delta")
     xs = [_checked_input(x, n) for x in xs]
-    zs = np.empty((len(xs), m))
-    rows = max(1, KEY_BLOCK // n)
-    buf = np.empty((min(rows, m), n))
-    for start in range(0, m, rows):
-        block = stream.standard_normal_into(buf[: m - start], 1.0 / delta)
-        if not np.isfinite(block).all():
-            raise InvalidParameter("A entries must be finite")
-        for x, z in zip(xs, zs):
-            np.einsum("ij,j->i", block, x, out=z[start : start + len(block)])
-    if dither:
-        zs += stream.uniform01_into(np.empty(m), k)
-    return [_adopt(HashVector, k=k, components=c) for c in _sealed(_components(zs, k))]
+    key = generate_key(k, m, n, seed, delta)
+    if not dither:
+        key = HashKey(k, key.delta, key.a, np.zeros(m))
+    return [hash_vector(key, x) for x in xs]
 
 
 def _reference_pair(stream, n, distance):
@@ -250,6 +247,176 @@ def reference_uniformity_counts(k, m, n, x, samples, seed, zero_dither=False):
         (h,) = reference_hashes_under_fresh_key(k, m, n, key_seed, DELTA, (x,), dither=not zero_dither)
         counts += np.bincount(h.components, minlength=k)
     return tuple(int(c) for c in counts)
+
+
+# ------------------------------------------------------------------ normals
+
+ZIGGURAT_LAYERS = 256
+ZIGGURAT_BUDGET = 8  # second-stream draws reserved for each value outside its rectangle
+_MASK52 = (1 << 52) - 1
+
+
+def _f(x):
+    return mp.exp(-x * x / 2)
+
+
+def _ziggurat_edges(r):
+    """x_255 = r, then each x_(i-1) where f reaches the top of layer i, down to
+    x_1; and the layers' common area v (the base strip plus the tail)."""
+    v = r * _f(r) + mp.sqrt(mp.pi / 2) * mp.erfc(r / mp.sqrt(2))
+    edges = [r]
+    for _ in range(ZIGGURAT_LAYERS - 2):
+        edges.append(mp.sqrt(-2 * mp.log(_f(edges[-1]) + v / edges[-1])))
+    return edges, v
+
+
+@functools.cache
+def ziggurat_root():
+    """(r, v) at 50 digits: the r at which the top layer, [0, x_1] x
+    [f(x_1), f(x_1) + v / x_1], reaches f = 1 exactly."""
+    def gap(r):
+        edges, v = _ziggurat_edges(r)
+        return _f(edges[-1]) + v / edges[-1] - 1
+
+    # the secant steps may stray where a log's argument passes 1; the root is real
+    r = mp.re(mp.findroot(gap, mp.mpf("3.654")))
+    return r, _ziggurat_edges(r)[1]
+
+
+@functools.cache
+def ziggurat_tables():
+    """(widths, limits, floors, heights) as the rng module's docstring of
+    _layers defines them, from mpmath at 50 digits, each rounded once."""
+    r, v = ziggurat_root()
+    edges = _ziggurat_edges(r)[0][::-1]  # x_1 .. x_255
+    widths = [v / _f(r)] + edges
+    inners = [r, mp.mpf(0)] + edges[:-1]
+    limits = [int(mp.ceil(inner / width * 2**52)) for inner, width in zip(inners, widths)]
+    widths = [float(w) * 2.0**-52 for w in widths]
+    return (
+        widths + [-w for w in widths],
+        limits * 2,
+        [0.0] + [float(_f(x)) for x in edges],
+        [0.0] + [float(v / x) for x in edges],
+    )
+
+
+@functools.cache
+def _kernel_constants():
+    ln2 = mp.log(2)
+    head = math.floor(ln2 * 2**32) * 2.0**-32
+    return head, float(ln2 - head), float(1 / ln2), float(mp.sqrt(mp.mpf(1) / 2))
+
+
+def reference_exp(t):
+    """e**t as the rng module computes it: n = t / ln 2 rounded half to even,
+    g = (t - n * head) - n * tail, Horner's rule on 1/13! .. 1/0!."""
+    head, tail, inv_ln2, _ = _kernel_constants()
+    n = round(t * inv_ln2)
+    g = t - n * head
+    g = g - n * tail
+    p = float(Fraction(1, math.factorial(13)))
+    for j in range(12, -1, -1):
+        p = p * g + float(Fraction(1, math.factorial(j)))
+    return math.ldexp(p, n)
+
+
+def reference_log(u):
+    """ln u as the rng module computes it, for u in (0, 1]: u = m 2**e with
+    m in [sqrt(1/2), sqrt(2)), s = (m - 1) / (m + 1), z = s**2, Horner's rule
+    on 2/21 .. 2/1 in z, times s."""
+    head, tail, _, sqrt_half = _kernel_constants()
+    m, e = math.frexp(u)
+    if m < sqrt_half:
+        m, e = m + m, e - 1
+    f = m - 1.0
+    s = f / (f + 2.0)
+    z = s * s
+    p = float(Fraction(2, 21))
+    for j in range(9, -1, -1):
+        p = p * z + float(Fraction(2, 2 * j + 1))
+    return e * head + (e * tail + s * p)
+
+
+def _keystream(key: bytes):
+    """The big-endian u64 draws of ChaCha20 under key, with a zero nonce."""
+    enc = Cipher(algorithms.ChaCha20(key, bytes(16)), mode=None).encryptor()
+    while True:
+        block = enc.update(bytes(4096))
+        yield from (int.from_bytes(block[i : i + 8], "big") for i in range(0, len(block), 8))
+
+
+def _label_key(key: bytes, label: bytes) -> bytes:
+    return hashlib.sha256(key + b"\x00" + label).digest()
+
+
+def reference_normal(v, budget, fallback, path=None):
+    """The normal of main draw v. budget() returns this value's
+    ZIGGURAT_BUDGET second-stream draws, taken only if v lies outside its
+    rectangle; fallback() returns an iterator over the draws that follow them
+    if the budget runs out. The list `path`, if given, gets the name of each
+    way the value went: rectangle, wedge, redraw, tail, fallback."""
+    path = [] if path is None else path
+    widths, limits, floors, heights = ziggurat_tables()
+    r = float(ziggurat_root()[0])
+    b, mag = v & 511, (v >> 9) & _MASK52
+    x = mag * widths[b]
+    if mag < limits[b]:
+        path.append("rectangle")
+        return x
+    draws, rest, i = budget(), None, 0
+    while True:
+        if i == len(draws):
+            if rest is None:
+                path.append("fallback")
+                rest = fallback()
+            draws += [next(rest), next(rest)]
+        u, w = draws[i], draws[i + 1]
+        i += 2
+        layer = b & 255
+        if layer == 0:  # a tail attempt
+            path.append("tail")
+            dx = -reference_log(((u >> 11) + 1) * 2.0**-53) / r
+            dy = -reference_log(((w >> 11) + 1) * 2.0**-53)
+            if dy + dy > dx * dx:
+                return math.copysign(r + dx, widths[b])
+        else:  # the wedge test, then a whole new draw
+            path.append("wedge")
+            y = floors[layer] + (u >> 11) * 2.0**-53 * heights[layer]
+            if y < reference_exp(x * x * -0.5):
+                return x
+            path.append("redraw")
+            b, mag = w & 511, (w >> 9) & _MASK52
+            x = mag * widths[b]
+            if mag < limits[b]:
+                return x
+
+
+def reference_fallback(key: bytes, index: int):
+    """The draws after value `index`'s budget, of the stream with this key."""
+    return _keystream(_label_key(key, b"ziggurat fallback" + index.to_bytes(8, "big")))
+
+
+def reference_normals(seed: bytes, count: int, label: bytes = b"", first: int = 0):
+    """Normals first .. first + count - 1 of ChaChaStream(seed, label), one
+    value at a time: the main stream gives one draw per value; the stream
+    keyed sha256(key || 0 || "ziggurat redraws") gives ZIGGURAT_BUDGET draws to
+    each value outside its rectangle, in value order; and value i continues
+    from the stream keyed sha256(key || 0 || "ziggurat fallback" || i as 8
+    bytes big-endian) if it needs more."""
+    key = _label_key(seed, label) if label else seed
+    main, redraws = _keystream(key), _keystream(_label_key(key, b"ziggurat redraws"))
+    out = []
+    for i in range(first + count):
+        v = next(main)
+
+        def budget():
+            return [next(redraws) for _ in range(ZIGGURAT_BUDGET)]
+
+        x = reference_normal(v, budget, lambda i=i: reference_fallback(key, i))
+        if i >= first:
+            out.append(x)
+    return out
 
 
 if __name__ == "__main__":

@@ -81,7 +81,15 @@ def test_keygen_seed_form(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(Path(key_file).read_text())
-    assert "seed" in doc and "a" not in doc
+    assert "seed" in doc and "a" not in doc and doc["sampler"] == "ziggurat256"
+    vector = tmp_path / "x.txt"
+    vector.write_text("0.5\n-1\n2\n0.25\n")
+    code, fields = _run(capsys, "hash", "--key", key_file, "--input", str(vector))
+    assert code == 0 and len(fields["hash"].split(",")) == 4
+    # the same file without its sampler, as written before it was named
+    del doc["sampler"]
+    Path(key_file).write_text(json.dumps(doc))
+    assert main(["hash", "--key", key_file, "--input", str(vector)]) == 2
 
 
 def test_estimate_command(capsys):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from oracle_reference import reference_normals
 
 import modhash
 from modhash import (
@@ -38,6 +38,7 @@ from modhash import (
     mean_lee_distance,
     plan_m,
 )
+from modhash import core
 from modhash.core import DEFAULT_DELTA, _hashes_under_fresh_keys, _shared_key
 from modhash.rng import KEY_BLOCK, ChaChaStream
 from modhash.simulate import SweepSpec, run_sweep, uniformity_report
@@ -57,23 +58,23 @@ def test_generate_key_is_deterministic():
 
 
 # SHA-256 of a.tobytes() + u.tobytes(), pinned from whole-array draws of A
-# and then U. Keys are made in blocks of KEY_BLOCK values; these shapes put
-# the block edges everywhere they could change a bit.
+# (ziggurat normals) and then U. Keys are made in blocks of KEY_BLOCK values;
+# these shapes put the block edges everywhere they could change a bit.
 KEY_DIGESTS = [
-    (8, 1, 1, None, "fd26aa385f83c6470fccf614093007f46ac5b8a173a4dbec64e8dbc33bbe16d0"),
-    (8, 500, 5000, None, "76bc13c5a393cd990a327795924d67907a3d94d5b013bee5847f62d9d393d3e3"),
-    (28, 2989, 100, None, "86b43966fc644cde494d9c220cd698295ae2fe82cc99a846bd6e00252a8547ca"),
-    (6, 5000, 2, None, "a39b7d9864fa8d909390204ca37e8a53904a5c040791b8b5aca4dcb08504682b"),
-    (8, 217, 151, None, "799e0948aa4b259b309c1e6ca9ea299da324b360db9da28603ad94e6be07fd52"),  # KEY_BLOCK - 1
-    (8, 256, 128, None, "b9c9ca43f6dc425165c051c06b6dc1432b3a9dab68f6694a511c4ca7361da799"),  # KEY_BLOCK
-    (8, 99, 331, None, "9781cd1b997d3182a6f004ff827f14d3fb493eb87b79f2ad9433baf45ae83ca4"),  # KEY_BLOCK + 1
-    (8, 7, 3, None, "02c80f6ea44541b1665839a69c67d325fc6eb3f52d17e5047a38c6a953416ca2"),  # U mid ChaCha block
-    (4, 40000, 1, None, "f3332edb9b98cb0166b018cc9249c1204e64910fb34ed59e2f5e1f1e1f4f513b"),  # U spans 2 blocks
-    (16, 123, 457, 1.25, "18db5479f58312dbe16a8b4d139dfde70ae536982f6b26a74ea255afdc9808a1"),
+    (8, 1, 1, None, "a67f4b66295312f15376bbb2f35fbb2013a706be76829f5f68865f3993304c8c"),
+    (8, 500, 5000, None, "6adf1ffb4541eeb6437d435d9c581f79b2ffd63e71105fbc4e9702dcb13aa6a2"),
+    (28, 2989, 100, None, "e01135f40d990f1369f098b7a5b244a1b484f9274441819ee318a5f2bd5849e9"),
+    (6, 5000, 2, None, "05cc0c41dc118f42ba8f2dc5b5f6e6e6fa5923fa2cbd26260d76490130b33ff7"),
+    (8, 217, 151, None, "3d51c5804c05894e6cb07f575c8ae996e5c8fcd48722f6bb4157727a0e0b36b2"),  # KEY_BLOCK - 1
+    (8, 256, 128, None, "588d98cf32e6f56f90b528dc6a9c03508579974bdeca9fd8292fda460add3cdf"),  # KEY_BLOCK
+    (8, 99, 331, None, "5044e876bb2d264e1bddee4d66eb4bf96e6a12992fb53e1c43627b33b3b32f00"),  # KEY_BLOCK + 1
+    (8, 7, 3, None, "2969b11ecb0871e03b9361ca6ff7b3afac3642b9b52d20ae93ec07456685c179"),  # U mid ChaCha block
+    (4, 40000, 1, None, "385ca5ad93ab1e14d18d5a9eb3f6871258bc14a02363b5333ec00eaedf1be0cd"),  # U spans 2 blocks
+    (16, 123, 457, 1.25, "f2f2168d227de2dba32e2dad2c55953f420e4b7e7376cc788ab72578949e34e8"),
 ]
 
 
-@pytest.mark.parametrize("k, m, n, delta, digest", KEY_DIGESTS)
+@pytest.mark.parametrize("k, m, n, delta, digest", KEY_DIGESTS, ids=[f"{k}-{m}-{n}-{d}" for k, m, n, d, _ in KEY_DIGESTS])
 def test_key_bits_are_pinned_across_block_edges(k, m, n, delta, digest):
     key = generate_key(k, m, n, SEED) if delta is None else generate_key(k, m, n, SEED, delta)
     assert hashlib.sha256(key.a.tobytes() + key.u.tobytes()).hexdigest() == digest
@@ -88,11 +89,17 @@ def test_pinned_key_shapes_straddle_the_block_edges():
 
 
 def test_stream_fills_match_whole_array_draws_at_any_length():
+    want = np.array(reference_normals(SEED, 2 * KEY_BLOCK + 3))
     for n in (1, 7, KEY_BLOCK - 1, KEY_BLOCK, 2 * KEY_BLOCK + 3):
         draws = (ChaChaStream(SEED).uint64(n) >> np.uint64(11)).astype(np.float64)
         normals = ChaChaStream(SEED).standard_normal_into(np.empty(n), 1.5)
-        assert np.array_equal(normals, ndtri((draws + 0.5) * 2.0**-53) * 1.5)
+        assert np.array_equal(normals, want[:n] * 1.5)
         assert np.array_equal(ChaChaStream(SEED).uniform01(n), draws * 2.0**-53)
+
+
+def test_key_matrix_is_the_streams_normals_times_its_scale():
+    key = generate_key(8, 217, 151, SEED, 0.75)
+    assert np.array_equal(key.a.reshape(-1), ChaChaStream(SEED).standard_normal(217 * 151) * (1.0 / 0.75))
 
 
 def test_stream_fill_refuses_a_buffer_it_cannot_fill_in_place():
@@ -342,14 +349,18 @@ def _fresh_key_hashes(k, m, n, delta, seeds, x, dither=True):
 
 
 _SWEEP_TRIAL = dict(k=8, seed=SEED, delta=DEFAULT_DELTA, inputs=2, scale=1.0, dither=True)
+_SWEEP_BLOCK = core._SWEEP_BLOCKS * KEY_BLOCK  # values of A a sweep buffers at once
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.sampled_from([2, 8, 28, 1024]),
-    # rows of A per block: KEY_BLOCK // n for short rows, 2-3 for mid rows,
-    # and one row for rows longer than a block
-    n=st.one_of(st.integers(1, 9), st.integers(10, 12000), st.integers(KEY_BLOCK - 1, KEY_BLOCK + 2)),
+    # rows of A per sweep block: _SWEEP_BLOCK // n for short rows, a few for
+    # rows of about a KEY_BLOCK, and two for rows longer than a block
+    n=st.one_of(
+        st.integers(1, 9), st.integers(10, 12000), st.integers(KEY_BLOCK - 1, KEY_BLOCK + 2),
+        st.integers(_SWEEP_BLOCK - 1, _SWEEP_BLOCK + 2),
+    ),
     blocks=st.integers(0, 2),
     extra=st.integers(-1, 3),
     keys=st.integers(1, 4),
@@ -360,8 +371,8 @@ _SWEEP_TRIAL = dict(k=8, seed=SEED, delta=DEFAULT_DELTA, inputs=2, scale=1.0, di
     dither=st.booleans(),
 )
 @example(n=1, blocks=0, extra=1, keys=4, **_SWEEP_TRIAL)  # M = N = 1, many keys per block
-@example(n=KEY_BLOCK + 1, blocks=2, extra=1, keys=2, **_SWEEP_TRIAL)  # rows longer than a block
-@example(n=5000, blocks=83, extra=2, keys=1, **_SWEEP_TRIAL)  # 500 x 5000, criterion 6's shape
+@example(n=_SWEEP_BLOCK + 1, blocks=2, extra=1, keys=2, **_SWEEP_TRIAL)  # rows longer than a block
+@example(n=5000, blocks=19, extra=6, keys=1, **_SWEEP_TRIAL)  # 500 x 5000, criterion 6's shape
 @example(n=1024, blocks=1, extra=0, keys=3, **_SWEEP_TRIAL)  # each key fills a block exactly
 # the longest rows that share a block, and the shortest that do not; at scale
 # 1e15 a projection is so large that floor(z) mod k shows its last bit
@@ -370,7 +381,7 @@ _SWEEP_TRIAL = dict(k=8, seed=SEED, delta=DEFAULT_DELTA, inputs=2, scale=1.0, di
 def test_hashes_under_fresh_key_match_the_key_path(k, n, blocks, extra, keys, seed, delta, inputs, scale, dither):
     # m on both sides of every block edge: whole blocks, one row short of
     # them, and a few rows past them; keys share a block where they fit
-    m = max(1, blocks * max(1, KEY_BLOCK // n) + extra)
+    m = max(1, blocks * max(1, _SWEEP_BLOCK // n) + extra)
     seeds = [seed] + [bytes([i]) + seed[1:] for i in range(1, keys)]
     xs = np.random.default_rng(int.from_bytes(seed[:8], "big")).standard_normal((inputs, n)) * scale
     want = [_key_path_hashes(k, m, n, s, delta, xs, dither) for s in seeds]
@@ -380,13 +391,22 @@ def test_hashes_under_fresh_key_match_the_key_path(k, n, blocks, extra, keys, se
         assert all(np.array_equal(g, w[i].components) for g, w in zip(got, want))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a block of one row longer than 8192 values is summed in pieces, as the per-trial sweep "
-    "summed it; hash_vector sums each row of a longer key in one pass",
-)
 def test_hashes_under_fresh_key_match_the_key_path_where_a_block_is_one_long_row():
-    m, n = 2, KEY_BLOCK - 1  # one row per block
+    # einsum sums a lone row longer than 8192 values in pieces, and each row
+    # of a key of two or more rows in one pass: such rows are drawn at least
+    # two to a block
+    m, n = 2, KEY_BLOCK - 1
+    x = ChaChaStream(SEED, b"long row").standard_normal(n) * 1e15
+    got = _fresh_key_hashes(1024, m, n, DEFAULT_DELTA, [SEED], x)
+    assert np.array_equal(got[0], _key_path_hashes(1024, m, n, SEED, DEFAULT_DELTA, [x], True)[0].components)
+
+
+# keys of two or three rows per sweep block whose last row would be alone
+# (and joins the block before it), and a key of one row, alone on both paths
+@pytest.mark.parametrize(
+    "m, n", [(3, _SWEEP_BLOCK // 2 + 1), (5, _SWEEP_BLOCK // 2 + 1), (4, 40000), (7, 40000), (1, _SWEEP_BLOCK + 1)]
+)
+def test_hashes_under_fresh_key_match_the_key_path_where_rows_are_long(m, n):
     x = ChaChaStream(SEED, b"long row").standard_normal(n) * 1e15
     got = _fresh_key_hashes(1024, m, n, DEFAULT_DELTA, [SEED], x)
     assert np.array_equal(got[0], _key_path_hashes(1024, m, n, SEED, DEFAULT_DELTA, [x], True)[0].components)
@@ -462,8 +482,8 @@ def test_projection_bits_do_not_depend_on_the_blas_thread_count():
 
 # The scipy modules loaded after each step, in a fresh interpreter: importing
 # the package and its CLI; Bob and Charlie running a session through the wire
-# on a key made by the public constructor; one key generation; one uniformity
-# check.
+# on a key made by the public constructor; one key generation; a session of
+# every kind; a sweep; one uniformity check.
 _SCIPY_BY_STEP = """
 import json, sys
 import numpy as np
@@ -492,17 +512,22 @@ steps["bob and charlie"] = scipy_modules()
 
 modhash.generate_key(8, 4, 3, bytes(32))
 steps["generate_key"] = scipy_modules()
+params = modhash.plan_parameters(5.0, 1.0, 10)
+for kind in ProtocolKind:
+    modhash.drive_local(kind, np.zeros(100), np.full(100, 0.1), params, bytes(32))
+steps["drive_local"] = scipy_modules()
+modhash.run_sweep(modhash.SweepSpec((8,), 20, 10, (0.5,), 3, bytes(32)))
+steps["run_sweep"] = scipy_modules()
 modhash.uniformity_report(2, 1, 1, [0.0], 200, bytes(32))
 steps["uniformity_report"] = scipy_modules()
 sys.stdout.write(json.dumps(steps))
 """
 
 
-def test_scipy_is_imported_only_where_a_normal_or_a_quantile_is_computed():
+def test_scipy_is_imported_only_where_a_quantile_is_computed():
     steps = json.loads(_run_fresh(_SCIPY_BY_STEP))
-    assert steps["import"] == []
-    assert steps["bob and charlie"] == []
-    assert "scipy.special" in steps["generate_key"]
+    assert {step: names for step, names in steps.items() if names} == {"uniformity_report": steps["uniformity_report"]}
+    assert "scipy.special" in steps["uniformity_report"]
     assert not any(name.startswith("scipy.stats") for name in steps["uniformity_report"])
 
 

@@ -24,13 +24,13 @@ PERMUTATION_DIGEST = "3088d0ddaee38ab33a3b77f157f96318afe6425bb5e88f4c7e3e56a26d
 LARGE_PERMUTATION_DIGEST = "4e418d736a46a5d14e57a3291a473c2fcb30deb9060fce1975e07398fc4eb09b"
 
 TRANSCRIPT_DIGESTS = {
-    ProtocolKind.FULL_KEY_3P: "4dd00527dee660e5f7e17e3861946555db1c01ac766c4eb9be17a98b6a806885",
-    ProtocolKind.PUBLIC_A_3P: "fea3091246dc64afb7f7a95e254ab6595d6efcc3c677c919b1edc67207efc608",
-    ProtocolKind.TWO_PARTY_HAMMING: "162e28d2fa84aa4502eb42c20773c5b91fba2babecb518f24bb05dbcc323ec88",
-    ProtocolKind.OBFUSCATED_3P: "09c2ed75da22f0595c054ad88d6ba88bde0090215b8c441f4a074b83c5449069",
+    ProtocolKind.FULL_KEY_3P: "a327272cc7f4a83c7def6769add4e6d2094c85fcd53dfb85a85e39f960d3ce4d",
+    ProtocolKind.PUBLIC_A_3P: "da65403dce61ad7490ce22537832a2c69c5b167a5c95ab4cfc00ace43f4893a5",
+    ProtocolKind.TWO_PARTY_HAMMING: "65c99f57adfc0df642981f86921af081e47e00cb9aa9ae20a1f0dc0ec88439a7",
+    ProtocolKind.OBFUSCATED_3P: "35d33761f2942b95b4ccdd3a4348608bcbf608e0952f60e0d30a5679067ccc21",
 }
 
-SWEEP_DIGEST = "83542d9acdca4d6bf885238ad27e160b97fb22904dd33f98f74884906572ab15"
+SWEEP_DIGEST = "6b4332b554b26a21fdeb4f1c07a11dcd80902d5e98f2980c252747cd3b154b3e"
 
 U64_MAX = (1 << 64) - 1
 
@@ -101,7 +101,7 @@ def test_transcript_digest(kind):
     x2 = default_rng(1).standard_normal(100)
     run = drive_local(kind, x1, x2, plan_parameters(5.0, 1.0, 10), SEED)
     assert hashlib.sha256(b"".join(e.data for e in run.transcript)).hexdigest() == TRANSCRIPT_DIGESTS[kind]
-    assert run.mean_lee == Fraction(20736, 2989)
+    assert run.mean_lee == Fraction(20850, 2989)
 
 
 def test_run_sweep_csv_digest(tmp_path):

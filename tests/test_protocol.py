@@ -599,3 +599,43 @@ def test_planned_run_hits_target_interval():
         run = drive_local(ProtocolKind.FULL_KEY_3P, x1, x2, params, stream.take(32))
         assert 2.0 <= run.alice_estimate.value <= 4.0
         assert run.alice_estimate == run.bob_estimate
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.FULL_KEY_3P, ProtocolKind.PUBLIC_A_3P], ids=lambda k: k.name)
+@pytest.mark.parametrize("through_wire", [True, False], ids=["decoded", "in memory"])
+def test_bob_scans_only_what_the_decoder_has_not(monkeypatch, kind, through_wire):
+    # The decoder checks U, and A where the share carries it, as HashKey
+    # would: Bob scans again only A from his matrix store, and every array
+    # of a share handed over in memory.
+    import modhash.protocol as protocol
+
+    scans = []
+    real = protocol._shared_key
+
+    def shared_key(*args, **kwargs):
+        scans.append((not kwargs.get("a_checked", False), not kwargs.get("u_checked", False)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_shared_key", shared_key)
+    x1, x2 = _vectors()
+    store = MatrixStore()
+    _, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED, matrix_store=store)
+    share = next(e for e in outgoing if isinstance(e.body, KeyShare))
+    if through_wire:
+        share = decode_frame(wire.encode_envelope(share))
+    assert share.body._checked == through_wire
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=share.session_id, matrix_store=store)
+    bob.on_message(share.addressed_to(Role.BOB))
+    assert scans == [(not through_wire or kind == ProtocolKind.PUBLIC_A_3P, not through_wire)]
+
+
+def test_a_key_share_built_by_a_caller_is_never_taken_as_checked():
+    key = generate_key(8, 64, 16, SEED)
+    assert not KeyShare(k=8, delta=key.delta, n=16, u=key.u, a=key.a)._checked
+    bad = np.array(key.a)
+    bad[0, 0] = np.nan
+    bad.setflags(write=False)
+    bob, _ = start_session(Role.BOB, ProtocolKind.FULL_KEY_3P, PARAMS, x=_vectors()[1], session_id=bytes(16))
+    share = Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.ALICE, KeyShare(k=8, delta=key.delta, n=16, u=key.u, a=bad))
+    with pytest.raises(InvalidParameter, match="A entries must be finite"):
+        bob.on_message(share.addressed_to(Role.BOB))

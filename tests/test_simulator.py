@@ -22,7 +22,7 @@ from modhash import (
     uniformity_report,
 )
 from modhash import core
-from modhash.rng import KEY_BLOCK, ChaChaStream, _probit
+from modhash.rng import KEY_BLOCK, ChaChaStream, _rectangle
 from modhash.simulate import _chi2_threshold, _trial_seed, emit_csv, format_csv
 from modhash.wire import MAX_WIRE_K
 
@@ -204,14 +204,15 @@ def _outcome(sweep, spec):
         return type(exc), str(exc)
 
 
-# (M, N): many keys per block (several blocks of them where trials > 3 at
-# 100 x 100), a key that fills a block exactly, the longest rows that share
+# (M, N): many keys per sweep block (several blocks of them where trials > 4
+# at 300 x 100), a key that fills a block exactly, the longest rows that share
 # a block (8192 values: einsum sums a lone longer row in pieces) and the
 # shortest that do not, and keys larger than a block, in several row blocks
 # or with rows longer than a block
+_SWEEP_BLOCK = core._SWEEP_BLOCKS * KEY_BLOCK
 _SHAPES = [
-    (1, 1), (3, 1), (1, 7), (5, 40), (100, 100), (32, 1024), (4, 8192),
-    (1, 8192), (1, 8193), (5, 8000), (2, KEY_BLOCK + 3),
+    (1, 1), (3, 1), (1, 7), (5, 40), (300, 100), (_SWEEP_BLOCK // 1024, 1024), (_SWEEP_BLOCK // 8192, 8192),
+    (1, 8192), (1, 8193), (_SWEEP_BLOCK // 8000 + 1, 8000), (2, KEY_BLOCK + 3), (3, _SWEEP_BLOCK // 2 + 1),
 ]
 
 
@@ -257,7 +258,9 @@ def test_run_sweep_fails_as_the_first_failing_trial_of_the_reference(m, n, dista
         (3, 1.0, 1e-320, InvalidParameter, "A entries must be finite"),
         (1, 1e308, DEFAULT_DELTA, InvalidInput, "input entries must be finite"),  # x2 overflows
         (1, 1e308, 1e-320, InvalidInput, "input entries must be finite"),  # checked before A
-        (1, 1.7e308, DEFAULT_DELTA, InvalidInput, "projection overflowed the floating-point range"),
+        # x2 finite unless its direction is shorter than 1e-8, and A ~ 1e10 carries
+        # the projection past the float range for all but tiny draws
+        (1, 1e300, 1e-10, InvalidInput, "projection overflowed the floating-point range"),
     ],
 )
 def test_run_sweep_keeps_the_class_and_message_of_each_error(n, distance, delta, error, message):
@@ -269,8 +272,8 @@ def test_run_sweep_keeps_the_class_and_message_of_each_error(n, distance, delta,
 
 class _ZeroDirectionStream(ChaChaStream):
     """A stream whose inputs (label b"inputs") have a first direction, draws
-    n..2n-1, of all zeros: each such draw is 2**63, whose normal is exactly
-    ndtri(0.5) = 0."""
+    n..2n-1, of all zeros: each such draw is 2**63, whose low 61 bits, and so
+    its layer, sign and magnitude, are 0, and whose normal is exactly 0."""
 
     n = 1
     drawn_by_inputs = []
@@ -294,7 +297,7 @@ class _ZeroDirectionStream(ChaChaStream):
 def test_a_zero_direction_is_redrawn_from_the_trials_own_stream(monkeypatch, n):
     raw = np.empty(1)
     raw.view(">u8")[0] = 1 << 63
-    assert _probit(raw)[0] == 0.0
+    assert _rectangle(raw, 1.0)[0].size == 0 and raw[0] == 0.0
     stub = type("Stub", (_ZeroDirectionStream,), {"n": n, "drawn_by_inputs": []})
     monkeypatch.setattr(core, "ChaChaStream", stub)
     monkeypatch.setattr(oracle_reference, "ChaChaStream", stub)

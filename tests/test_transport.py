@@ -969,8 +969,22 @@ def test_key_json_seed_form():
     text = key_to_json(key, include_matrix=False, seed=SEED)
     doc = json.loads(text)
     assert doc["non_interoperable"] is True
+    assert doc["sampler"] == "ziggurat256"
     assert "a" not in doc
     assert key_from_json(text) == key
+
+
+@pytest.mark.parametrize("sampler", [None, "probit", ""], ids=["unnamed", "probit", "empty"])
+def test_key_json_seed_form_must_name_this_sampler(sampler):
+    # a seed form written before the sampler was named made its normals by
+    # the probit: loaded here, it would silently be another key
+    doc = json.loads(key_to_json(generate_key(8, 6, 4, SEED), include_matrix=False, seed=SEED))
+    if sampler is None:
+        del doc["sampler"]
+    else:
+        doc["sampler"] = sampler
+    with pytest.raises(InvalidInput, match="not a valid key file.*sampler"):
+        key_from_json(json.dumps(doc))
 
 
 def test_key_json_rejects_garbage():
@@ -1000,7 +1014,7 @@ def test_key_and_matrix_files_refuse_coerced_sizes_in_every_form():
     with pytest.raises(InvalidInput):
         key_from_json(json.dumps({"k": 8.9, "delta": 1, "M": True, "N": 1.5, "a": [0.1], "u": [0.5]}))
     with pytest.raises(InvalidInput):
-        key_from_json(json.dumps({"k": 8.9, "delta": 1, "M": 6, "N": 4, "seed": SEED.hex()}))
+        key_from_json(json.dumps({"k": 8.9, "delta": 1, "M": 6, "N": 4, "seed": SEED.hex(), "sampler": "ziggurat256"}))
     matrix = {"M": 1, "N": 1, "a": [0.1]}
     assert matrix_from_json(json.dumps(matrix)).shape == (1, 1)
     for field, value in (("M", 1.9), ("M", True), ("N", "1")):
