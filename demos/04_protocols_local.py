@@ -1,8 +1,9 @@
-"""All four distance protocols, in process, on the same inputs.
+"""All three distance protocols, in process, on the same inputs.
 
 Every protocol routes the same key material and inputs differently but ends
-at the identical exact mean Lee distance. The obfuscated variant shows the
-third party only a value pinned near the k/4 plateau.
+at the identical exact mean Lee distance. The obfuscated variant pulls the
+third party's view towards the k/4 plateau, but does not pin it there: his
+mean still follows the distance.
 """
 
 import numpy as np
@@ -31,5 +32,5 @@ run = drive_local(ProtocolKind.FULL_KEY_3P, x1, x2, params, seed)
 print("\nmessage transcript (full-key kind):")
 for entry in run.transcript:
     print(f"  {entry.sender.name:7s} -> {entry.recipient.name:7s} {len(entry.data):6d} bytes")
-print("\nnote: the obfuscated kind's third-party view sits near k/4 = 2")
-print("regardless of the true distance; the data owners de-mix it exactly.")
+print("\nnote: the pads pull the obfuscated kind's third-party view towards k/4 = 2,")
+print("but it still moves with the true distance; the data owners de-mix it exactly.")

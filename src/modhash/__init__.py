@@ -2,7 +2,7 @@
 
 Parties hash real vectors as floor(Ax + U) mod k under a shared secret key;
 mean Lee distances between hashes estimate the Euclidean distance below a
-plannable threshold and saturate above it. Four runnable multi-party
+plannable threshold and saturate above it. Three runnable multi-party
 protocols exchange the hashes without exposing inputs, and the analysis
 and simulation layers plan parameters and validate the statistics.
 """
@@ -48,7 +48,6 @@ from .errors import (
 from .messages import Envelope, ProtocolKind, Role
 from .protocol import (
     LocalRun,
-    MatrixStore,
     Session,
     deobfuscate_distance,
     drive_local,
@@ -91,7 +90,6 @@ __all__ = [
     "InvalidInput",
     "InvalidParameter",
     "LocalRun",
-    "MatrixStore",
     "ModHashError",
     "Permutation",
     "ProtocolKind",

@@ -26,7 +26,7 @@ from .analysis import (
 from .core import DEFAULT_DELTA, generate_key, hash_vector
 from .errors import ModHashError, ProtocolViolation, TransportClosed
 from .messages import ProtocolKind, THREE_PARTY_KINDS
-from .protocol import MatrixStore, drive_local
+from .protocol import drive_local
 from .simulate import (
     SweepSpec,
     default_distance_grid,
@@ -40,8 +40,6 @@ from .transport import (
     CharlieServer,
     key_from_json,
     key_to_json,
-    matrix_from_json,
-    matrix_to_json,
     run_over_tcp,
 )
 
@@ -49,7 +47,6 @@ CHARLIE_ADDR_ENV = "MODHASH_CHARLIE_ADDR"
 
 _KINDS = {
     "full-key": ProtocolKind.FULL_KEY_3P,
-    "public-a": ProtocolKind.PUBLIC_A_3P,
     "two-party": ProtocolKind.TWO_PARTY_HAMMING,
     "obfuscated": ProtocolKind.OBFUSCATED_3P,
 }
@@ -119,16 +116,6 @@ def _charlie_address(args) -> tuple[str, int] | None:
     return _parse_address(raw) if raw else None
 
 
-def _matrix_store(path: str | None) -> MatrixStore | None:
-    """A store holding the public matrix read from path; None without a path."""
-    if not path:
-        return None
-    store = MatrixStore()
-    with open(path) as fh:
-        store.put(matrix_from_json(fh.read()))
-    return store
-
-
 # ------------------------------------------------------------------ commands
 
 
@@ -150,9 +137,6 @@ def _cmd_keygen(args) -> int:
     key = generate_key(args.k, args.m, args.n, seed, args.delta)
     with open(args.out, "w") as fh:
         fh.write(key_to_json(key, include_matrix=not args.seed_only, seed=seed))
-    if args.matrix_out:
-        with open(args.matrix_out, "w") as fh:
-            fh.write(matrix_to_json(key.a))
     _emit(key_file=args.out, k=key.k, m=key.m, n=key.n, delta=key.delta)
     return 0
 
@@ -184,18 +168,15 @@ def _run_local(args, kind, x1, params, seed):
 def _run_tcp_selftest(args, kind, x1, params, seed):
     """Self-contained TCP run: ephemeral Bob/Charlie servers on loopback."""
     x2 = _read_vector(args.x2)
-    store = MatrixStore()
     with CharlieServer() as charlie_srv:
         charlie_srv.start()
-        with BobServer(
-            x2, charlie_address=charlie_srv.address, matrix_store=store, mode=_MODES[args.mode]
-        ) as bob_srv:
+        with BobServer(x2, charlie_address=charlie_srv.address, mode=_MODES[args.mode]) as bob_srv:
             bob_srv.start()
             result = run_over_tcp(
                 kind, x1, params, seed,
                 bob_address=bob_srv.address,
                 charlie_address=charlie_srv.address if kind in THREE_PARTY_KINDS else None,
-                mode=_MODES[args.mode], matrix_store=store,
+                mode=_MODES[args.mode],
             )
             bob_estimate = bob_srv.wait_result(result.session_id)
     return result.mean_lee, result.observed_mean, result.estimate, bob_estimate
@@ -207,10 +188,9 @@ def _run_tcp_alice(args, kind, x1, params, seed):
     charlie_addr = _charlie_address(args) if kind in THREE_PARTY_KINDS else None
     if kind in THREE_PARTY_KINDS and charlie_addr is None:
         raise ValueError(f"--charlie or ${CHARLIE_ADDR_ENV} required for {args.kind}")
-    store = _matrix_store(args.matrix) if kind == ProtocolKind.PUBLIC_A_3P else None
     result = run_over_tcp(
         kind, x1, params, seed, bob_address=bob_addr, charlie_address=charlie_addr,
-        mode=_MODES[args.mode], matrix_store=store,
+        mode=_MODES[args.mode],
     )
     return result.mean_lee, result.observed_mean, result.estimate, None
 
@@ -242,7 +222,6 @@ def _cmd_run(args) -> int:
 def _cmd_serve(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     host, port = _parse_address(args.listen)
-    store = _matrix_store(args.matrix)
     if args.role == "charlie":
         server = CharlieServer(host, port)
     else:
@@ -250,7 +229,7 @@ def _cmd_serve(args) -> int:
             raise ValueError("serve --role bob requires --x2")
         server = BobServer(
             _read_vector(args.x2), charlie_address=_charlie_address(args),
-            host=host, port=port, matrix_store=store, mode=_MODES[args.mode],
+            host=host, port=port, mode=_MODES[args.mode],
         )
     server.start()
     _emit(role=args.role, listening=f"{server.address[0]}:{server.address[1]}")
@@ -344,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed-only", action="store_true",
                    help="write the compact non-interoperable {seed} form")
-    p.add_argument("--matrix-out", help="also write the public projection matrix")
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("hash", help="hash a vector file with a key file")
@@ -374,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", choices=["alice"], help="distributed TCP: act as this role only")
     p.add_argument("--bob", help="Bob endpoint HOST:PORT (distributed TCP)")
     p.add_argument("--charlie", help=f"Charlie endpoint HOST:PORT (default ${CHARLIE_ADDR_ENV})")
-    p.add_argument("--matrix", help="public matrix file (public-a kind)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("serve", help="run a long-lived Bob or Charlie endpoint")
@@ -382,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", required=True, help="HOST:PORT (port 0 picks one)")
     p.add_argument("--x2", help="Bob's vector file")
     p.add_argument("--charlie", help=f"Charlie endpoint for Bob (default ${CHARLIE_ADDR_ENV})")
-    p.add_argument("--matrix", help="public matrix file (public-a kind)")
     p.add_argument("--mode", choices=sorted(_MODES), default="raw")
     p.set_defaults(func=_cmd_serve)
 

@@ -125,16 +125,16 @@ class HashKey(_ValueEq):
         object.__setattr__(self, "u", _frozen_array(self.u, np.float64))
         self._check_arrays()
 
-    def _check_arrays(self, scan_a: bool = True, scan_u: bool = True):
-        """Check the shapes of A and U, and the values of those scanned."""
+    def _check_arrays(self, scan: bool = True):
+        """Check the shapes of A and U, and with scan their values."""
         a, u = self.a, self.u
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidParameter("A must be a 2-D matrix with M, N >= 1")
-        if scan_a and not np.isfinite(a).all():
+        if scan and not np.isfinite(a).all():
             raise InvalidParameter("A entries must be finite")
         if u.ndim != 1 or u.shape[0] != a.shape[0]:
             raise DimensionMismatch("U must have one entry per row of A")
-        if scan_u and (not np.isfinite(u).all() or (u < 0).any() or (u >= self.k).any()):
+        if scan and (not np.isfinite(u).all() or (u < 0).any() or (u >= self.k).any()):
             raise InvalidParameter("every dither entry must satisfy 0 <= u < k")
 
     @property
@@ -146,16 +146,16 @@ class HashKey(_ValueEq):
         return self.a.shape[1]
 
 
-def _shared_key(k, delta, a, u, *, a_checked: bool = False, u_checked: bool = False) -> HashKey:
+def _shared_key(k, delta, a, u, *, checked: bool = False) -> HashKey:
     """Bob's key over the A and U of a key share he has just received.
 
     Every check of the HashKey constructor runs, except the scan of the
-    values of A or U where the wire decoder has already made it (a_checked,
-    u_checked). Read-only float64 arrays (a decoded share's, or Alice's own
-    key's when the share is handed over in memory) are taken without a copy;
-    any other array is copied. A read-only array may still alias memory its
-    sender can write, so such a key stays with the session that made it,
-    which hashes with it at once.
+    values of A and U when the wire decoder has already made it (checked).
+    Read-only float64 arrays (a decoded share's, or Alice's own key's when
+    the share is handed over in memory) are taken without a copy; any other
+    array is copied. A read-only array may still alias memory its sender can
+    write, so such a key stays with the session that made it, which hashes
+    with it at once.
     """
     k = _check_even_k(k)
     _check_real(delta, "delta")
@@ -165,7 +165,7 @@ def _shared_key(k, delta, a, u, *, a_checked: bool = False, u_checked: bool = Fa
         for v in (a, u)
     )
     key = _adopt(HashKey, k=k, delta=delta, a=a, u=u)
-    key._check_arrays(scan_a=not a_checked, scan_u=not u_checked)
+    key._check_arrays(scan=not checked)
     return key
 
 

@@ -24,37 +24,34 @@ class Role(IntEnum):
 
 
 class ProtocolKind(IntEnum):
+    """The wire value of each kind is fixed; 1 is retired and names no kind."""
+
     FULL_KEY_3P = 0        # Alice shares (k, A, U) with Bob; Charlie averages
-    PUBLIC_A_3P = 1        # A is public by reference; secret dither + permutation
     TWO_PARTY_HAMMING = 2  # no third party; Alice takes the Hamming distance of ring codes
     OBFUSCATED_3P = 3      # uniform padding + permutation hide the distance from Charlie
 
 
-THREE_PARTY_KINDS = frozenset(
-    {ProtocolKind.FULL_KEY_3P, ProtocolKind.PUBLIC_A_3P, ProtocolKind.OBFUSCATED_3P}
-)
+THREE_PARTY_KINDS = frozenset({ProtocolKind.FULL_KEY_3P, ProtocolKind.OBFUSCATED_3P})
 
 
 @dataclass(frozen=True, eq=False)
 class KeyShare(_ValueEq):
     """Key material Alice sends Bob over the confidential channel.
 
-    Exactly one of `a` (explicit M x N matrix) and `a_digest` (content address
-    of a public matrix) is set. `permutation` rides along for the public-A and
-    obfuscated kinds; `pad1`/`pad2` only for the obfuscated kind.
+    `a` is the M x N projection matrix. `permutation` and `pad1`/`pad2` ride
+    along only for the obfuscated kind.
     """
 
     k: int
     delta: float
     n: int
     u: np.ndarray
-    a: np.ndarray | None = None
-    a_digest: bytes | None = None
+    a: np.ndarray
     permutation: Permutation | None = None
     pad1: HashVector | None = None
     pad2: HashVector | None = None
-    # True only on a share the wire decoder built: it has checked u, and a
-    # where the share carries it, as HashKey would, so Bob need not again
+    # True only on a share the wire decoder built: it has checked a and u as
+    # HashKey would, so Bob need not again
     _checked: ClassVar[bool] = False
 
     @property

@@ -1,15 +1,14 @@
-"""Role state machines and orchestration for the four distance protocols.
+"""Role state machines and orchestration for the three distance protocols.
 
-All four flows share one shape: Alice provisions key material, both data
+All three flows share one shape: Alice provisions key material, both data
 owners hash their vectors, some party averages Lee distances, and the data
-owners turn the exact rational mean into a distance estimate. The kinds
-differ only in what Alice's key share carries, which one table (_SHARE_SPECS)
-states and both Alice and Bob read:
+owners turn the exact rational mean into a distance estimate. Every key
+share carries (k, A, U); the kinds differ in who averages and in whether the
+share also carries pads, which one set (_PADDED_KINDS) states and both Alice
+and Bob read:
 
     FULL_KEY_3P       (k, A, U). Both submit plain hashes to Charlie, who
                       returns the mean Lee distance to both.
-    PUBLIC_A_3P       A by content address, U and a permutation of M slots;
-                      hashes are permuted before submission.
     TWO_PARTY_HAMMING (k, A, U). No Charlie: Bob sends his ring-coded hash to
                       Alice, who computes the Hamming distance and returns
                       it. Alice holds the key, so she can invert Bob's hash.
@@ -38,12 +37,10 @@ permutation, or a plaintext vector, for any protocol kind. Confidential
 delivery of key shares is assumed from the environment, not implemented here.
 """
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +52,6 @@ from .core import (
     HashVector,
     Permutation,
     _check_size,
-    _frozen_array,
     _shared_key,
     apply_permutation,
     concat_hashes,
@@ -84,47 +80,7 @@ from .messages import (
     ProtocolKind,
     Role,
 )
-from .rng import KEY_BLOCK, ChaChaStream, subseed
-
-
-class MatrixStore:
-    """Content-addressed store of public projection matrices (SHA-256 of the
-    canonical dims-plus-rows encoding)."""
-
-    def __init__(self):
-        self._matrices: dict[bytes, np.ndarray] = {}
-
-    @staticmethod
-    def digest(a: np.ndarray) -> bytes:
-        """SHA-256 of the dims as u32 and the entries as big-endian f64,
-        row-major; converted KEY_BLOCK entries at a time."""
-        a = np.asarray(a, dtype=np.float64)
-        h = hashlib.sha256()
-        h.update(np.array(a.shape, dtype=">u4").tobytes())
-        flat = a.reshape(-1)
-        for start in range(0, flat.size, KEY_BLOCK):
-            h.update(flat[start : start + KEY_BLOCK].astype(">f8"))
-        return h.digest()
-
-    def put(self, a: np.ndarray) -> bytes:
-        """Store a and return its digest. A read-only float64 array that owns
-        its data, as this package's keys and decoded shares are sealed, is
-        kept without a copy; any other is copied, since its owner may write
-        to it later."""
-        if not (
-            isinstance(a, np.ndarray) and a.dtype == np.float64
-            and not a.flags.writeable and a.flags.owndata
-        ):
-            a = _frozen_array(a, np.float64)
-        d = self.digest(a)
-        self._matrices[d] = a
-        return d
-
-    def get(self, digest: bytes) -> np.ndarray:
-        try:
-            return self._matrices[digest]
-        except KeyError:
-            raise ProtocolViolation(f"unknown public matrix {digest.hex()[:16]}…") from None
+from .rng import ChaChaStream, subseed
 
 
 class Phase(IntEnum):
@@ -140,21 +96,9 @@ class Phase(IntEnum):
     ABORTED = 7
 
 
-class _ShareSpec(NamedTuple):
-    """What Alice's key share carries besides (k, delta, U) for one kind."""
-
-    name: str       # the kind as error messages call it
-    digest: bool    # A by content address instead of in full
-    permuted: bool  # a permutation of the M + p submitted slots
-    padded: bool    # uniform pads z1 (Alice's) and z2 (Bob's) of p slots each
-
-
-_SHARE_SPECS = {
-    ProtocolKind.FULL_KEY_3P: _ShareSpec("full-key", digest=False, permuted=False, padded=False),
-    ProtocolKind.PUBLIC_A_3P: _ShareSpec("public-A", digest=True, permuted=True, padded=False),
-    ProtocolKind.TWO_PARTY_HAMMING: _ShareSpec("two-party", digest=False, permuted=False, padded=False),
-    ProtocolKind.OBFUSCATED_3P: _ShareSpec("obfuscated", digest=False, permuted=True, padded=True),
-}
+# Kinds whose key share also carries uniform pads z1 (Alice's) and z2 (Bob's)
+# of P slots each and a permutation of the M + P submitted slots.
+_PADDED_KINDS = frozenset({ProtocolKind.OBFUSCATED_3P})
 
 
 def obfuscate_hash(h: HashVector, z: HashVector | None, perm: Permutation) -> HashVector:
@@ -193,7 +137,6 @@ class Session:
         self._m: int | None = None
         self._padding: tuple[int, Fraction] | None = None  # (P, d~) of a padded kind
         self._code: BinaryCode | None = None  # Alice's, two-party
-        self._store: MatrixStore | None = None
         self._received: dict[Role, HashVector] = {}
 
     # -------------------------------------------------------------- helpers
@@ -288,31 +231,19 @@ class Session:
             )
         if len(self._x) != ks.n:
             raise DimensionMismatch(f"input has length {len(self._x)}, key expects {ks.n}")
-        if ks.a is not None:
-            a = ks.a
-        elif ks.a_digest is not None:
-            if self._store is None:
-                raise ProtocolViolation("no matrix store to resolve the public matrix")
-            a = self._store.get(ks.a_digest)
-        else:
-            raise ProtocolViolation("key share carries neither a matrix nor a digest")
-        spec = _SHARE_SPECS[self.kind]
-        if spec.padded and (ks.pad1 is None or ks.pad2 is None):
-            raise ProtocolViolation(f"{spec.name} key share must carry both pads")
-        p = ks.pad1.m if spec.padded else 0
-        if spec.permuted and (ks.permutation is None or ks.permutation.size != ks.m + p):
-            slots = "M+P" if spec.padded else "M"
-            raise ProtocolViolation(f"{spec.name} key share must carry a permutation of {slots} slots")
-        # the wire decoder has checked U, and A where the share carries it
-        key = _shared_key(ks.k, ks.delta, a, ks.u, a_checked=ks._checked and ks.a is not None,
-                          u_checked=ks._checked)
+        if self.kind in _PADDED_KINDS:
+            if ks.pad1 is None or ks.pad2 is None:
+                raise ProtocolViolation(f"{self.kind.name} key share must carry both pads")
+            if ks.permutation is None or ks.permutation.size != ks.m + ks.pad1.m:
+                raise ProtocolViolation(f"{self.kind.name} key share must carry a permutation of M+P slots")
+        # a decoded share's A and U have passed the wire decoder's value checks
+        key = _shared_key(ks.k, ks.delta, ks.a, ks.u, checked=ks._checked)
         return self._hash_and_send(key, ks)
 
     def _hash_and_send(self, key: HashKey, ks: KeyShare) -> list[Envelope]:
         """Both owners' one path from key share to outgoing hash: ring-coded
         for Alice, or padded, permuted and submitted to Charlie. The session
         keeps neither the key nor the share, only what a later move reads."""
-        spec = _SHARE_SPECS[self.kind]
         self._k, self._m = key.k, key.m
         h = hash_vector(key, self._x)
         self._x = None  # plaintext no longer needed
@@ -324,12 +255,10 @@ class Session:
                 return []
             self.phase = Phase.AWAIT_HAMMING_RESPONSE
             return [self._envelope(HammingRequest(code), Role.ALICE)]
-        if spec.padded:
+        if self.kind in _PADDED_KINDS:
             self._padding = (ks.pad1.m, mean_lee_distance(ks.pad1, ks.pad2))
-        if spec.permuted:
             # Role.ALICE == 0 appends pad1, Role.BOB == 1 appends pad2
-            pad = (ks.pad1, ks.pad2)[self.role] if spec.padded else None
-            h = obfuscate_hash(h, pad, ks.permutation)
+            h = obfuscate_hash(h, (ks.pad1, ks.pad2)[self.role], ks.permutation)
         self.phase = Phase.AWAIT_RESULT
         return [self._envelope(HashSubmission(h), Role.CHARLIE)]
 
@@ -389,7 +318,6 @@ def start_session(
     x=None,
     seed: bytes | None = None,
     session_id: bytes | None = None,
-    matrix_store: MatrixStore | None = None,
     mode: EstimateMode = EstimateMode.RAW,
 ) -> tuple[Session, list[Envelope]]:
     """Create one role's session and return it with its initial envelopes.
@@ -412,7 +340,6 @@ def start_session(
         raise InvalidParameter("session id must be 16 bytes")
 
     session = Session(session_id, role, kind, params, mode)
-    session._store = matrix_store
 
     if role == Role.CHARLIE:
         session.phase = Phase.AWAIT_HASHES
@@ -428,29 +355,25 @@ def start_session(
 
     # Alice initiates: she derives the key share, sends it, and then hashes
     # under it exactly as Bob will.
-    spec = _SHARE_SPECS[kind]
     if params is None:
         raise InvalidParameter("Alice requires agreed protocol parameters")
     if seed is None:
         raise InvalidParameter("Alice requires a seed to derive her key material from")
-    if spec.digest and matrix_store is None:
-        raise InvalidParameter(f"the {spec.name} protocol requires a matrix store")
-    p = params.padding if spec.padded else 0
-    if spec.padded and p < 1:
-        raise InvalidParameter(f"the {spec.name} protocol requires padding >= 1")
+    padded = kind in _PADDED_KINDS
+    if padded and params.padding < 1:
+        raise InvalidParameter(f"the {kind.name} protocol requires padding >= 1")
     key = generate_key(params.k, params.m, len(session._x), subseed(seed, b"key"))
-    pad1 = pad2 = None
-    if spec.padded:
+    pad1 = pad2 = permutation = None
+    if padded:
+        p = params.padding
         pad1, pad2 = (
             HashVector(key.k, ChaChaStream(seed, label).integers_below(key.k, p))
             for label in (b"pad1", b"pad2")
         )
+        permutation = Permutation.random(key.m + p, ChaChaStream(seed, b"perm"))
     share = KeyShare(
-        k=key.k, delta=key.delta, n=key.n, u=key.u,
-        a=None if spec.digest else key.a,
-        a_digest=matrix_store.put(key.a) if spec.digest else None,
-        permutation=Permutation.random(key.m + p, ChaChaStream(seed, b"perm")) if spec.permuted else None,
-        pad1=pad1, pad2=pad2,
+        k=key.k, delta=key.delta, n=key.n, u=key.u, a=key.a,
+        permutation=permutation, pad1=pad1, pad2=pad2,
     )
     return session, [session._envelope(share, Role.BOB), *session._hash_and_send(key, share)]
 
@@ -485,7 +408,6 @@ def drive_local(
     seed: bytes,
     *,
     mode: EstimateMode = EstimateMode.RAW,
-    matrix_store: MatrixStore | None = None,
 ) -> LocalRun:
     """Run every role of one protocol in-process, handing each envelope
     straight to its recipient's session.
@@ -496,16 +418,9 @@ def drive_local(
     carries are recorded. Deterministic: same inputs and seed, same transcript.
     """
     kind = ProtocolKind(kind)
-    if kind == ProtocolKind.PUBLIC_A_3P and matrix_store is None:
-        matrix_store = MatrixStore()
-
     common = dict(params=params, mode=mode)
-    alice, outgoing = start_session(
-        Role.ALICE, kind, x=x1, seed=seed, matrix_store=matrix_store, **common
-    )
-    bob, _ = start_session(
-        Role.BOB, kind, x=x2, session_id=alice.session_id, matrix_store=matrix_store, **common
-    )
+    alice, outgoing = start_session(Role.ALICE, kind, x=x1, seed=seed, **common)
+    bob, _ = start_session(Role.BOB, kind, x=x2, session_id=alice.session_id, **common)
     sessions = {Role.ALICE: alice, Role.BOB: bob}
     if kind in THREE_PARTY_KINDS:
         charlie, _ = start_session(Role.CHARLIE, kind, session_id=alice.session_id)

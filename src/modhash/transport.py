@@ -11,9 +11,10 @@ Networked deployment mirrors the protocol roles:
 
     CharlieServer   pure listener; pairs hash submissions by session id and
                     returns the distance result over the submitting connections.
-    BobServer       listener for Alice's key share; submits Bob's hash to
-                    Charlie over one shared connection, or sends his ring
-                    code back to Alice as a Hamming request.
+    BobServer       listener for Alice's key share, which carries all the key
+                    material Bob needs; submits Bob's hash to Charlie over
+                    one shared connection, or sends his ring code back to
+                    Alice as a Hamming request.
     run_over_tcp    Alice's side: drives one session over her connections to
                     Bob (and Charlie).
 
@@ -79,7 +80,7 @@ from .messages import (
     Role,
     THREE_PARTY_KINDS,
 )
-from .protocol import MatrixStore, Phase, Session, start_session
+from .protocol import Phase, Session, start_session
 from .rng import NORMAL_SAMPLER
 
 log = logging.getLogger("modhash.transport")
@@ -497,13 +498,11 @@ class BobServer(_RoleServer):
         charlie_address: tuple[str, int] | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        matrix_store: MatrixStore | None = None,
         mode: EstimateMode = EstimateMode.RAW,
     ):
         super().__init__(host, port)
         self._x2 = np.asarray(x2, dtype=np.float64)
         self._charlie_address = charlie_address
-        self._matrix_store = matrix_store
         self._mode = mode
         self._link: TcpTransport | None = None
 
@@ -517,8 +516,7 @@ class BobServer(_RoleServer):
             if not isinstance(env.body, KeyShare):
                 raise ProtocolViolation("session must open with a key share")
             session, _ = start_session(
-                Role.BOB, env.kind, x=self._x2, session_id=env.session_id,
-                matrix_store=self._matrix_store, mode=self._mode,
+                Role.BOB, env.kind, x=self._x2, session_id=env.session_id, mode=self._mode,
             )
             live = self._open(session)
             live.routes[Role.ALICE] = conn
@@ -613,7 +611,6 @@ def run_over_tcp(
     charlie_address: tuple[str, int] | None = None,
     *,
     mode: EstimateMode = EstimateMode.RAW,
-    matrix_store: MatrixStore | None = None,
     timeout: float | None = 30.0,
 ) -> RunResult:
     """Drive one session as Alice against live Bob/Charlie endpoints.
@@ -628,11 +625,7 @@ def run_over_tcp(
     kind = ProtocolKind(kind)
     if kind in THREE_PARTY_KINDS and charlie_address is None:
         raise InvalidParameter(f"{kind.name} requires a third-party address")
-    if kind == ProtocolKind.PUBLIC_A_3P and matrix_store is None:
-        matrix_store = MatrixStore()
-    session, outgoing = start_session(
-        Role.ALICE, kind, params, x=x1, seed=seed, matrix_store=matrix_store, mode=mode,
-    )
+    session, outgoing = start_session(Role.ALICE, kind, params, x=x1, seed=seed, mode=mode)
     links = {}
     received: list[bytes] = []
     ended = False
@@ -701,11 +694,6 @@ def key_to_json(key: HashKey, include_matrix: bool = True, seed: bytes | None = 
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _dims(doc: dict) -> tuple[int, int]:
-    """A file's (M, N), which must be JSON integers >= 1, as in a key."""
-    return _check_size(doc["M"], "M"), _check_size(doc["N"], "N")
-
-
 def key_from_json(text: str) -> HashKey:
     """Load a key from either JSON form. k, M and N must be JSON integers and
     delta a JSON number, checked as generate_key checks them: nothing is
@@ -715,7 +703,7 @@ def key_from_json(text: str) -> HashKey:
     try:
         doc = json.loads(text)
         k, delta = _check_even_k(doc["k"]), _check_real(doc["delta"], "delta")
-        m, n = _dims(doc)
+        m, n = _check_size(doc["M"], "M"), _check_size(doc["N"], "N")
         if "seed" in doc:
             if doc.get("sampler") != NORMAL_SAMPLER:
                 raise InvalidParameter(
@@ -728,19 +716,3 @@ def key_from_json(text: str) -> HashKey:
         return HashKey(k=k, delta=delta, a=a, u=u)
     except (KeyError, TypeError, ValueError, InvalidParameter) as exc:
         raise InvalidInput(f"not a valid key file: {exc}") from exc
-
-
-def matrix_to_json(a: np.ndarray) -> str:
-    """Serialize just a public projection matrix {M, N, a}."""
-    a = np.asarray(a, dtype=np.float64)
-    doc = {"M": a.shape[0], "N": a.shape[1], "a": [float(v) for v in a.reshape(-1)]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    """Load a matrix file; M and N are checked as in key_from_json."""
-    try:
-        doc = json.loads(text)
-        return np.asarray(doc["a"], dtype=np.float64).reshape(*_dims(doc))
-    except (KeyError, TypeError, ValueError, InvalidParameter) as exc:
-        raise InvalidInput(f"not a valid matrix file: {exc}") from exc

@@ -10,12 +10,13 @@ Frame layout (all integers big-endian):
 
 msg_type packs the message family together with the protocol kind and the
 sender role, so every frame self-describes its session context without
-spending payload bytes on it.
+spending payload bytes on it. Kind bits 1 are retired: they name no kind,
+and a frame that carries them is refused from its header.
 
 Payload formats per family:
 
-    KEY_SHARE        k u32, delta f64, n u32, m u32, a_form u8
-                     (0: a as m*n f64 row-major; 1: 32-byte matrix digest),
+    KEY_SHARE        k u32, delta f64, n u32, m u32, a_form u8 (always 0;
+                     1, a matrix digest, is retired), a as m*n f64 row-major,
                      u as m f64, perm_count u32 (0 = absent) + indices u32 each,
                      pad_count u32 (0 = absent) + pad1, pad2 as u16 components
     HASH_SUBMISSION  k u32, count u32, components u16 each  (size is a function
@@ -34,8 +35,8 @@ field into it at its offset: arrays are converted to big-endian straight
 into their slot, so a key share's matrix is copied once, into the frame, and
 no other copy of it is made. The frame is returned as that bytearray.
 Decoding reads the frame through memoryviews, without slicing copies, but a
-decoded message never holds a view into the frame: every array, digest and
-string in it is its own copy, so the frame's buffer may be reused at once.
+decoded message never holds a view into the frame: every array and string
+in it is its own copy, so the frame's buffer may be reused at once.
 """
 
 import math
@@ -95,21 +96,12 @@ def _encode_hash_submission(body: msgs.HashSubmission) -> list:
 
 def _encode_key_share(body: msgs.KeyShare) -> list:
     _check_wire_k(body.k)
-    if (body.a is None) == (body.a_digest is None):
-        raise EncodingError("exactly one of a / a_digest must be set")
+    a = np.asarray(body.a, dtype=np.float64)
     u = np.asarray(body.u, dtype=np.float64)
     m = u.shape[0]
-    out = [struct.pack(">IdII", body.k, body.delta, body.n, m)]
-    if body.a is not None:
-        a = np.asarray(body.a, dtype=np.float64)
-        if a.shape != (m, body.n):
-            raise EncodingError("A shape disagrees with (m, n)")
-        out += [b"\x00", (a, ">f8")]
-    else:
-        if len(body.a_digest) != 32:
-            raise EncodingError("matrix digest must be 32 bytes")
-        out += [b"\x01", body.a_digest]
-    out.append((u, ">f8"))
+    if a.shape != (m, body.n):
+        raise EncodingError("A shape disagrees with (m, n)")
+    out = [struct.pack(">IdIIB", body.k, body.delta, body.n, m, 0), (a, ">f8"), (u, ">f8")]
     if body.permutation is None:
         out.append(struct.pack(">I", 0))
     else:
@@ -214,17 +206,13 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
     if m < 1 or n < 1:
         raise MalformedPayload("key share must have m, n >= 1")
     a_form = r.u8()
-    a = a_digest = None
-    if a_form == 0:
-        if m * n > MAX_FRAME_LENGTH // 8:
-            raise MalformedPayload("declared matrix larger than the frame cap")
-        a = _sealed(np.frombuffer(r.take(8 * m * n), dtype=">f8").reshape(m, n).astype(np.float64))
-        if not np.isfinite(a).all():
-            raise MalformedPayload("matrix entries must be finite")
-    elif a_form == 1:
-        a_digest = bytes(r.take(32))
-    else:
+    if a_form != 0:
         raise MalformedPayload(f"unknown matrix form {a_form}")
+    if m * n > MAX_FRAME_LENGTH // 8:
+        raise MalformedPayload("declared matrix larger than the frame cap")
+    a = _sealed(np.frombuffer(r.take(8 * m * n), dtype=">f8").reshape(m, n).astype(np.float64))
+    if not np.isfinite(a).all():
+        raise MalformedPayload("matrix entries must be finite")
     u = _sealed(np.frombuffer(r.take(8 * m), dtype=">f8").astype(np.float64))
     if not np.isfinite(u).all() or (u < 0).any() or (u >= k).any():
         raise MalformedPayload("dither entries must lie in [0, k)")
@@ -242,7 +230,7 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
         pad2 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
     r.done()
     share = msgs.KeyShare(
-        k=k, delta=delta, n=n, u=u, a=a, a_digest=a_digest,
+        k=k, delta=delta, n=n, u=u, a=a,
         permutation=permutation, pad1=pad1, pad2=pad2,
     )
     object.__setattr__(share, "_checked", True)
@@ -322,6 +310,7 @@ _CODECS = {
     msgs.Abort: (FAMILY_ABORT, _encode_abort, _decode_abort),
 }
 _DECODERS = {family: decode for family, _, decode in _CODECS.values()}
+_KINDS = {int(kind): kind for kind in msgs.ProtocolKind}
 
 
 def _nbytes(part) -> int:
@@ -372,14 +361,14 @@ def decode_frame(data: bytes) -> msgs.Envelope:
             raise VersionUnsupported(f"unsupported frame version 0x{version:02x}")
         msg_type = data[5]
         family, kind_bits, sender_bits = msg_type >> 4, (msg_type >> 2) & 0x3, msg_type & 0x3
-        decode = _DECODERS.get(family)
-        if decode is None or sender_bits > 2:
+        decode, kind = _DECODERS.get(family), _KINDS.get(kind_bits)
+        if decode is None or kind is None or sender_bits > 2:
             raise UnknownMessageType(f"msg_type 0x{msg_type:02x} is not defined")
         session_id = bytes(data[6:22])
         body = decode(_Reader(memoryview(data)[22 : 4 + length]))
         return msgs.Envelope(
             session_id=session_id,
-            kind=msgs.ProtocolKind(kind_bits),
+            kind=kind,
             sender=msgs.Role(sender_bits),
             body=body,
         )

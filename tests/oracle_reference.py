@@ -151,11 +151,8 @@ def _payload(body) -> bytes:
     name = type(body).__name__
     if name == "KeyShare":
         m = len(body.u)
-        parts = [struct.pack(">IdII", body.k, body.delta, body.n, m)]
-        if body.a is not None:
-            parts += [b"\x00", np.asarray(body.a, dtype=np.float64).astype(">f8", order="C").tobytes()]
-        else:
-            parts += [b"\x01", bytes(body.a_digest)]
+        parts = [struct.pack(">IdII", body.k, body.delta, body.n, m), b"\x00"]  # a_form: A in full
+        parts.append(np.asarray(body.a, dtype=np.float64).astype(">f8", order="C").tobytes())
         parts.append(np.asarray(body.u, dtype=np.float64).astype(">f8").tobytes())
         perm = body.permutation
         if perm is None:

@@ -36,7 +36,6 @@ from modhash import (
 )
 from modhash.errors import DecodeError
 from modhash.messages import Envelope, HashSubmission
-from modhash.protocol import MatrixStore
 from modhash.rng import ChaChaStream, subseed
 from modhash.simulate import SweepSpec, run_sweep
 from modhash.transport import BobServer, CharlieServer
@@ -209,12 +208,11 @@ def test_criterion_09_protocol_equivalence():
         x2 = x1 + 0.35 * vecs.standard_normal(n)
         means = set()
         for kind in ProtocolKind:
-            store = MatrixStore()
-            local = drive_local(kind, x1, x2, params, scen_seed, matrix_store=store)
+            local = drive_local(kind, x1, x2, params, scen_seed)
             means.add(local.mean_lee)
             with CharlieServer() as charlie:
                 charlie.start()
-                with BobServer(x2, charlie_address=charlie.address, matrix_store=store) as bob:
+                with BobServer(x2, charlie_address=charlie.address) as bob:
                     bob.start()
                     tcp = run_over_tcp(
                         kind, x1, params, scen_seed,
@@ -222,7 +220,6 @@ def test_criterion_09_protocol_equivalence():
                         charlie_address=(
                             charlie.address if kind != ProtocolKind.TWO_PARTY_HAMMING else None
                         ),
-                        matrix_store=store,
                     )
                     bob_estimate = bob.wait_result(tcp.session_id)
             assert tcp.mean_lee == local.mean_lee
@@ -232,10 +229,10 @@ def test_criterion_09_protocol_equivalence():
             assert list(tcp.received_frames) == local_inbound  # byte-for-byte
             tcp_checked += 1
         assert len(means) == 1, f"scenario {s}: kinds disagree: {means}"
-    assert tcp_checked == 400
+    assert tcp_checked == 300
     _report(
         9,
-        "100 scenarios x 4 kinds: identical exact mean-Lee rationals; TCP "
+        "100 scenarios x 3 kinds: identical exact mean-Lee rationals; TCP "
         "loopback results byte-identical to in-process runs",
         t0,
     )

@@ -178,7 +178,7 @@ def test_run_tcp_selftest_matches_local(capsys, vectors):
     assert tcp["bob_estimate"] == local["bob_estimate"]
 
 
-@pytest.mark.parametrize("kind", ["public-a", "two-party", "obfuscated"])
+@pytest.mark.parametrize("kind", ["two-party", "obfuscated"])
 def test_run_tcp_selftest_all_kinds(capsys, vectors, kind):
     code, fields = _run(
         capsys, "run", "--kind", kind, "--x1", vectors[0], "--x2", vectors[1],
@@ -186,6 +186,26 @@ def test_run_tcp_selftest_all_kinds(capsys, vectors, kind):
     )
     assert code == 0
     assert fields["alice_estimate"] == fields["bob_estimate"]
+
+
+def test_the_retired_public_a_kind_and_matrix_flags_are_refused(capsys, tmp_path, vectors):
+    x1, x2 = vectors
+    run = ["run", "--x1", x1, "--x2", x2, "--seed", "s", "--k", "8", "--m", "32"]
+    key_file = tmp_path / "key.json"
+    matrix, matrix_out = ("--" + name for name in ("matrix", "matrix-out"))  # flags of the public-A files
+    for argv, named in [
+        (run + ["--kind", "public-a"], "public-a"),
+        (run + ["--kind", "full-key", matrix, "A.json"], matrix),
+        # without --x2, a serve that took the flag would fail, not wait for a signal
+        (["serve", "--role", "bob", "--listen", "127.0.0.1:0", matrix, "A.json"], matrix),
+        (["keygen", "--k", "8", "--m", "4", "--n", "4", "--seed", "s", "--out", str(key_file),
+          matrix_out, "A.json"], matrix_out),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert named in capsys.readouterr().err
+    assert not key_file.exists()
 
 
 def test_run_distributed_requires_bob(capsys, vectors):

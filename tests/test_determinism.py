@@ -25,7 +25,6 @@ LARGE_PERMUTATION_DIGEST = "4e418d736a46a5d14e57a3291a473c2fcb30deb9060fce1975e0
 
 TRANSCRIPT_DIGESTS = {
     ProtocolKind.FULL_KEY_3P: "a327272cc7f4a83c7def6769add4e6d2094c85fcd53dfb85a85e39f960d3ce4d",
-    ProtocolKind.PUBLIC_A_3P: "da65403dce61ad7490ce22537832a2c69c5b167a5c95ab4cfc00ace43f4893a5",
     ProtocolKind.TWO_PARTY_HAMMING: "65c99f57adfc0df642981f86921af081e47e00cb9aa9ae20a1f0dc0ec88439a7",
     ProtocolKind.OBFUSCATED_3P: "35d33761f2942b95b4ccdd3a4348608bcbf608e0952f60e0d30a5679067ccc21",
 }

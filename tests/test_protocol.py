@@ -37,7 +37,7 @@ from modhash.messages import (
     KeyShare,
 )
 from modhash import plan_parameters, wire
-from modhash.protocol import MatrixStore, Phase
+from modhash.protocol import Phase
 from modhash.rng import ChaChaStream
 from modhash.wire import FAMILY_HASH_SUBMISSION, decode_frame
 
@@ -198,12 +198,12 @@ def test_two_party_response_past_the_diameter_aborts():
 _CHARLIE_NEVER_HOLDS = ("_x", "_code", "_padding")
 
 
-def _fresh_session(role, kind, session_id, store):
+def _fresh_session(role, kind, session_id):
     x1, x2 = _vectors()
     if role == Role.ALICE:
-        return start_session(role, kind, PARAMS, x=x1, seed=SEED, matrix_store=store)[0]
+        return start_session(role, kind, PARAMS, x=x1, seed=SEED)[0]
     if role == Role.BOB:
-        return start_session(role, kind, PARAMS, x=x2, session_id=session_id, matrix_store=store)[0]
+        return start_session(role, kind, PARAMS, x=x2, session_id=session_id)[0]
     return start_session(role, kind, session_id=session_id)[0]
 
 
@@ -214,8 +214,7 @@ def test_every_reachable_state_is_total(kind):
     # from every sender. Each delivery returns envelopes or raises a typed
     # error after which the session is ABORTED.
     x1, x2 = _vectors()
-    store = MatrixStore()
-    run = drive_local(kind, x1, x2, PARAMS, SEED, matrix_store=store)
+    run = drive_local(kind, x1, x2, PARAMS, SEED)
     inbound = [(t.recipient, decode_frame(t.data).addressed_to(t.recipient)) for t in run.transcript]
     session_id = inbound[0][1].session_id
     bodies = [env.body for _, env in inbound] + [Abort(reason="probe")]
@@ -226,7 +225,7 @@ def test_every_reachable_state_is_total(kind):
         for n in range(len(mine) + 1):
             for body in bodies:
                 for sender in Role:
-                    session = _fresh_session(role, kind, session_id, store)
+                    session = _fresh_session(role, kind, session_id)
                     for env in mine[:n]:
                         session.on_message(env)
                     try:
@@ -323,7 +322,7 @@ def _charlie_bytes(run):
 
 def test_charlie_sees_only_hash_submissions():
     x1, x2 = _vectors()
-    for kind in (ProtocolKind.FULL_KEY_3P, ProtocolKind.PUBLIC_A_3P, ProtocolKind.OBFUSCATED_3P):
+    for kind in (ProtocolKind.FULL_KEY_3P, ProtocolKind.OBFUSCATED_3P):
         run = drive_local(kind, x1, x2, PARAMS, SEED)
         for data in _charlie_bytes(run):
             assert data[5] >> 4 == FAMILY_HASH_SUBMISSION
@@ -333,15 +332,14 @@ def test_charlie_traffic_never_contains_secrets():
     # Scan every byte addressed to Charlie for serialized key material or
     # plaintext vector entries.
     x1, x2 = _vectors()
-    for kind in (ProtocolKind.FULL_KEY_3P, ProtocolKind.PUBLIC_A_3P, ProtocolKind.OBFUSCATED_3P):
+    for kind in (ProtocolKind.FULL_KEY_3P, ProtocolKind.OBFUSCATED_3P):
         run = drive_local(kind, x1, x2, PARAMS, SEED)
         blob = b"".join(_charlie_bytes(run))
         key_share = decode_frame(run.transcript[0].data).body
         secrets = [np.float64(v).tobytes() for v in key_share.u]
         secrets += [np.float64(v).tobytes() for v in x1]
         secrets += [np.float64(v).tobytes() for v in x2]
-        if key_share.a is not None:
-            secrets += [np.float64(v).tobytes() for v in key_share.a[0]]
+        secrets += [np.float64(v).tobytes() for v in key_share.a[0]]
         for needle in secrets:
             assert needle not in blob
             assert needle[::-1] not in blob  # either endianness
@@ -351,7 +349,6 @@ def test_charlie_traffic_never_contains_secrets():
     "kind",
     [
         ProtocolKind.FULL_KEY_3P,
-        ProtocolKind.PUBLIC_A_3P,
         ProtocolKind.OBFUSCATED_3P,
         pytest.param(
             ProtocolKind.TWO_PARTY_HAMMING,
@@ -394,58 +391,13 @@ def test_obfuscated_charlie_view_sits_near_plateau():
     assert abs(float(run.charlie_observed) - 2.0) < 3.0 * sigma + abs(float(run.mean_lee) - 2.0) / 11.0
 
 
-def test_public_a_wire_key_share_is_compact():
-    x1, x2 = _vectors()
-    run_pub = drive_local(ProtocolKind.PUBLIC_A_3P, x1, x2, PARAMS, SEED)
-    run_full = drive_local(ProtocolKind.FULL_KEY_3P, x1, x2, PARAMS, SEED)
-    pub_share = next(t.data for t in run_pub.transcript if t.recipient == Role.BOB)
-    full_share = next(t.data for t in run_full.transcript if t.recipient == Role.BOB)
-    assert len(pub_share) < len(full_share)
-    env = decode_frame(pub_share)
-    assert env.body.a is None and env.body.a_digest is not None
-
-
-def test_matrix_store_keeps_what_was_put_not_the_callers_array():
-    store = MatrixStore()
-    a = np.ones((2, 2))
-    d = store.put(a)
-    a[0, 0] = 5.0
-    assert np.array_equal(store.get(d), np.ones((2, 2)))
-    assert MatrixStore.digest(store.get(d)) == d
-    assert not store.get(d).flags.writeable
-
-
-def test_public_a_unknown_digest_aborts():
-    x1, x2 = _vectors()
-    store = MatrixStore()
-    key = generate_key(PARAMS.k, PARAMS.m, len(x1), bytes(32))
-    alice, outgoing = start_session(
-        Role.ALICE, ProtocolKind.PUBLIC_A_3P, PARAMS, x=x1, seed=SEED, matrix_store=store
-    )
-    empty_store = MatrixStore()
-    bob, _ = start_session(
-        Role.BOB, ProtocolKind.PUBLIC_A_3P, PARAMS, x=x2,
-        session_id=alice.session_id, matrix_store=empty_store,
-    )
-    with pytest.raises(ProtocolViolation):
-        bob.on_message(outgoing[0].addressed_to(Role.BOB))
-
-
-class _ForgetfulStore(MatrixStore):
-    """Hands out digests but keeps no matrix, so Bob cannot resolve one."""
-
-    def put(self, a):
-        return self.digest(a)
-
-
 @pytest.mark.parametrize(
     "kind, n2, options, error, failed",
     [
         (ProtocolKind.FULL_KEY_3P, 15, {}, DimensionMismatch, Role.BOB),
         (ProtocolKind.TWO_PARTY_HAMMING, 15, {}, DimensionMismatch, Role.BOB),
-        (ProtocolKind.PUBLIC_A_3P, 16, {"matrix_store": _ForgetfulStore()}, ProtocolViolation, Role.BOB),
     ],
-    ids=["bob-n-mismatch-3p", "bob-n-mismatch-2p", "unknown-digest"],
+    ids=["bob-n-mismatch-3p", "bob-n-mismatch-2p"],
 )
 def test_every_session_error_carries_its_aborts_into_the_transcript(monkeypatch, kind, n2, options, error, failed):
     # Before, only violations the session itself built carried Aborts.
@@ -470,21 +422,16 @@ def _short_permutation(ks):
 @pytest.mark.parametrize(
     "kind, strip, reason",
     [
-        (ProtocolKind.PUBLIC_A_3P, lambda ks: dataclasses.replace(ks, permutation=None),
-         "permutation of M slots"),
         (ProtocolKind.OBFUSCATED_3P, lambda ks: dataclasses.replace(ks, pad1=None, pad2=None),
          "both pads"),
         (ProtocolKind.OBFUSCATED_3P, _short_permutation, r"permutation of M\+P slots"),
     ],
-    ids=["public-a-without-permutation", "obfuscated-without-pads", "obfuscated-permutation-of-M"],
+    ids=["obfuscated-without-pads", "obfuscated-permutation-of-M"],
 )
 def test_bob_refuses_a_share_lacking_what_its_kind_needs(kind, strip, reason):
     x1, x2 = _vectors()
-    store = MatrixStore()
-    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED, matrix_store=store)
-    bob, _ = start_session(
-        Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id, matrix_store=store
-    )
+    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
     share = strip(outgoing[0].body)
     with pytest.raises(ProtocolViolation, match=reason) as err:
         bob.on_message(Envelope(alice.session_id, kind, Role.ALICE, share, Role.BOB))
@@ -510,9 +457,8 @@ def test_owners_keep_nothing_they_sent_or_received_once_they_have_hashed(kind):
     # Before, Alice and Bob kept their HashKey (so A and U), the obfuscated
     # kind both pads, and Bob his ring code, until the session ended.
     x1, x2 = _vectors()
-    store = MatrixStore()
-    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED, matrix_store=store)
-    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id, matrix_store=store)
+    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
     share = decode_frame(wire.encode_envelope(outgoing[0])).addressed_to(Role.BOB)
     held = [weakref.ref(a) for env in outgoing for a in _arrays(env)]
     del outgoing
@@ -601,32 +547,30 @@ def test_planned_run_hits_target_interval():
         assert run.alice_estimate == run.bob_estimate
 
 
-@pytest.mark.parametrize("kind", [ProtocolKind.FULL_KEY_3P, ProtocolKind.PUBLIC_A_3P], ids=lambda k: k.name)
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.name)
 @pytest.mark.parametrize("through_wire", [True, False], ids=["decoded", "in memory"])
 def test_bob_scans_only_what_the_decoder_has_not(monkeypatch, kind, through_wire):
-    # The decoder checks U, and A where the share carries it, as HashKey
-    # would: Bob scans again only A from his matrix store, and every array
-    # of a share handed over in memory.
+    # The decoder checks A and U as HashKey would: Bob scans them again only
+    # on a share handed over in memory.
     import modhash.protocol as protocol
 
     scans = []
     real = protocol._shared_key
 
     def shared_key(*args, **kwargs):
-        scans.append((not kwargs.get("a_checked", False), not kwargs.get("u_checked", False)))
+        scans.append(not kwargs.get("checked", False))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "_shared_key", shared_key)
     x1, x2 = _vectors()
-    store = MatrixStore()
-    _, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED, matrix_store=store)
+    _, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
     share = next(e for e in outgoing if isinstance(e.body, KeyShare))
     if through_wire:
         share = decode_frame(wire.encode_envelope(share))
     assert share.body._checked == through_wire
-    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=share.session_id, matrix_store=store)
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=share.session_id)
     bob.on_message(share.addressed_to(Role.BOB))
-    assert scans == [(not through_wire or kind == ProtocolKind.PUBLIC_A_3P, not through_wire)]
+    assert scans == [not through_wire]
 
 
 def test_a_key_share_built_by_a_caller_is_never_taken_as_checked():

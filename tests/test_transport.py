@@ -31,14 +31,8 @@ from modhash import (
 )
 from modhash import protocol, transport
 from modhash.messages import Abort, DistanceResult, Envelope, HashSubmission, KeyShare
-from modhash.protocol import MatrixStore, Phase, start_session
-from modhash.transport import (
-    BobServer,
-    CharlieServer,
-    TcpTransport,
-    matrix_from_json,
-    matrix_to_json,
-)
+from modhash.protocol import Phase, start_session
+from modhash.transport import BobServer, CharlieServer, TcpTransport
 from modhash.wire import decode_frame, encode_envelope
 
 SEED = bytes(range(32))
@@ -197,17 +191,16 @@ def test_charlie_server_aborts_key_share():
 
 def _run_both_ways(kind, offset=0.25, mode=EstimateMode.RAW):
     x1, x2 = _vectors(offset=offset)
-    store = MatrixStore()
-    local = drive_local(kind, x1, x2, PARAMS, SEED, mode=mode, matrix_store=store)
+    local = drive_local(kind, x1, x2, PARAMS, SEED, mode=mode)
     with CharlieServer() as charlie:
         charlie.start()
-        with BobServer(x2, charlie_address=charlie.address, matrix_store=store, mode=mode) as bob:
+        with BobServer(x2, charlie_address=charlie.address, mode=mode) as bob:
             bob.start()
             tcp = run_over_tcp(
                 kind, x1, PARAMS, SEED,
                 bob_address=bob.address,
                 charlie_address=charlie.address if kind != ProtocolKind.TWO_PARTY_HAMMING else None,
-                mode=mode, matrix_store=store,
+                mode=mode,
             )
             bob_estimate = bob.wait_result(tcp.session_id)
     return local, tcp, bob_estimate
@@ -519,9 +512,9 @@ def test_a_share_bob_refuses_also_ends_charlies_half_of_the_session():
     # Before, Charlie held the session until the connection dropped or
     # _IDLE_S passed: Bob's Abort went to Alice alone.
     x1, x2 = _vectors()
-    _, share, submission = _alice_frames(ProtocolKind.PUBLIC_A_3P, x1, x2, PARAMS, SEED)
+    _, share, submission = _alice_frames(ProtocolKind.FULL_KEY_3P, x1, x2, PARAMS, SEED)
     sid = decode_frame(share).session_id
-    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+    with CharlieServer() as charlie, BobServer(x2[:-1], charlie_address=charlie.address) as bob:
         charlie.start()
         bob.start()
         to_charlie = TcpTransport.connect(*charlie.address, timeout=5.0)
@@ -530,7 +523,7 @@ def test_a_share_bob_refuses_also_ends_charlies_half_of_the_session():
         to_bob = TcpTransport.connect(*bob.address, timeout=5.0)
         to_bob.send_frame(share)
         env = decode_frame(to_bob.recv_frame())
-        assert env.body == Abort(reason="no matrix store to resolve the public matrix")
+        assert env.body == Abort(reason="input has length 15, key expects 16")
         _eventually(lambda: not charlie._sessions, timeout=1.0)
         assert charlie._sessions == {} and bob._sessions == {}
         to_bob.close()
@@ -541,12 +534,12 @@ def test_alice_hears_bobs_abort_at_once():
     # Before, Alice read only Charlie's connection on three-party kinds, so
     # Bob's Abort went unread until her own timeout ran out.
     x1, x2 = _vectors()
-    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+    with CharlieServer() as charlie, BobServer(x2[:-1], charlie_address=charlie.address) as bob:
         charlie.start()
         bob.start()
         t0 = time.monotonic()
-        with pytest.raises(ProtocolViolation, match="no matrix store to resolve the public matrix"):
-            run_over_tcp(ProtocolKind.PUBLIC_A_3P, x1, PARAMS, SEED, bob.address, charlie.address, timeout=10)
+        with pytest.raises(ProtocolViolation, match="input has length 15, key expects 16"):
+            run_over_tcp(ProtocolKind.FULL_KEY_3P, x1, PARAMS, SEED, bob.address, charlie.address, timeout=10)
         assert time.monotonic() - t0 < 1.0
         _eventually(lambda: not charlie._sessions, timeout=1.0)
         assert charlie._sessions == {} and bob._sessions == {}
@@ -790,14 +783,14 @@ def test_a_failed_session_closes_the_connections_it_reused(failure):
         run_over_tcp(ProtocolKind.FULL_KEY_3P, x1, PARAMS, SEED, bob.address, charlie.address)
         kept = dict(transport._alice.idle)
         assert set(kept) == {Role.BOB, Role.CHARLIE}
-        if failure == "abort":  # Bob has no matrix store, so he aborts a public-A share
-            kind, error = ProtocolKind.PUBLIC_A_3P, ProtocolViolation
+        if failure == "abort":  # a key share for vectors of another length: Bob aborts it
+            x1, error = x1[:-1], ProtocolViolation
         else:  # Bob takes the key share and never answers it
             handle = bob._handle
             bob._handle = lambda conn, env: None if isinstance(env.body, KeyShare) else handle(conn, env)
-            kind, error = ProtocolKind.FULL_KEY_3P, TransportClosed
+            error = TransportClosed
         with pytest.raises(error):
-            run_over_tcp(kind, x1, PARAMS, bytes([13]) * 32, bob.address, charlie.address, timeout=0.3)
+            run_over_tcp(ProtocolKind.FULL_KEY_3P, x1, PARAMS, bytes([13]) * 32, bob.address, charlie.address, timeout=0.3)
         assert transport._alice.idle == {}
         assert all(conn.closed for conn in kept.values())
 
@@ -902,6 +895,13 @@ def test_bob_sessions_waiting_for_charlie_hold_no_key_matrix():
                 while shares:
                     conn.send_frame(shares.pop())
                 _eventually(lambda: len(charlie._sessions) == sessions)
+                # Bob may still be inside the last share's handler, holding its
+                # frame and A. His loop serves one frame at a time, so once he
+                # has refused a probe sent after it, he has let the share go.
+                probe = Envelope(b"\x0f" * 16, ProtocolKind.FULL_KEY_3P, Role.CHARLIE,
+                                 DistanceResult(mean_lee=Fraction(0), count=1))
+                conn.send_frame(encode_envelope(probe))
+                assert decode_frame(conn.recv_frame()).session_id == probe.session_id
                 grown = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
@@ -1010,18 +1010,8 @@ def test_key_files_refuse_sizes_they_would_have_to_coerce(field, value):
         key_from_json(json.dumps({**_KEY_DOC, field: value}))
 
 
-def test_key_and_matrix_files_refuse_coerced_sizes_in_every_form():
+def test_key_files_refuse_coerced_sizes_in_every_form():
     with pytest.raises(InvalidInput):
         key_from_json(json.dumps({"k": 8.9, "delta": 1, "M": True, "N": 1.5, "a": [0.1], "u": [0.5]}))
     with pytest.raises(InvalidInput):
         key_from_json(json.dumps({"k": 8.9, "delta": 1, "M": 6, "N": 4, "seed": SEED.hex(), "sampler": "ziggurat256"}))
-    matrix = {"M": 1, "N": 1, "a": [0.1]}
-    assert matrix_from_json(json.dumps(matrix)).shape == (1, 1)
-    for field, value in (("M", 1.9), ("M", True), ("N", "1")):
-        with pytest.raises(InvalidInput, match="not a valid matrix file"):
-            matrix_from_json(json.dumps({**matrix, field: value}))
-
-
-def test_matrix_json_roundtrip():
-    key = generate_key(8, 6, 4, SEED)
-    assert np.array_equal(matrix_from_json(matrix_to_json(key.a)), key.a)

@@ -54,10 +54,7 @@ def _sample_envelopes():
     pads = HashVector(8, np.array([3, 1, 7])), HashVector(8, np.array([0, 5, 2]))
     return [
         _env(KeyShare(k=8, delta=key.delta, n=4, u=key.u, a=key.a)),
-        _env(
-            KeyShare(k=8, delta=key.delta, n=4, u=key.u, a_digest=bytes(32), permutation=perm),
-            kind=ProtocolKind.PUBLIC_A_3P,
-        ),
+        _env(KeyShare(k=8, delta=key.delta, n=4, u=key.u, a=key.a, permutation=perm)),
         _env(
             KeyShare(
                 k=8, delta=key.delta, n=4, u=key.u, a=key.a,
@@ -93,10 +90,8 @@ def _key_shares(draw):
     k, m, n = draw(_WIRE_K), draw(st.integers(1, 12)), draw(st.integers(1, 6))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     u = draw(hnp.arrays(np.float64, m, elements=st.floats(0, k, exclude_max=True)))
-    a = a_digest = permutation = pad1 = pad2 = None
+    permutation = pad1 = pad2 = None
     if draw(st.booleans()):
-        a_digest = draw(st.binary(min_size=32, max_size=32))
-    elif draw(st.booleans()):
         a = draw(hnp.arrays(np.float64, (m, n), elements=finite))
     else:  # a transposed view: the frame holds its rows, not its memory order
         a = draw(hnp.arrays(np.float64, (n, m), elements=finite)).T
@@ -108,7 +103,7 @@ def _key_shares(draw):
         permutation = Permutation(m + p, np.array(draw(st.permutations(range(m + p)))))
     delta = draw(st.floats(min_value=1e-300, max_value=1e300))
     return KeyShare(
-        k=k, delta=delta, n=n, u=u, a=a, a_digest=a_digest,
+        k=k, delta=delta, n=n, u=u, a=a,
         permutation=permutation, pad1=pad1, pad2=pad2,
     )
 
@@ -189,6 +184,26 @@ def test_unknown_msg_type_rejected():
         decode_frame(bytes(data))
     data[5] = 0x23  # family 2, sender 3
     with pytest.raises(UnknownMessageType):
+        decode_frame(bytes(data))
+
+
+def test_retired_kind_bits_are_refused_from_the_header():
+    # Kind 1 (public-A) is retired. Before, ProtocolKind(1) raised only
+    # after the whole payload had been decoded, and as MalformedPayload.
+    data = bytearray(encode_envelope(_sample_envelopes()[0]))
+    data[5] = (data[5] & ~0x0C) | (1 << 2)
+    with pytest.raises(UnknownMessageType):
+        decode_frame(bytes(data))
+    data[4 + HEADER_LEN + 20] = 7  # an unknown a_form: the payload is never read
+    with pytest.raises(UnknownMessageType):
+        decode_frame(bytes(data))
+
+
+def test_a_key_share_refuses_the_retired_digest_form():
+    data = bytearray(encode_envelope(_sample_envelopes()[0]))
+    assert data[4 + HEADER_LEN + 20] == 0  # a_form follows k, delta, n and m
+    data[4 + HEADER_LEN + 20] = 1
+    with pytest.raises(MalformedPayload, match="unknown matrix form 1"):
         decode_frame(bytes(data))
 
 
