@@ -110,7 +110,8 @@ class HashKey(_ValueEq):
 
     A is M x N (one row per hash component), entries finite; every dither
     entry lies in [0, k). Instances are immutable and safe to share across
-    threads.
+    threads. This constructor, which copies A and U, or the wire decoder's
+    identical checks of a key share are the only checks of key material.
     """
 
     k: int
@@ -121,20 +122,16 @@ class HashKey(_ValueEq):
     def __post_init__(self):
         object.__setattr__(self, "k", _check_even_k(self.k))
         _check_real(self.delta, "delta")
-        object.__setattr__(self, "a", _frozen_array(self.a, np.float64))
-        object.__setattr__(self, "u", _frozen_array(self.u, np.float64))
-        self._check_arrays()
-
-    def _check_arrays(self, scan: bool = True):
-        """Check the shapes of A and U, and with scan their values."""
-        a, u = self.a, self.u
+        a, u = _frozen_array(self.a, np.float64), _frozen_array(self.u, np.float64)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "u", u)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidParameter("A must be a 2-D matrix with M, N >= 1")
-        if scan and not np.isfinite(a).all():
+        if not np.isfinite(a).all():
             raise InvalidParameter("A entries must be finite")
         if u.ndim != 1 or u.shape[0] != a.shape[0]:
             raise DimensionMismatch("U must have one entry per row of A")
-        if scan and (not np.isfinite(u).all() or (u < 0).any() or (u >= self.k).any()):
+        if not np.isfinite(u).all() or (u < 0).any() or (u >= self.k).any():
             raise InvalidParameter("every dither entry must satisfy 0 <= u < k")
 
     @property
@@ -144,29 +141,6 @@ class HashKey(_ValueEq):
     @property
     def n(self) -> int:
         return self.a.shape[1]
-
-
-def _shared_key(k, delta, a, u, *, checked: bool = False) -> HashKey:
-    """Bob's key over the A and U of a key share he has just received.
-
-    Every check of the HashKey constructor runs, except the scan of the
-    values of A and U when the wire decoder has already made it (checked).
-    Read-only float64 arrays (a decoded share's, or Alice's own key's when
-    the share is handed over in memory) are taken without a copy; any other
-    array is copied. A read-only array may still alias memory its sender can
-    write, so such a key stays with the session that made it, which hashes
-    with it at once.
-    """
-    k = _check_even_k(k)
-    _check_real(delta, "delta")
-    a, u = (
-        v if isinstance(v, np.ndarray) and v.dtype == np.float64 and not v.flags.writeable
-        else np.array(v, dtype=np.float64)
-        for v in (a, u)
-    )
-    key = _adopt(HashKey, k=k, delta=delta, a=a, u=u)
-    key._check_arrays(scan=not checked)
-    return key
 
 
 @dataclass(frozen=True, eq=False)

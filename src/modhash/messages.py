@@ -8,11 +8,9 @@ never appears on the wire.
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
-from typing import ClassVar
 
-import numpy as np
-
-from .core import BinaryCode, HashVector, Permutation, _ValueEq
+from .core import BinaryCode, HashKey, HashVector, Permutation, _ValueEq
+from .errors import InvalidParameter
 
 SESSION_ID_BYTES = 16
 
@@ -36,27 +34,19 @@ THREE_PARTY_KINDS = frozenset({ProtocolKind.FULL_KEY_3P, ProtocolKind.OBFUSCATED
 
 @dataclass(frozen=True, eq=False)
 class KeyShare(_ValueEq):
-    """Key material Alice sends Bob over the confidential channel.
-
-    `a` is the M x N projection matrix. `permutation` and `pad1`/`pad2` ride
-    along only for the obfuscated kind.
+    """Key material Alice sends Bob over the confidential channel: her
+    HashKey, already checked when it was built, and, for the obfuscated kind
+    only, `permutation` and `pad1`/`pad2`. Anything but a HashKey is refused.
     """
 
-    k: int
-    delta: float
-    n: int
-    u: np.ndarray
-    a: np.ndarray
+    key: HashKey
     permutation: Permutation | None = None
     pad1: HashVector | None = None
     pad2: HashVector | None = None
-    # True only on a share the wire decoder built: it has checked a and u as
-    # HashKey would, so Bob need not again
-    _checked: ClassVar[bool] = False
 
-    @property
-    def m(self) -> int:
-        return len(self.u)
+    def __post_init__(self):
+        if not isinstance(self.key, HashKey):
+            raise InvalidParameter(f"a key share holds a HashKey, not {type(self.key).__name__}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,16 +3,16 @@
 All three flows share one shape: Alice provisions key material, both data
 owners hash their vectors, some party averages Lee distances, and the data
 owners turn the exact rational mean into a distance estimate. Every key
-share carries (k, A, U); the kinds differ in who averages and in whether the
-share also carries pads, which one set (_PADDED_KINDS) states and both Alice
-and Bob read:
+share carries Alice's HashKey, which Bob hashes with as it is; the kinds
+differ in who averages and in whether the share also carries pads, which
+one set (_PADDED_KINDS) states and both Alice and Bob read:
 
-    FULL_KEY_3P       (k, A, U). Both submit plain hashes to Charlie, who
+    FULL_KEY_3P       The key. Both submit plain hashes to Charlie, who
                       returns the mean Lee distance to both.
-    TWO_PARTY_HAMMING (k, A, U). No Charlie: Bob sends his ring-coded hash to
+    TWO_PARTY_HAMMING The key. No Charlie: Bob sends his ring-coded hash to
                       Alice, who computes the Hamming distance and returns
                       it. Alice holds the key, so she can invert Bob's hash.
-    OBFUSCATED_3P     (k, A, U), uniform pads z1, z2 of P slots and a
+    OBFUSCATED_3P     The key, uniform pads z1, z2 of P slots and a
                       permutation of M+P slots; each owner appends its pad
                       and permutes, which pulls Charlie's mean towards k/4
                       but does not hide the distance from him.
@@ -48,11 +48,9 @@ from . import wire
 from .analysis import DistanceEstimate, EstimateMode, ProtocolParams, estimate_distance
 from .core import (
     BinaryCode,
-    HashKey,
     HashVector,
     Permutation,
     _check_size,
-    _shared_key,
     apply_permutation,
     concat_hashes,
     encode_lee_to_binary,
@@ -224,26 +222,26 @@ class Session:
         """Bob checks Alice's share against the agreed (k, M), his input and
         what his kind needs, then hashes and sends as Alice did."""
         ks = env.body
-        if self.params is not None and (ks.k != self.params.k or ks.m != self.params.m):
+        key = ks.key
+        if self.params is not None and (key.k != self.params.k or key.m != self.params.m):
             raise DimensionMismatch(
-                f"key share (k={ks.k}, m={ks.m}) disagrees with agreed "
+                f"key share (k={key.k}, m={key.m}) disagrees with agreed "
                 f"(k={self.params.k}, m={self.params.m})"
             )
-        if len(self._x) != ks.n:
-            raise DimensionMismatch(f"input has length {len(self._x)}, key expects {ks.n}")
+        if len(self._x) != key.n:
+            raise DimensionMismatch(f"input has length {len(self._x)}, key expects {key.n}")
         if self.kind in _PADDED_KINDS:
             if ks.pad1 is None or ks.pad2 is None:
                 raise ProtocolViolation(f"{self.kind.name} key share must carry both pads")
-            if ks.permutation is None or ks.permutation.size != ks.m + ks.pad1.m:
+            if ks.permutation is None or ks.permutation.size != key.m + ks.pad1.m:
                 raise ProtocolViolation(f"{self.kind.name} key share must carry a permutation of M+P slots")
-        # a decoded share's A and U have passed the wire decoder's value checks
-        key = _shared_key(ks.k, ks.delta, ks.a, ks.u, checked=ks._checked)
-        return self._hash_and_send(key, ks)
+        return self._hash_and_send(ks)
 
-    def _hash_and_send(self, key: HashKey, ks: KeyShare) -> list[Envelope]:
+    def _hash_and_send(self, ks: KeyShare) -> list[Envelope]:
         """Both owners' one path from key share to outgoing hash: ring-coded
         for Alice, or padded, permuted and submitted to Charlie. The session
         keeps neither the key nor the share, only what a later move reads."""
+        key = ks.key
         self._k, self._m = key.k, key.m
         h = hash_vector(key, self._x)
         self._x = None  # plaintext no longer needed
@@ -371,11 +369,8 @@ def start_session(
             for label in (b"pad1", b"pad2")
         )
         permutation = Permutation.random(key.m + p, ChaChaStream(seed, b"perm"))
-    share = KeyShare(
-        k=key.k, delta=key.delta, n=key.n, u=key.u, a=key.a,
-        permutation=permutation, pad1=pad1, pad2=pad2,
-    )
-    return session, [session._envelope(share, Role.BOB), *session._hash_and_send(key, share)]
+    share = KeyShare(key, permutation=permutation, pad1=pad1, pad2=pad2)
+    return session, [session._envelope(share, Role.BOB), *session._hash_and_send(share)]
 
 
 @dataclass(frozen=True)

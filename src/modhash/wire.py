@@ -36,7 +36,8 @@ into their slot, so a key share's matrix is copied once, into the frame, and
 no other copy of it is made. The frame is returned as that bytearray.
 Decoding reads the frame through memoryviews, without slicing copies, but a
 decoded message never holds a view into the frame: every array and string
-in it is its own copy, so the frame's buffer may be reused at once.
+in it is its own copy, so the frame's buffer may be reused at once. A key
+share's decoder runs HashKey's checks, then builds the share's HashKey.
 """
 
 import math
@@ -46,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import messages as msgs
-from .core import BinaryCode, HashVector, Permutation, _adopt, _sealed
+from .core import BinaryCode, HashKey, HashVector, Permutation, _adopt
 from .errors import (
     ComponentOutOfRange,
     DecodeError,
@@ -95,13 +96,9 @@ def _encode_hash_submission(body: msgs.HashSubmission) -> list:
 
 
 def _encode_key_share(body: msgs.KeyShare) -> list:
-    _check_wire_k(body.k)
-    a = np.asarray(body.a, dtype=np.float64)
-    u = np.asarray(body.u, dtype=np.float64)
-    m = u.shape[0]
-    if a.shape != (m, body.n):
-        raise EncodingError("A shape disagrees with (m, n)")
-    out = [struct.pack(">IdIIB", body.k, body.delta, body.n, m, 0), (a, ">f8"), (u, ">f8")]
+    key = body.key
+    _check_wire_k(key.k)
+    out = [struct.pack(">IdIIB", key.k, key.delta, key.n, key.m, 0), (key.a, ">f8"), (key.u, ">f8")]
     if body.permutation is None:
         out.append(struct.pack(">I", 0))
     else:
@@ -109,7 +106,7 @@ def _encode_key_share(body: msgs.KeyShare) -> list:
     if body.pad1 is None and body.pad2 is None:
         out.append(struct.pack(">I", 0))
     elif body.pad1 is not None and body.pad2 is not None and body.pad1.m == body.pad2.m:
-        if body.pad1.k != body.k or body.pad2.k != body.k:
+        if body.pad1.k != key.k or body.pad2.k != key.k:
             raise EncodingError("padding alphabet disagrees with k")
         out += [
             struct.pack(">I", body.pad1.m),
@@ -210,10 +207,10 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
         raise MalformedPayload(f"unknown matrix form {a_form}")
     if m * n > MAX_FRAME_LENGTH // 8:
         raise MalformedPayload("declared matrix larger than the frame cap")
-    a = _sealed(np.frombuffer(r.take(8 * m * n), dtype=">f8").reshape(m, n).astype(np.float64))
+    a = np.frombuffer(r.take(8 * m * n), dtype=">f8").reshape(m, n).astype(np.float64)
     if not np.isfinite(a).all():
         raise MalformedPayload("matrix entries must be finite")
-    u = _sealed(np.frombuffer(r.take(8 * m), dtype=">f8").astype(np.float64))
+    u = np.frombuffer(r.take(8 * m), dtype=">f8").astype(np.float64)
     if not np.isfinite(u).all() or (u < 0).any() or (u >= k).any():
         raise MalformedPayload("dither entries must lie in [0, k)")
     perm_count = r.u32()
@@ -229,12 +226,8 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
         pad1 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
         pad2 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
     r.done()
-    share = msgs.KeyShare(
-        k=k, delta=delta, n=n, u=u, a=a,
-        permutation=permutation, pad1=pad1, pad2=pad2,
-    )
-    object.__setattr__(share, "_checked", True)
-    return share
+    key = _adopt(HashKey, k=k, delta=delta, a=a, u=u)
+    return msgs.KeyShare(key, permutation=permutation, pad1=pad1, pad2=pad2)
 
 
 def _decode_distance_result(r: _Reader) -> msgs.DistanceResult:

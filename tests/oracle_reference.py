@@ -150,10 +150,11 @@ def main():
 def _payload(body) -> bytes:
     name = type(body).__name__
     if name == "KeyShare":
-        m = len(body.u)
-        parts = [struct.pack(">IdII", body.k, body.delta, body.n, m), b"\x00"]  # a_form: A in full
-        parts.append(np.asarray(body.a, dtype=np.float64).astype(">f8", order="C").tobytes())
-        parts.append(np.asarray(body.u, dtype=np.float64).astype(">f8").tobytes())
+        key = body.key
+        m, n = key.a.shape
+        parts = [struct.pack(">IdII", key.k, key.delta, n, m), b"\x00"]  # a_form: A in full
+        parts.append(np.asarray(key.a, dtype=np.float64).astype(">f8", order="C").tobytes())
+        parts.append(np.asarray(key.u, dtype=np.float64).astype(">f8").tobytes())
         perm = body.permutation
         if perm is None:
             parts.append(struct.pack(">I", 0))

@@ -11,6 +11,7 @@ from modhash import (
     BinaryCode,
     DimensionMismatch,
     EstimateMode,
+    HashKey,
     HashVector,
     InvalidParameter,
     ModHashError,
@@ -124,7 +125,7 @@ def test_wrong_sender_rejected():
     _, x2 = _vectors()
     bob, _ = start_session(Role.BOB, ProtocolKind.FULL_KEY_3P, PARAMS, x=x2, session_id=bytes(16))
     key = generate_key(8, 64, 16, SEED)
-    share = KeyShare(k=8, delta=key.delta, n=16, u=key.u, a=key.a)
+    share = KeyShare(key)
     with pytest.raises(ProtocolViolation):
         bob.on_message(Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.CHARLIE, share, Role.BOB))
 
@@ -336,10 +337,10 @@ def test_charlie_traffic_never_contains_secrets():
         run = drive_local(kind, x1, x2, PARAMS, SEED)
         blob = b"".join(_charlie_bytes(run))
         key_share = decode_frame(run.transcript[0].data).body
-        secrets = [np.float64(v).tobytes() for v in key_share.u]
+        secrets = [np.float64(v).tobytes() for v in key_share.key.u]
         secrets += [np.float64(v).tobytes() for v in x1]
         secrets += [np.float64(v).tobytes() for v in x2]
-        secrets += [np.float64(v).tobytes() for v in key_share.a[0]]
+        secrets += [np.float64(v).tobytes() for v in key_share.key.a[0]]
         for needle in secrets:
             assert needle not in blob
             assert needle[::-1] not in blob  # either endianness
@@ -416,7 +417,7 @@ def test_every_session_error_carries_its_aborts_into_the_transcript(monkeypatch,
 
 
 def _short_permutation(ks):
-    return dataclasses.replace(ks, permutation=Permutation.random(ks.m, ChaChaStream(SEED, b"short")))
+    return dataclasses.replace(ks, permutation=Permutation.random(ks.key.m, ChaChaStream(SEED, b"short")))
 
 
 @pytest.mark.parametrize(
@@ -549,37 +550,32 @@ def test_planned_run_hits_target_interval():
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.name)
 @pytest.mark.parametrize("through_wire", [True, False], ids=["decoded", "in memory"])
-def test_bob_scans_only_what_the_decoder_has_not(monkeypatch, kind, through_wire):
-    # The decoder checks A and U as HashKey would: Bob scans them again only
-    # on a share handed over in memory.
+def test_bob_hashes_with_the_key_the_share_holds(monkeypatch, kind, through_wire):
+    # The share's HashKey was checked when it was built, by the decoder or by
+    # HashKey's constructor: Bob neither checks nor copies it again.
     import modhash.protocol as protocol
 
-    scans = []
-    real = protocol._shared_key
-
-    def shared_key(*args, **kwargs):
-        scans.append(not kwargs.get("checked", False))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "_shared_key", shared_key)
     x1, x2 = _vectors()
     _, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
     share = next(e for e in outgoing if isinstance(e.body, KeyShare))
     if through_wire:
         share = decode_frame(wire.encode_envelope(share))
-    assert share.body._checked == through_wire
     bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=share.session_id)
+    keys, checks = [], []
+    hash_vector, post_init = protocol.hash_vector, HashKey.__post_init__
+    monkeypatch.setattr(protocol, "hash_vector", lambda key, x: keys.append(key) or hash_vector(key, x))
+    monkeypatch.setattr(HashKey, "__post_init__", lambda key: checks.append(key) or post_init(key))
     bob.on_message(share.addressed_to(Role.BOB))
-    assert scans == [not through_wire]
+    assert len(keys) == 1 and keys[0] is share.body.key
+    assert not keys[0].a.flags.writeable and not keys[0].u.flags.writeable
+    assert checks == []
 
 
-def test_a_key_share_built_by_a_caller_is_never_taken_as_checked():
+def test_a_key_share_holds_only_a_checked_hash_key():
     key = generate_key(8, 64, 16, SEED)
-    assert not KeyShare(k=8, delta=key.delta, n=16, u=key.u, a=key.a)._checked
+    with pytest.raises(InvalidParameter, match="holds a HashKey"):
+        KeyShare((key.k, key.delta, key.a, key.u))
     bad = np.array(key.a)
     bad[0, 0] = np.nan
-    bad.setflags(write=False)
-    bob, _ = start_session(Role.BOB, ProtocolKind.FULL_KEY_3P, PARAMS, x=_vectors()[1], session_id=bytes(16))
-    share = Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.ALICE, KeyShare(k=8, delta=key.delta, n=16, u=key.u, a=bad))
     with pytest.raises(InvalidParameter, match="A entries must be finite"):
-        bob.on_message(share.addressed_to(Role.BOB))
+        HashKey(key.k, key.delta, bad, key.u)

@@ -83,7 +83,7 @@ def test_tcp_reassembles_split_frames():
 def test_a_key_share_frame_arrives_whole_over_many_reads(blocking):
     # The planned point's key share: 2989 x 100 doubles of A, 2.4 MB.
     key = generate_key(28, 2989, 100, SEED)
-    share = KeyShare(k=key.k, delta=key.delta, n=key.n, u=key.u, a=key.a)
+    share = KeyShare(key)
     frame = encode_envelope(Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.ALICE, share))
     assert len(frame) > 2 * transport._RECV_CHUNK
     raw_a, raw_b = socket.socketpair()
@@ -177,7 +177,7 @@ def test_charlie_server_aborts_key_share():
         key = generate_key(8, 4, 4, SEED)
         from modhash.messages import KeyShare
 
-        share = KeyShare(k=8, delta=key.delta, n=4, u=key.u, a=key.a)
+        share = KeyShare(key)
         conn.send_frame(encode_envelope(Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.ALICE, share)))
         env = decode_frame(conn.recv_frame())
         from modhash.messages import Abort

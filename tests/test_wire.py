@@ -1,3 +1,4 @@
+import math
 import struct
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from oracle_reference import reference_frame
 
 from modhash import (
     EncodingError,
+    HashKey,
     HashVector,
+    InvalidParameter,
     Permutation,
     encode_lee_to_binary,
     generate_key,
@@ -53,13 +56,10 @@ def _sample_envelopes():
     perm = Permutation(6, np.array([2, 0, 1, 5, 4, 3]))
     pads = HashVector(8, np.array([3, 1, 7])), HashVector(8, np.array([0, 5, 2]))
     return [
-        _env(KeyShare(k=8, delta=key.delta, n=4, u=key.u, a=key.a)),
-        _env(KeyShare(k=8, delta=key.delta, n=4, u=key.u, a=key.a, permutation=perm)),
+        _env(KeyShare(key)),
+        _env(KeyShare(key, permutation=perm)),
         _env(
-            KeyShare(
-                k=8, delta=key.delta, n=4, u=key.u, a=key.a,
-                permutation=Permutation.identity(9), pad1=pads[0], pad2=pads[1],
-            ),
+            KeyShare(key, permutation=Permutation.identity(9), pad1=pads[0], pad2=pads[1]),
             kind=ProtocolKind.OBFUSCATED_3P,
         ),
         _env(HashSubmission(h), sender=Role.BOB),
@@ -102,10 +102,7 @@ def _key_shares(draw):
     if draw(st.booleans()):
         permutation = Permutation(m + p, np.array(draw(st.permutations(range(m + p)))))
     delta = draw(st.floats(min_value=1e-300, max_value=1e300))
-    return KeyShare(
-        k=k, delta=delta, n=n, u=u, a=a,
-        permutation=permutation, pad1=pad1, pad2=pad2,
-    )
+    return KeyShare(HashKey(k, delta, a, u), permutation=permutation, pad1=pad1, pad2=pad2)
 
 
 @st.composite
@@ -205,6 +202,32 @@ def test_a_key_share_refuses_the_retired_digest_form():
     data[4 + HEADER_LEN + 20] = 1
     with pytest.raises(MalformedPayload, match="unknown matrix form 1"):
         decode_frame(bytes(data))
+
+
+def test_a_key_share_decoder_refuses_every_key_hash_key_refuses():
+    # The decoder builds the share's HashKey without its constructor, so it
+    # must run the same checks of k, delta, A and U itself.
+    key = generate_key(8, 6, 4, SEED)
+    frame = encode_envelope(_env(KeyShare(key)))
+    a_at = 21  # payload offset of A, after k, delta, n, m and a_form
+    u_at = a_at + 8 * key.a.size
+    cases = [
+        ("k", 0, ">I", 7), ("delta", 4, ">d", 0.0), ("delta", 4, ">d", -1.0), ("delta", 4, ">d", math.nan),
+        ("a", a_at, ">d", math.inf), ("a", a_at, ">d", math.nan),
+        ("u", u_at, ">d", 8.0), ("u", u_at, ">d", -0.5), ("u", u_at, ">d", math.nan),
+    ]
+    for name, offset, fmt, value in cases:
+        values = {"k": key.k, "delta": key.delta, "a": np.array(key.a), "u": np.array(key.u)}
+        if name in ("a", "u"):
+            values[name].flat[0] = value
+        else:
+            values[name] = value
+        with pytest.raises(InvalidParameter):
+            HashKey(**values)
+        data = bytearray(frame)
+        struct.pack_into(fmt, data, 4 + HEADER_LEN + offset, value)
+        with pytest.raises(DecodeError):
+            decode_frame(bytes(data))
 
 
 def test_truncation_detected():
