@@ -40,6 +40,7 @@ from modhash import (
 )
 from modhash import core
 from modhash.core import DEFAULT_DELTA, _hashes_under_fresh_keys
+from modhash.messages import KeyShare
 from modhash.rng import KEY_BLOCK, ChaChaStream
 from modhash.simulate import SweepSpec, run_sweep, uniformity_report
 
@@ -159,6 +160,34 @@ def test_constructors_copy_locked_arrays_a_caller_can_still_reach():
     assert (key.a == 1.0).all() and h.components.tolist() == [1, 2, 3] and p.mapping.tolist() == [2, 0, 1]
 
 
+def test_shared_key_checks_everything_and_copies_only_writable_arrays():
+    # A key share holds Alice's HashKey as it is: its arrays are sealed, so
+    # nothing is copied again. A caller's writable arrays are copied by the
+    # HashKey constructor, which runs every check of key material.
+    key = generate_key(8, 4, 3, SEED)
+    share = KeyShare(key)
+    assert share.key is key and share.key.a is key.a and share.key.u is key.u
+    a, u = np.ones((2, 3)), np.array([0.5, 1.5])
+    bob = HashKey(8, 1.0, a, u)
+    a[:], u[:] = 7.0, 2.5
+    assert (bob.a == 1.0).all() and bob.u.tolist() == [0.5, 1.5] and a.flags.writeable
+    bad_a = np.ones((2, 3))
+    bad_a[0, 0] = np.nan
+    bad_a.setflags(write=False)
+    cases = [
+        (7, 1.0, np.ones((2, 3)), np.zeros(2), "even integer"),
+        (8, 0.0, np.ones((2, 3)), np.zeros(2), "delta"),
+        (8, 1.0, bad_a, np.zeros(2), "A entries must be finite"),
+        (8, 1.0, np.ones(3), np.zeros(1), "2-D matrix"),
+        (8, 1.0, np.ones((2, 3)), np.array([0.0, 8.0]), "0 <= u < k"),
+    ]
+    for k, delta, a, u, match in cases:
+        with pytest.raises(InvalidParameter, match=match):
+            HashKey(k, delta, a, u)
+    with pytest.raises(DimensionMismatch, match="one entry per row"):
+        HashKey(8, 1.0, np.ones((2, 3)), np.zeros(3))
+
+
 def test_generate_key_differs_across_seeds():
     k1 = generate_key(8, 32, 16, SEED)
     k2 = generate_key(8, 32, 16, bytes(32))
@@ -259,12 +288,6 @@ def test_key_invariants_enforced():
         HashKey(k=8, delta=0.0, a=np.zeros((2, 2)), u=np.zeros(2))
     with pytest.raises(InvalidParameter):
         HashKey(k=8, delta=1.0, a=np.array([[np.inf, 0.0]]), u=np.zeros(1))
-    with pytest.raises(InvalidParameter, match="even integer"):
-        HashKey(k=7, delta=1.0, a=np.ones((2, 3)), u=np.zeros(2))
-    with pytest.raises(InvalidParameter, match="2-D matrix"):
-        HashKey(k=8, delta=1.0, a=np.ones(3), u=np.zeros(1))
-    with pytest.raises(DimensionMismatch, match="one entry per row"):
-        HashKey(k=8, delta=1.0, a=np.ones((2, 3)), u=np.zeros(3))
 
 
 # ------------------------------------------------------------------ hashing
