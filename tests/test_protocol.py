@@ -156,6 +156,31 @@ def test_mismatched_hash_lengths_abort():
         )
 
 
+def test_mismatched_hash_alphabets_abort_naming_the_later_alphabet_first():
+    charlie, _ = start_session(Role.CHARLIE, ProtocolKind.FULL_KEY_3P, session_id=bytes(16))
+    charlie.on_message(
+        Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.ALICE,
+                 HashSubmission(HashVector(6, np.array([0, 1]))), Role.CHARLIE)
+    )
+    with pytest.raises(DimensionMismatch, match=r"^alphabet mismatch: 8 vs 6$") as err:
+        charlie.on_message(
+            Envelope(bytes(16), ProtocolKind.FULL_KEY_3P, Role.BOB,
+                     HashSubmission(HashVector(8, np.array([0, 1]))), Role.CHARLIE)
+        )
+    assert charlie.aborted and charlie.observed_mean is None
+    assert {e.recipient for e in err.value.aborts} == {Role.ALICE, Role.BOB}
+
+
+def test_a_message_of_another_kind_is_refused():
+    x1, x2 = _vectors()
+    alice, outgoing = start_session(Role.ALICE, ProtocolKind.OBFUSCATED_3P, PARAMS, x=x1, seed=SEED)
+    bob, _ = start_session(Role.BOB, ProtocolKind.FULL_KEY_3P, PARAMS, x=x2, session_id=alice.session_id)
+    with pytest.raises(ProtocolViolation, match=r"^kind mismatch: session FULL_KEY_3P, message OBFUSCATED_3P$") as err:
+        bob.on_message(outgoing[0])
+    assert bob.aborted
+    assert {e.recipient for e in err.value.aborts} == {Role.ALICE, Role.CHARLIE}
+
+
 @pytest.mark.parametrize(
     "code", [BinaryCode(8, np.ones(4)), BinaryCode(6, np.zeros(3 * PARAMS.m))], ids=["short", "other-alphabet"]
 )

@@ -640,6 +640,53 @@ def test_a_peer_that_stops_reading_is_dropped_without_stalling_others(monkeypatc
         staller.close()
 
 
+def test_a_peer_that_reads_again_gets_every_queued_frame_whole_and_in_order():
+    # Bob's link to a stand-in Charlie that reads nothing until Bob's
+    # submissions have queued past the socket buffers, then reads them all.
+    params = ProtocolParams.from_dimensions(8, 4096)  # 8 KB submissions
+    kind, x = ProtocolKind.FULL_KEY_3P, np.ones(1)
+    sids, want = [], []
+
+    def serve_one_share():
+        _, (share, submission) = start_session(
+            Role.ALICE, kind, params, x=x, seed=len(sids).to_bytes(32, "big")
+        )
+        sids.append(share.session_id)
+        # Bob hashes the same x under the same key: Alice's submission, from Bob
+        want.append(encode_envelope(Envelope(share.session_id, kind, Role.BOB, submission.body)))
+        alice.send_frame(encode_envelope(share))
+        _eventually(lambda: sids[-1] in bob._sessions)
+        assert sids[-1] in bob._sessions
+
+    with socket.create_server(("127.0.0.1", 0)) as stand_in, \
+            BobServer(x, charlie_address=stand_in.getsockname()[:2]) as bob:
+        stand_in.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        bob.start()
+        alice = TcpTransport.connect(*bob.address, timeout=5.0)
+        stand_in.settimeout(5.0)
+        serve_one_share()
+        sock, _ = stand_in.accept()
+        # a small fixed send buffer: the kernel would otherwise grow it to
+        # megabytes before anything queued
+        bob._link._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        while not bob._link.outbuf and len(sids) < 100:
+            serve_one_share()
+        for _ in range(3):  # whole frames queued behind a partly sent one
+            serve_one_share()
+        link = bob._link
+        assert len(link.outbuf) > 3 * len(want[0])
+        assert bob._selector.get_key(link._sock).events == selectors.EVENT_READ | selectors.EVENT_WRITE
+        sock.settimeout(5.0)
+        charlie = TcpTransport(sock)
+        assert [charlie.recv_frame() for _ in sids] == want
+        _eventually(lambda: not link.outbuf and bob._selector.get_key(link._sock).events == selectors.EVENT_READ)
+        assert not link.outbuf and not link.closed
+        assert bob._selector.get_key(link._sock).events == selectors.EVENT_READ
+        assert list(bob._sessions) == sids  # every session still waits for Charlie
+        alice.close()
+        charlie.close()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_tables_threads_and_descriptors_stay_flat():
     # Before, every session stayed in Bob's and Charlie's tables for ever,
