@@ -201,16 +201,11 @@ class Session:
         if env.sender in self._received:
             raise ProtocolViolation(f"duplicate hash submission from {env.sender.name}")
         v = env.body.vector
-        if self._received:
-            other = next(iter(self._received.values()))
-            if v.k != other.k:
-                raise DimensionMismatch(f"alphabet mismatch: {v.k} vs {other.k}")
-            if v.m != other.m:
-                raise DimensionMismatch(f"length mismatch: {v.m} vs {other.m}")
-        self._received[env.sender] = v
-        if len(self._received) < 2:
+        if not self._received:
+            self._received[env.sender] = v
             return []
-        mean = mean_lee_distance(self._received[Role.ALICE], self._received[Role.BOB])
+        # refuses another alphabet or length, naming the later submission's first
+        mean = mean_lee_distance(v, *self._received.values())
         self.observed_mean = mean
         self.phase = Phase.DONE
         result = DistanceResult(mean_lee=mean, count=v.m)
@@ -219,8 +214,8 @@ class Session:
     # -------------------------------------------------------------- owners
 
     def _on_key_share(self, env: Envelope) -> list[Envelope]:
-        """Bob checks Alice's share against the agreed (k, M), his input and
-        what his kind needs, then hashes and sends as Alice did."""
+        """Bob checks Alice's share against the agreed (k, M) and what his kind
+        needs, then hashes as Alice did; hash_vector checks his input's length."""
         ks = env.body
         key = ks.key
         if self.params is not None and (key.k != self.params.k or key.m != self.params.m):
@@ -228,8 +223,6 @@ class Session:
                 f"key share (k={key.k}, m={key.m}) disagrees with agreed "
                 f"(k={self.params.k}, m={self.params.m})"
             )
-        if len(self._x) != key.n:
-            raise DimensionMismatch(f"input has length {len(self._x)}, key expects {key.n}")
         if self.kind in _PADDED_KINDS:
             if ks.pad1 is None or ks.pad2 is None:
                 raise ProtocolViolation(f"{self.kind.name} key share must carry both pads")

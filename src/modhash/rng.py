@@ -18,10 +18,10 @@ and the wedge and tail tests use an exp and a log built from IEEE-exact
 operations alone, so no bit depends on the platform's libm either: numpy's
 own exp settles a wedge test only where its error cannot change the outcome.
 
-Keys and other large arrays are produced in place, in blocks of KEY_BLOCK
-values that stay in cache through every stage, yet they consume the stream
-exactly as one whole-array draw would: one big-endian u64 per value, in
-order, whatever the block edges. Permutations of
+Keys and other large arrays are produced in place, each stage over the
+whole array: _draws_into calls the cipher and _rectangle runs the fast path
+KEY_BLOCK values at a time, and the stream is consumed as one big-endian u64
+per value, in order, whatever the block edges. Permutations of
 range(n) are Fisher-Yates shuffles: for i = n-1 down to 1, take one big-endian
 u64 v from the keystream, reject it and take the next if
 v >= floor(2**64 / (i+1)) * (i+1), then swap slots i and j = v mod (i+1).
@@ -95,13 +95,11 @@ def subseed(seed: bytes, label: bytes) -> bytes:
     return hashlib.sha256(check_seed(seed) + b"\x00" + label).digest()
 
 
-def _blocks(out: np.ndarray) -> list[np.ndarray]:
-    """Consecutive views of at most KEY_BLOCK values covering the C-contiguous
-    float64 array `out` in memory order."""
+def _flat(out: np.ndarray) -> np.ndarray:
+    """The C-contiguous float64 array `out` as a 1-D view, in memory order."""
     if out.dtype != _F64 or not out.flags.c_contiguous:
         raise InvalidParameter("out must be a C-contiguous float64 array")
-    values = out.ravel()
-    return [values[start : start + KEY_BLOCK] for start in range(0, values.size, KEY_BLOCK)]
+    return out.reshape(-1)
 
 
 class ChaChaStream:
@@ -122,30 +120,29 @@ class ChaChaStream:
     def _draws_into(self, out: np.ndarray) -> np.ndarray:
         """Overwrite the C-contiguous float64 array `out` with its share of the
         stream, one big-endian u64 draw per value in memory order, for
-        _uniform01 or _rectangle to turn into numbers in place; returns out."""
-        for block in (out,) if out.size <= KEY_BLOCK else _blocks(out):
+        _uniform01 or _rectangle to turn into numbers in place, KEY_BLOCK values
+        to a cipher call; returns out."""
+        values = out.reshape(-1)
+        for start in range(0, values.size, KEY_BLOCK):
+            block = values[start : start + KEY_BLOCK]
             self._enc.update_into(_ZERO_BLOCK[: 8 * block.size], block.view(_U8))
         return out
 
     def uniform01_into(self, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """Fill `out` with doubles uniform on [0, 1), 53 bits each, times
         scale; returns out."""
-        for block in _blocks(out):
-            _uniform01(self._draws_into(block), scale)
+        _uniform01(self._draws_into(_flat(out)), scale)
         return out
 
     def standard_normal_into(self, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """Fill `out` with standard normals from the ziggurat, times scale;
-        returns out. The values outside their rectangles are resolved
-        together, once every block has been drawn."""
-        failed = [
-            _rectangle(self._draws_into(block), scale, start)
-            for start, block in zip(range(0, out.size, KEY_BLOCK), _blocks(out))
-        ]
-        if failed:
-            failed = [np.concatenate(f) for f in zip(*failed)]
-            _resolve_into(out.reshape(-1), out.size, failed, (self._key,), self._normals, scale, self._redraws)
-        self._normals += out.size
+        returns out. The whole array is drawn, then _rectangle takes the
+        values inside their rectangles, KEY_BLOCK at a time, and the values
+        outside them are resolved together."""
+        values = _flat(out)
+        failed = _rectangle(self._draws_into(values), scale)
+        _resolve_into(values, values.size, failed, (self._key,), self._normals, scale, self._redraws)
+        self._normals += values.size
         return out
 
     def uniform01(self, n: int) -> np.ndarray:

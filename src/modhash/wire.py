@@ -90,8 +90,6 @@ def _check_wire_k(k: int, exc=EncodingError):
 def _encode_hash_submission(body: msgs.HashSubmission) -> list:
     v = body.vector
     _check_wire_k(v.k)
-    if int(v.components.max()) >= v.k:  # unreachable for a valid HashVector
-        raise EncodingError("component >= k")
     return [struct.pack(">II", v.k, v.m), (v.components, ">u2")]
 
 
@@ -152,7 +150,8 @@ def _encode_abort(body: msgs.Abort) -> list:
 
 class _Reader:
     """Bounds-checked cursor over a memoryview of the payload: it hands out
-    views, never copies, and every decoder copies what it keeps."""
+    views, never copies, and every decoder copies what it keeps. A declared
+    size past the payload's end is refused before anything is allocated."""
 
     def __init__(self, data: memoryview):
         self.data = data
@@ -205,8 +204,6 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
     a_form = r.u8()
     if a_form != 0:
         raise MalformedPayload(f"unknown matrix form {a_form}")
-    if m * n > MAX_FRAME_LENGTH // 8:
-        raise MalformedPayload("declared matrix larger than the frame cap")
     a = np.frombuffer(r.take(8 * m * n), dtype=">f8").reshape(m, n).astype(np.float64)
     if not np.isfinite(a).all():
         raise MalformedPayload("matrix entries must be finite")
@@ -252,8 +249,6 @@ def _decode_hamming_request(r: _Reader) -> msgs.HammingRequest:
         raise MalformedPayload("code must cover at least one component")
     nbits = count * (k // 2)
     nbytes = (nbits + 7) // 8
-    if nbytes > MAX_FRAME_LENGTH:
-        raise MalformedPayload("declared code larger than the frame cap")
     raw = np.frombuffer(r.take(nbytes), dtype=np.uint8)
     bits = np.unpackbits(raw)
     if bits[nbits:].any():
