@@ -182,21 +182,18 @@ class ProtocolParams:
         k: int,
         m: int,
         beta: int = 10,
-        threshold: float | None = None,
         padding: int | None = None,
     ) -> "ProtocolParams":
         """Back-solve a consistent parameter set for a chosen (k, M).
 
-        epsilon_stat is set so M meets the Hoeffding bound with equality;
-        threshold defaults to k/4 with epsilon_bias = F(threshold, k).
+        epsilon_stat is set so M meets the Hoeffding bound with equality; the
+        threshold is k/4, with epsilon_bias = F(k/4, k) = (k/4) e^(-4/pi) > 0.
         """
         k = _check_even_k(k)
         m, beta = _check_size(m, "M"), _check_size(beta, "beta")
         eps_stat = math.sqrt(_hoeffding_rhs(k, 1.0, beta) / m)
-        t = k / 4.0 if threshold is None else threshold
+        t = k / 4.0
         eps_bias = bias_bound(t, k)
-        if eps_bias <= 0:
-            eps_bias = eps_stat  # thresholds ~0 have vanishing bias; keep budgets positive
         p = 10 * m if padding is None else padding
         return cls(
             threshold=t,

@@ -136,7 +136,7 @@ def _cmd_keygen(args) -> int:
     seed = _parse_seed(args.seed)
     key = generate_key(args.k, args.m, args.n, seed, args.delta)
     with open(args.out, "w") as fh:
-        fh.write(key_to_json(key, include_matrix=not args.seed_only, seed=seed))
+        fh.write(key_to_json(key, seed=seed if args.seed_only else None))
     _emit(key_file=args.out, k=key.k, m=key.m, n=key.n, delta=key.delta)
     return 0
 

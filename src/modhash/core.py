@@ -233,8 +233,9 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
     i.i.d. uniform on [0, k). The seed feeds a single ChaCha20 stream consumed
     as all of A (row-major) followed by all of U, one draw per value, with
     normals from the ziggurat of the rng module; the same (k, m, n, seed,
-    delta) always yields a bit-identical key. Each array is produced in place,
-    block by block (see rng.KEY_BLOCK), and handed to the key without a copy.
+    delta) always yields a bit-identical key. Each array is produced in place
+    (rng._draws_into and rng._rectangle block it by rng.KEY_BLOCK values) and
+    handed to the key without a copy.
     """
     k = _check_even_k(k)
     m, n = _check_size(m, "M"), _check_size(n, "N")

@@ -672,22 +672,20 @@ def run_over_tcp(
 # ------------------------------------------------------------------ key files
 
 
-def key_to_json(key: HashKey, include_matrix: bool = True, seed: bytes | None = None) -> str:
+def key_to_json(key: HashKey, seed: bytes | None = None) -> str:
     """Serialize a key to the documented JSON interchange format.
 
     The explicit-matrix form {k, delta, M, N, a, u} is the interoperable one.
-    With include_matrix=False a {seed} form is written instead; it is marked
-    non-interoperable because it only reproduces the key under this package's
-    own deterministic generator, and it names the normal sampler
-    (rng.NORMAL_SAMPLER) that generator uses.
+    Given the seed that generated the key, a {seed} form is written instead;
+    it is marked non-interoperable because it only reproduces the key under
+    this package's own deterministic generator, and it names the normal
+    sampler (rng.NORMAL_SAMPLER) that generator uses.
     """
     doc = {"k": key.k, "delta": key.delta, "M": key.m, "N": key.n}
-    if include_matrix:
+    if seed is None:
         doc["a"] = [float(v) for v in key.a.reshape(-1)]
         doc["u"] = [float(v) for v in key.u]
     else:
-        if seed is None:
-            raise InvalidParameter("the seed form requires the generating seed")
         doc["seed"] = seed.hex()
         doc["sampler"] = NORMAL_SAMPLER
         doc["non_interoperable"] = True

@@ -1013,7 +1013,7 @@ def test_key_json_roundtrip():
 
 def test_key_json_seed_form():
     key = generate_key(8, 6, 4, SEED)
-    text = key_to_json(key, include_matrix=False, seed=SEED)
+    text = key_to_json(key, seed=SEED)
     doc = json.loads(text)
     assert doc["non_interoperable"] is True
     assert doc["sampler"] == "ziggurat256"
@@ -1025,7 +1025,7 @@ def test_key_json_seed_form():
 def test_key_json_seed_form_must_name_this_sampler(sampler):
     # a seed form written before the sampler was named made its normals by
     # the probit: loaded here, it would silently be another key
-    doc = json.loads(key_to_json(generate_key(8, 6, 4, SEED), include_matrix=False, seed=SEED))
+    doc = json.loads(key_to_json(generate_key(8, 6, 4, SEED), seed=SEED))
     if sampler is None:
         del doc["sampler"]
     else:
