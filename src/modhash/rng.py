@@ -21,15 +21,12 @@ own exp settles a wedge test only where its error cannot change the outcome.
 Keys and other large arrays are produced in place, each stage over the
 whole array: _draws_into calls the cipher and _rectangle runs the fast path
 KEY_BLOCK values at a time, and the stream is consumed as one big-endian u64
-per value, in order, whatever the block edges. Permutations of
-range(n) are Fisher-Yates shuffles: for i = n-1 down to 1, take one big-endian
-u64 v from the keystream, reject it and take the next if
-v >= floor(2**64 / (i+1)) * (i+1), then swap slots i and j = v mod (i+1).
-All these rules are part of the package's determinism contract. The draws are
-taken in bulk and the swaps are not done one by one: one sort groups the
-steps by target, and pointer doubling follows the chains of swaps that
-carry a value from slot to slot, in O(log n) whole-array passes with the
-same result as the loop.
+per value, in order, whatever the block edges. A permutation of range(n),
+n >= 2, orders n big-endian u64 keys from the keystream (the random-keys
+shuffle; Knuth, TAOCP Vol. 2, 3.4.2): position p holds the index of the
+p-th smallest key. While any two keys are equal, all n are drawn afresh, so
+the order is exactly uniform and no sort can break a tie. All these rules
+are part of the package's determinism contract.
 """
 
 import decimal
@@ -49,7 +46,6 @@ KEY_BLOCK = 1 << 15  # values per block: 256 KB of float64, small enough to stay
 
 _ZERO_NONCE = bytes(16)
 _TWO_NEG_53 = 2.0 ** -53
-_U64_MAX = np.uint64((1 << 64) - 1)
 _SHIFT = np.uint64(11)
 _F64, _U64, _BIG_U64, _U8 = (np.dtype(t) for t in (np.float64, np.uint64, ">u8", np.uint8))
 _ZERO_BLOCK = memoryview(bytes(8 * KEY_BLOCK))
@@ -172,33 +168,17 @@ class ChaChaStream:
         return out
 
     def permutation_indices(self, n: int) -> np.ndarray:
-        """Uniform random permutation of range(n) (Fisher-Yates).
-
-        For i = n-1 down to 1 the slot draws one big-endian u64 v, rejects it
-        if v >= floor(2**64 / (i+1)) * (i+1) and draws again, and swaps i with
-        j = v mod (i+1). The draws are taken in bulk, but the stream is left
-        exactly where the one-draw-at-a-time loop would leave it, and the
-        swaps are resolved in whole-array passes by `_resolve_swaps`.
-        """
-        bounds = np.arange(n, 1, -1, dtype=np.uint64)
-        draws = self.uint64(len(bounds))
-        # A rejected draw is dropped and the later draws move up one slot, so
-        # every slot gets the draw the one-at-a-time loop would have given it.
-        start = 0
+        """Uniform random permutation of range(n): the indices of n fresh u64
+        keys in key order, redrawn while two keys are equal (about n**2 / 2**65
+        per attempt). n < 2 draws nothing."""
+        if n < 2:
+            return np.arange(n)
         while True:
-            # v is rejected iff v > 2**64-1 - (2**64 mod b); since 2**64 mod b < b,
-            # only draws above 2**64-1 - b can be, and only those get the exact test.
-            cand = start + np.flatnonzero(draws[start:] > _U64_MAX - bounds[start:])
-            b = bounds[cand]
-            rejected = cand[draws[cand] > _U64_MAX - (_U64_MAX % b + 1) % b]
-            if not rejected.size:
-                break
-            start = int(rejected[0])
-            draws = np.concatenate((draws[:start], draws[start + 1 :], self.uint64(1)))
-        js = np.zeros(n, dtype=np.int64)  # js[i] = the j of step i; js[0] = 0
-        np.remainder(draws, bounds, out=js[:0:-1].view(_U64))
-        del bounds, draws  # freed before the resolution, to keep peak memory down
-        return _resolve_swaps(js)
+            keys = self.uint64(n).astype(_U64)
+            order = np.argsort(keys)
+            ranked = keys.take(order)
+            if (ranked[1:] != ranked[:-1]).all():
+                return order
 
 
 def _top53(draws: np.ndarray) -> np.ndarray:
@@ -418,38 +398,3 @@ def _step(bits, x, u, w):
         done[t] = dy + dy > dx * dx
     return done, value, bits, x
 
-
-def _resolve_swaps(js: np.ndarray) -> np.ndarray:
-    """range(n) after swapping slots i and js[i] for i = n-1 down to 1, given
-    int64 targets 0 <= js[i] <= i and js[0] = 0.
-
-    Slot i is final after step i, where it takes the value that slot js[i]
-    held just before. That value was put there by succ(i), the smallest step
-    above i with the same target, and is W(succ(i)), where W(s) is the value
-    in slot s just before step s; with no succ(i) it is still js[i]. W(s) is
-    likewise W(h(s)), h(s) being the smallest step that targets s, or s itself
-    when no step does. W is only ever read at steps above their targets, so
-    h(s) = s may end a chain even where step s is a self-swap. Step 0 is a
-    virtual step with target 0, so out[0] = W(succ(0)) like every other slot.
-    The h() chains are followed by pointer doubling, O(log n) whole-array
-    passes (Shun, Gu, Blelloch, Fineman and Gibbons, SODA 2015).
-    """
-    n = js.size
-    shift = max(n - 1, 1).bit_length()
-    # one sort groups the steps by target, each group in step order
-    keys = js << shift
-    keys |= np.arange(n)
-    keys.sort()
-    order = keys & ((1 << shift) - 1)  # the step at each sorted position
-    targets = keys
-    targets >>= shift
-    same = targets[1:] == targets[:-1]  # position p's successor sits at p+1
-    ptr = np.arange(n + 1)  # ptr[t] = h(t), the head of group t; slot n absorbs the rest
-    ptr[np.where(same, n, targets[1:])] = order[1:]  # position 0 is step 0, h(0) = 0
-    while not np.array_equal(nxt := ptr[ptr], ptr):
-        ptr = nxt
-    del nxt
-    np.copyto(targets[:-1], ptr[order[1:]], where=same)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = targets
-    return out

@@ -1,18 +1,20 @@
 """The determinism contract, pinned as digests and against a reference.
 
-The digests were computed with the sequential Fisher-Yates loop kept below as
-`reference_permutation`; any change to a permutation, pad or wire byte moves
-one of them. The run_sweep CSV digest pins key generation, input pairs, the
-trial-seed derivation, the expectation curve at 9 significant digits and the
-CSV format together.
+A permutation is the random-keys shuffle; `reference_permutation` below
+draws its keys one `take(8)` at a time and sorts in Python. Any change to a
+permutation, pad or wire byte moves one of the digests. The run_sweep CSV
+digest pins key generation, input pairs, the trial-seed derivation, the
+expectation curve at 9 significant digits and the CSV format together.
 """
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
+from scipy.stats import chi2
 
 from modhash import ProtocolKind, drive_local, plan_parameters
 from modhash.rng import ChaChaStream, subseed
@@ -20,35 +22,27 @@ from modhash.simulate import SweepSpec, emit_csv, run_sweep
 
 SEED = bytes(range(32))
 
-PERMUTATION_DIGEST = "3088d0ddaee38ab33a3b77f157f96318afe6425bb5e88f4c7e3e56a26da1f3b8"
-LARGE_PERMUTATION_DIGEST = "4e418d736a46a5d14e57a3291a473c2fcb30deb9060fce1975e07398fc4eb09b"
+PERMUTATION_DIGEST = "7fa02388305f9e6fdedea16ba17b7af40b5fcaf0b9045872c792af1f29a2e4b1"
+LARGE_PERMUTATION_DIGEST = "15a287f7d6c7df7f4e7f87989164eb19974aec456b0465d37095ce8ac791fb49"
 
 TRANSCRIPT_DIGESTS = {
     ProtocolKind.FULL_KEY_3P: "a327272cc7f4a83c7def6769add4e6d2094c85fcd53dfb85a85e39f960d3ce4d",
     ProtocolKind.TWO_PARTY_HAMMING: "65c99f57adfc0df642981f86921af081e47e00cb9aa9ae20a1f0dc0ec88439a7",
-    ProtocolKind.OBFUSCATED_3P: "35d33761f2942b95b4ccdd3a4348608bcbf608e0952f60e0d30a5679067ccc21",
+    ProtocolKind.OBFUSCATED_3P: "62e285819ff956df9ddf1a04447802616891538b7b5e0b2e19cfd3b93a98e96b",
 }
 
 SWEEP_DIGEST = "6b4332b554b26a21fdeb4f1c07a11dcd80902d5e98f2980c252747cd3b154b3e"
 
-U64_MAX = (1 << 64) - 1
-
-
-def _randbelow(stream: ChaChaStream, bound: int) -> int:
-    limit = (1 << 64) // bound * bound
-    while True:
-        v = int.from_bytes(stream.take(8), "big")
-        if v < limit:
-            return v % bound
-
 
 def reference_permutation(stream: ChaChaStream, n: int) -> np.ndarray:
-    """Sequential Fisher-Yates, one rejection-sampled u64 draw at a time."""
-    idx = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = _randbelow(stream, i + 1)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    """range(n) in the order of n big-endian u64 keys, one take(8) each, all
+    n redrawn while two are equal; n < 2 draws nothing."""
+    if n < 2:
+        return np.arange(n)
+    while True:
+        keys = [int.from_bytes(stream.take(8), "big") for _ in range(n)]
+        if len(set(keys)) == n:
+            return np.array(sorted(range(n), key=keys.__getitem__), dtype=np.int64)
 
 
 class CraftedStream(ChaChaStream):
@@ -66,17 +60,6 @@ class CraftedStream(ChaChaStream):
         return out
 
 
-def crafted_bytes(seed: int, draws: int) -> bytes:
-    """Big-endian u64s of which ~40 % sit in the top three values 2**64-1-r,
-    where most bounds reject; the rest are uniform."""
-    rng = default_rng(seed)
-    vals = [
-        U64_MAX - int(rng.integers(3)) if rng.random() < 0.4 else int(rng.integers(1 << 64, dtype=np.uint64))
-        for _ in range(draws)
-    ]
-    return b"".join(v.to_bytes(8, "big") for v in vals)
-
-
 def test_permutation_digest():
     h = hashlib.sha256()
     for n in (1, 2, 3, 2989, 32879):
@@ -87,7 +70,7 @@ def test_permutation_digest():
 
 
 def test_large_permutation_digest():
-    # n = 100,003, where the swap chains are the longest of any pinned permutation
+    # n = 100,003, the largest pinned permutation
     stream = ChaChaStream(SEED, b"perm-large")
     h = hashlib.sha256(stream.permutation_indices(100_003).astype(">i8").tobytes())
     h.update(stream.take(8))
@@ -112,6 +95,7 @@ def test_run_sweep_csv_digest(tmp_path):
     emit_csv(run_sweep(spec), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_DIGEST
 
+
 @pytest.mark.parametrize("n", [2, 50, 2989])
 @pytest.mark.parametrize("label", [b"a", b"b", b"c"])
 def test_permutation_matches_reference_on_chacha(n, label):
@@ -121,19 +105,34 @@ def test_permutation_matches_reference_on_chacha(n, label):
     assert new_stream.take(32) == ref_stream.take(32)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 40])
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 40])
 def test_permutation_matches_reference_through_rejections(n):
-    # ChaCha output reaches a rejection with probability ~2**-49 per draw, so
-    # only crafted bytes exercise the path that skips a draw and tops up.
-    rejected = 0
-    for seed in range(50):
-        data = crafted_bytes(seed, 4 * n + 32)
-        ref_stream, new_stream = CraftedStream(data), CraftedStream(data)
-        expected = reference_permutation(ref_stream, n)
-        assert np.array_equal(new_stream.permutation_indices(n), expected)
-        assert new_stream.offset == ref_stream.offset
-        rejected += ref_stream.offset // 8 - (n - 1)
-    assert rejected > 0
+    # ChaCha keys tie with probability ~n**2 / 2**65, so only crafted bytes
+    # reach the redraw: the first n keys hold a tie and are rejected, the
+    # next n do not
+    rng = default_rng(n)
+    first, second = rng.integers(0, 1 << 64, (2, n), dtype=np.uint64)
+    i, j = rng.choice(n, 2, replace=False)
+    first[j] = first[i]
+    data = np.concatenate((first, second)).astype(">u8").tobytes()
+    ref_stream, new_stream = CraftedStream(data), CraftedStream(data)
+    expected = reference_permutation(ref_stream, n)
+    assert ref_stream.offset == 16 * n
+    perm = new_stream.permutation_indices(n)
+    assert new_stream.offset == 16 * n
+    assert np.array_equal(perm, expected)
+    assert np.array_equal(perm, np.argsort(second, kind="stable"))
+
+
+def test_permutation_is_uniform_over_the_orders_of_four():
+    # one 4-slot permutation from each of 24,000 labelled streams: the 24
+    # orders' counts against 1,000 each, by chi-square at the 0.999 level
+    orders = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
+    counts = np.zeros(24, dtype=np.int64)
+    for i in range(24_000):
+        counts[orders[tuple(ChaChaStream(SEED, b"uniform-%d" % i).permutation_indices(4).tolist())]] += 1
+    statistic = ((counts - 1000) ** 2 / 1000).sum()
+    assert statistic < chi2.ppf(0.999, 23)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 2989])

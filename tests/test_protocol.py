@@ -466,6 +466,19 @@ def test_bob_refuses_a_share_lacking_what_its_kind_needs(kind, strip, reason):
     assert all(isinstance(e.body, Abort) for e in err.value.aborts)
 
 
+@pytest.mark.parametrize("other", [(6, 64), (8, 32)], ids=["other-k", "other-M"])
+def test_bob_refuses_a_share_of_another_k_or_m_than_agreed(other):
+    kind, (k, m) = ProtocolKind.FULL_KEY_3P, other
+    x1, x2 = _vectors()
+    alice, outgoing = start_session(Role.ALICE, kind, ProtocolParams.from_dimensions(k, m), x=x1, seed=SEED)
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
+    with pytest.raises(DimensionMismatch, match=rf"\(k={k}, m={m}\) disagrees with agreed \(k=8, m=64\)") as err:
+        bob.on_message(outgoing[0])
+    assert bob.aborted
+    assert {e.recipient for e in err.value.aborts} == {Role.ALICE, Role.CHARLIE}
+    assert all(e.body == Abort(reason=str(err.value)) for e in err.value.aborts)
+
+
 # ------------------------------------------------------------------ memory
 
 

@@ -1,10 +1,5 @@
-"""Fisher-Yates swap resolution against the sequential loop, and its memory;
-the normal sampler against its scalar reference and against N(0, 1).
-
-`_resolve_swaps` replaces the per-slot swap loop with whole-array passes. It
-is checked here against `reference_permutation` from test_determinism on
-arbitrary targets, including shapes that ChaCha draws practically never
-produce, such as one target for every step.
+"""Permutation memory, and the normal sampler against its scalar reference
+and against N(0, 1).
 
 The ziggurat's whole-array passes are checked against
 `oracle_reference.reference_normals`, one value at a time in Python floats:
@@ -16,11 +11,10 @@ about 3 times in 10**9 values.
 import math
 import tracemalloc
 
-import hypothesis.extra.numpy as hnp
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 from oracle_reference import (
@@ -34,49 +28,13 @@ from oracle_reference import (
     ziggurat_tables,
 )
 from scipy.special import ndtr
-from test_determinism import SEED, CraftedStream, reference_permutation
+from test_determinism import SEED, CraftedStream
 
 import modhash.core as core
 import modhash.rng as rng
 from modhash import generate_key
 from modhash.core import DEFAULT_DELTA, _hashes_under_fresh_keys
-from modhash.rng import KEY_BLOCK, NORMAL_BOUND, ChaChaStream, _exp, _layers, _log, _resolve_swaps
-
-
-def reference_swaps(js: np.ndarray) -> np.ndarray:
-    """The sequential loop on the targets js: each step is served its target
-    j as the draw v = j, which is never rejected and leaves j mod (i+1) = j."""
-    data = js[:0:-1].astype(">u8").tobytes()
-    stream = CraftedStream(data)
-    out = reference_permutation(stream, js.size)
-    assert stream.offset == len(data)
-    return out
-
-
-@st.composite
-def swap_targets(draw):
-    """int64 targets js[i] in [0, i] for n in [0, 3000]; js[0] is 0."""
-    n = draw(st.integers(0, 3000))
-    steps = np.arange(n)
-    if draw(st.booleans()):
-        # independent uniform targets, the shape ChaCha draws give
-        return default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, steps + 1)
-    # targets from hypothesis' fractions of i+1: its arrays repeat one fill
-    # value with a few others, so runs of targets near 0 or near i are common
-    u = draw(hnp.arrays(np.float64, n, elements=st.floats(0, 1, exclude_max=True)))
-    return np.minimum(np.floor(u * (steps + 1)), steps).astype(np.int64)
-
-
-_STEPS = np.arange(3000)
-
-
-@settings(max_examples=200, deadline=None)
-@given(swap_targets())
-@example(np.zeros_like(_STEPS))  # every step swaps with slot 0: one chain of n-1 swaps
-@example(_STEPS)  # self-swaps only: the identity
-@example(np.maximum(_STEPS - 1, 0))  # each step swaps with its neighbour below
-def test_resolve_swaps_matches_reference(js):
-    assert np.array_equal(_resolve_swaps(js), reference_swaps(js))
+from modhash.rng import KEY_BLOCK, NORMAL_BOUND, ChaChaStream, _exp, _layers, _log
 
 
 def test_permutation_peak_memory():

@@ -186,6 +186,32 @@ def test_charlie_server_aborts_key_share():
         conn.close()
 
 
+def test_a_handler_fault_drops_only_its_connection(caplog):
+    with CharlieServer() as srv:
+        handle = srv._handle
+        faulty = bytes([1]) * 16
+
+        def _handle(conn, env):
+            if env.session_id == faulty:
+                raise RuntimeError("handler fault")
+            handle(conn, env)
+
+        srv._handle = _handle
+        srv.start()
+        bad = TcpTransport.connect(*srv.address)
+        bad.send_frame(_frame(faulty, Role.ALICE, (0, 1)))
+        assert _recv_until_closed(bad._sock) == b""
+        # the loop lives on and serves the next connections
+        conn_a = TcpTransport.connect(*srv.address)
+        conn_b = TcpTransport.connect(*srv.address)
+        conn_a.send_frame(_frame(bytes(16), Role.ALICE, (0, 1)))
+        conn_b.send_frame(_frame(bytes(16), Role.BOB, (0, 1)))
+        assert decode_frame(conn_a.recv_frame()).body.mean_lee == 0
+        for c in (bad, conn_a, conn_b):
+            c.close()
+    assert "CHARLIE: dropping connection from" in caplog.text and "handler fault" in caplog.text
+
+
 # ------------------------------------------------------------------ full runs
 
 
@@ -543,6 +569,17 @@ def test_alice_hears_bobs_abort_at_once():
         assert time.monotonic() - t0 < 1.0
         _eventually(lambda: not charlie._sessions, timeout=1.0)
         assert charlie._sessions == {} and bob._sessions == {}
+
+
+def test_a_three_party_share_to_a_bob_with_no_charlie_address_ends_alices_run():
+    x1, x2 = _vectors()
+    with CharlieServer() as charlie, BobServer(x2) as bob:
+        charlie.start()
+        bob.start()
+        with pytest.raises(ProtocolViolation, match="no third-party address configured"):
+            run_over_tcp(ProtocolKind.FULL_KEY_3P, x1, PARAMS, SEED, bob.address, charlie.address, timeout=10)
+        _eventually(lambda: not charlie._sessions, timeout=1.0)
+        assert bob._sessions == {} and bob._link is None
 
 
 def test_charlie_refuses_a_submission_that_an_abort_overtook():

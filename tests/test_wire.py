@@ -302,6 +302,31 @@ def test_encode_rejects_oversized_values():
         )
 
 
+def _refused_bodies():
+    key, perm = generate_key(8, 6, 4, SEED), Permutation.identity(9)
+    pad, other_k, shorter = HashVector(8, [3, 1, 7]), HashVector(6, [0, 5, 2]), HashVector(8, [0, 5])
+    u64 = "does not fit in u64/u64"
+    return [
+        pytest.param("alphabet disagrees", KeyShare(key, perm, pad, other_k), id="pad-k"),
+        pytest.param("must both be set", KeyShare(key, perm, pad), id="one-pad"),
+        pytest.param("must both be set", KeyShare(key, perm, pad, shorter), id="pad-lengths"),
+        pytest.param("cannot be negative", DistanceResult(Fraction(-1, 2), 6), id="negative-mean"),
+        pytest.param(u64, DistanceResult(Fraction(1 << 64), 6), id="numerator"),
+        pytest.param(u64, DistanceResult(Fraction(1, 1 << 64), 6), id="denominator"),
+        pytest.param("count outside u32 range", DistanceResult(Fraction(0), 0), id="zero-count"),
+        pytest.param("count outside u32 range", DistanceResult(Fraction(0), 1 << 32), id="u32-count"),
+        pytest.param("abort reason too long", Abort("x" * (1 << 16)), id="long-reason"),
+    ]
+
+
+@pytest.mark.parametrize("message, body", _refused_bodies())
+def test_encoder_refuses_what_the_wire_cannot_carry(message, body):
+    # DistanceResult and Abort check nothing when built, so the encoder is
+    # the only place these are refused
+    with pytest.raises(EncodingError, match=message):
+        encode_envelope(_env(body, kind=ProtocolKind.OBFUSCATED_3P))
+
+
 def test_encode_rejects_wire_range_k():
     h = HashVector(65536, np.array([1, 2]))
     with pytest.raises(EncodingError):
