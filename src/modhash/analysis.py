@@ -49,6 +49,7 @@ from fractions import Fraction
 
 from .core import DEFAULT_DELTA, _check_even_k, _check_real, _check_size
 from .errors import InvalidInput, InvalidParameter
+from .wire import MAX_WIRE_COUNT, MAX_WIRE_K
 
 # Curve terms with exponent above this are below 4.3e-18 and are dropped.
 _EXP_CUTOFF = 40.0
@@ -108,40 +109,58 @@ def bias_bound(dist: float, k: int) -> float:
     identity, valid at the default delta = sqrt(2/pi)."""
     k = _check_even_k(k)
     dist = _check_real(dist, "dist", zero_ok=True, error=InvalidInput)
-    if dist == 0:
-        return 0.0
-    return dist * math.exp(-(k * k) / (4.0 * math.pi * dist * dist))
+    scale = 4.0 * math.pi * dist * dist
+    if scale == 0:
+        return 0.0  # dist = 0, or a dist whose square underflows: F is 0 to the last bit
+    return dist * math.exp(-(k * k) / scale)
 
 
 def plan_k(threshold: float, epsilon_bias: float) -> int:
-    """Smallest even k with F(threshold, k) <= epsilon_bias.
+    """Smallest even k with F(threshold, k) <= epsilon_bias; InvalidParameter
+    if it is above MAX_WIRE_K, the largest k the wire carries.
 
     Starts from the closed-form inversion 2T sqrt(pi ln(T/eps)) rounded up to
     even, then walks by 2 in either direction until minimal, since the closed
-    form is a derived starting point rather than a stated bound.
+    form is a derived starting point rather than a stated bound. A start
+    past the wire's k is capped there, so no arithmetic runs on a huge k.
     """
     threshold = _check_real(threshold, "threshold")
     epsilon_bias = _check_real(epsilon_bias, "epsilon_bias")
     if epsilon_bias >= threshold:
         return 2  # F(T, k) < T for every k
-    k = 2 * math.ceil(threshold * math.sqrt(math.pi * math.log(threshold / epsilon_bias)))
-    k = max(k, 2)
-    while bias_bound(threshold, k) > epsilon_bias:
+    root = threshold * math.sqrt(math.pi * math.log(threshold / epsilon_bias))  # inf past the float range
+    k = max(2 * math.ceil(min(root, MAX_WIRE_K)), 2)
+    while k <= MAX_WIRE_K and bias_bound(threshold, k) > epsilon_bias:
         k += 2
     while k > 2 and bias_bound(threshold, k - 2) <= epsilon_bias:
         k -= 2
+    if k > MAX_WIRE_K:
+        raise InvalidParameter(
+            f"threshold {threshold:g} at bias {epsilon_bias:g} needs k above {MAX_WIRE_K}, the wire's largest"
+        )
     return k
 
 
 def plan_m(k: int, epsilon_stat: float, beta: int) -> int:
-    """Hash length meeting the Hoeffding bound: ceil(ln2 (beta+1) k^2 / (8 eps^2))."""
+    """Hash length meeting the Hoeffding bound: ceil(ln2 (beta+1) k^2 / (8 eps^2));
+    InvalidParameter if it is above MAX_WIRE_COUNT, the largest count the
+    wire carries."""
     k = _check_even_k(k)
     epsilon_stat = _check_real(epsilon_stat, "epsilon_stat")
-    return math.ceil(_hoeffding_rhs(k, epsilon_stat, _check_size(beta, "beta")))
+    bound = _hoeffding_rhs(k, epsilon_stat, _check_size(beta, "beta"))
+    if bound > MAX_WIRE_COUNT:
+        raise InvalidParameter(
+            f"epsilon_stat {epsilon_stat:g} at k={k} needs M above {MAX_WIRE_COUNT}, the wire's largest count"
+        )
+    return max(1, math.ceil(bound))
 
 
 def _hoeffding_rhs(k: int, epsilon_stat: float, beta: int) -> float:
-    return math.log(2.0) * (beta + 1) * k * k / (8.0 * epsilon_stat**2)
+    """ln2 (beta+1) k^2 / (8 eps^2): inf where eps^2 underflows, 0 where it overflows."""
+    square = epsilon_stat * epsilon_stat
+    if square == 0:
+        return math.inf
+    return math.log(2.0) * (beta + 1) * k * k / (8.0 * square)
 
 
 @dataclass(frozen=True)
@@ -214,6 +233,8 @@ def plan_parameters(threshold: float, epsilon: float, beta: int) -> ProtocolPara
     half = epsilon / 2.0
     k = plan_k(threshold, half)
     m = plan_m(k, half, beta)
+    if 11 * m > MAX_WIRE_COUNT:
+        raise InvalidParameter(f"M={m} and its default padding 10 M exceed {MAX_WIRE_COUNT}, the wire's largest count")
     return ProtocolParams(
         threshold=float(threshold),
         epsilon=float(epsilon),

@@ -67,6 +67,8 @@ def _parse_address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be HOST:PORT, got {text!r}")
+    if not 0 <= int(port) <= 65535:
+        raise ValueError(f"port must lie in 0-65535, got {text!r}")
     return host, int(port)
 
 
@@ -220,8 +222,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     host, port = _parse_address(args.listen)
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     if args.role == "charlie":
         server = CharlieServer(host, port)
     else:

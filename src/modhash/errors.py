@@ -67,7 +67,3 @@ class ZeroDenominator(DecodeError):
 
 class MalformedPayload(DecodeError):
     """Payload bytes do not parse as the declared message type."""
-
-
-class InvalidRingCode(MalformedPayload):
-    """A binary block is not the ring encoding of any alphabet symbol."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 
-from .core import BinaryCode, HashKey, HashVector, Permutation, _ValueEq
+from .core import HashKey, HashVector, Permutation, _ValueEq
 from .errors import InvalidParameter
 
 SESSION_ID_BYTES = 16
@@ -25,7 +25,7 @@ class ProtocolKind(IntEnum):
     """The wire value of each kind is fixed; 1 is retired and names no kind."""
 
     FULL_KEY_3P = 0        # Alice shares (k, A, U) with Bob; Charlie averages
-    TWO_PARTY_HAMMING = 2  # no third party; Alice takes the Hamming distance of ring codes
+    TWO_PARTY_HAMMING = 2  # no third party; Bob submits his hash to Alice, who averages
     OBFUSCATED_3P = 3      # uniform padding + permutation hide the distance from Charlie
 
 
@@ -51,7 +51,8 @@ class KeyShare(_ValueEq):
 
 @dataclass(frozen=True, eq=False)
 class HashSubmission(_ValueEq):
-    """A party's hash vector, as delivered to the averaging party."""
+    """A party's hash vector, as delivered to the averaging party: Charlie,
+    or Alice in two-party."""
 
     vector: HashVector
 
@@ -64,26 +65,12 @@ class DistanceResult:
     count: int
 
 
-@dataclass(frozen=True, eq=False)
-class HammingRequest(_ValueEq):
-    """Bob's ring code, sent to Alice, who computes the Hamming distance."""
-
-    code: BinaryCode
-
-
-@dataclass(frozen=True)
-class HammingResponse:
-    """Alice's answer: the Hamming distance between both parties' codes."""
-
-    distance: int
-
-
 @dataclass(frozen=True)
 class Abort:
     reason: str
 
 
-MessageBody = KeyShare | HashSubmission | DistanceResult | HammingRequest | HammingResponse | Abort
+MessageBody = KeyShare | HashSubmission | DistanceResult | Abort
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ one set (_PADDED_KINDS) states and both Alice and Bob read:
 
     FULL_KEY_3P       The key. Both submit plain hashes to Charlie, who
                       returns the mean Lee distance to both.
-    TWO_PARTY_HAMMING The key. No Charlie: Bob sends his ring-coded hash to
-                      Alice, who computes the Hamming distance and returns
-                      it. Alice holds the key, so she can invert Bob's hash.
+    TWO_PARTY_HAMMING The key. No Charlie: Bob submits his hash to Alice, who
+                      averages as Charlie does and returns the mean to Bob.
+                      Alice holds the key, so she can invert Bob's hash.
     OBFUSCATED_3P     The key, uniform pads z1, z2 of P slots and a
                       permutation of M+P slots; each owner appends its pad
                       and permutes, which pulls Charlie's mean towards k/4
@@ -29,9 +29,13 @@ checks the envelope, looks the move up and runs its handler. Any error ends
 the session through Session.abort, the one place that builds the Aborts for
 the other parties.
 
+Charlie averages in the three-party kinds and Alice in two-party: one
+handler serves both, and an owner takes a result only from its kind's averager.
+
 A session keeps only what a later move reads. Once an owner has hashed, it
-holds (k, M), its own ring code (Alice, two-party) and, for a padded kind,
-P and the pads' exact mean d~: never A, U, a permutation or the pads.
+holds (k, M), its own hash (Alice, two-party, as the first submission) and,
+for a padded kind, P and the pads' exact mean d~: never A, U, a permutation
+or the pads.
 Charlie is honest-but-curious: his state machine never holds A, U, any
 permutation, or a plaintext vector, for any protocol kind. Confidential
 delivery of key shares is assumed from the environment, not implemented here.
@@ -47,15 +51,15 @@ import numpy as np
 from . import wire
 from .analysis import DistanceEstimate, EstimateMode, ProtocolParams, estimate_distance
 from .core import (
-    BinaryCode,
+    DEFAULT_DELTA,
     HashVector,
     Permutation,
     _check_size,
     apply_permutation,
     concat_hashes,
-    encode_lee_to_binary,
+    encode_lee_to_binary,  # noqa: F401 -- not called here, but perfbench's tracer wraps this module's name
     generate_key,
-    hamming_distance,
+    hamming_distance,  # noqa: F401 -- likewise
     hash_vector,
     mean_lee_distance,
 )
@@ -71,8 +75,6 @@ from .messages import (
     Abort,
     DistanceResult,
     Envelope,
-    HammingRequest,
-    HammingResponse,
     HashSubmission,
     KeyShare,
     ProtocolKind,
@@ -87,11 +89,9 @@ class Phase(IntEnum):
     START = 0
     AWAIT_KEY = 1
     AWAIT_HASHES = 2
-    AWAIT_HAMMING_REQUEST = 3
-    AWAIT_HAMMING_RESPONSE = 4
-    AWAIT_RESULT = 5
-    DONE = 6
-    ABORTED = 7
+    AWAIT_RESULT = 3
+    DONE = 4
+    ABORTED = 5
 
 
 # Kinds whose key share also carries uniform pads z1 (Alice's) and z2 (Bob's)
@@ -134,7 +134,6 @@ class Session:
         self._k: int | None = None
         self._m: int | None = None
         self._padding: tuple[int, Fraction] | None = None  # (P, d~) of a padded kind
-        self._code: BinaryCode | None = None  # Alice's, two-party
         self._received: dict[Role, HashVector] = {}
 
     # -------------------------------------------------------------- helpers
@@ -150,13 +149,22 @@ class Session:
     def _envelope(self, body, recipient: Role) -> Envelope:
         return Envelope(self.session_id, self.kind, self.role, body, recipient)
 
+    @property
+    def _averager(self) -> Role:
+        """The party that averages the hashes: Charlie, or Alice in two-party."""
+        return Role.CHARLIE if self.kind in THREE_PARTY_KINDS else Role.ALICE
+
+    def _peers(self) -> list[Role]:
+        """Every other party of the kind."""
+        parties = Role if self.kind in THREE_PARTY_KINDS else (Role.ALICE, Role.BOB)
+        return [r for r in parties if r != self.role]
+
     def abort(self, reason: str) -> list[Envelope]:
         """End the session as ABORTED and return an Abort for every other
         party of the kind. The only code that builds a session's Aborts."""
         self.phase = Phase.ABORTED
         self.abort_reason = reason
-        parties = Role if self.kind in THREE_PARTY_KINDS else (Role.ALICE, Role.BOB)
-        return [self._envelope(Abort(reason=reason), r) for r in parties if r != self.role]
+        return [self._envelope(Abort(reason=reason), r) for r in self._peers()]
 
     # -------------------------------------------------------------- inbound
 
@@ -188,16 +196,18 @@ class Session:
             if move is None:
                 raise ProtocolViolation(f"unexpected {name} in phase {self.phase.name}")
             senders, handler = move
-            if env.sender not in senders:
+            if env.sender not in (senders or (self._averager,)):
                 raise ProtocolViolation(f"{name} from {env.sender.name}")
             return handler(self, env)
         except ModHashError as exc:
             exc.aborts = self.abort(str(exc))
             raise
 
-    # -------------------------------------------------------------- charlie
+    # -------------------------------------------------------------- averager
 
     def _on_hash_submission(self, env: Envelope) -> list[Envelope]:
+        """The averaging party pairs two submissions and returns their mean to
+        every peer; in two-party, Alice's own hash is the first submission."""
         if env.sender in self._received:
             raise ProtocolViolation(f"duplicate hash submission from {env.sender.name}")
         v = env.body.vector
@@ -206,16 +216,20 @@ class Session:
             return []
         # refuses another alphabet or length, naming the later submission's first
         mean = mean_lee_distance(v, *self._received.values())
-        self.observed_mean = mean
-        self.phase = Phase.DONE
+        if self.role == Role.CHARLIE:
+            self.observed_mean = mean
+            self.phase = Phase.DONE
+        else:
+            self._finish(mean)
         result = DistanceResult(mean_lee=mean, count=v.m)
-        return [self._envelope(result, Role.ALICE), self._envelope(result, Role.BOB)]
+        return [self._envelope(result, r) for r in self._peers()]
 
     # -------------------------------------------------------------- owners
 
     def _on_key_share(self, env: Envelope) -> list[Envelope]:
-        """Bob checks Alice's share against the agreed (k, M) and what his kind
-        needs, then hashes as Alice did; hash_vector checks his input's length."""
+        """Bob checks Alice's share against the agreed (k, M), the delta his
+        estimate assumes and what his kind needs, then hashes as Alice did;
+        hash_vector checks his input's length."""
         ks = env.body
         key = ks.key
         if self.params is not None and (key.k != self.params.k or key.m != self.params.m):
@@ -223,6 +237,8 @@ class Session:
                 f"key share (k={key.k}, m={key.m}) disagrees with agreed "
                 f"(k={self.params.k}, m={self.params.m})"
             )
+        if key.delta != DEFAULT_DELTA:
+            raise InvalidParameter(f"key share delta={key.delta!r}, but estimates assume {DEFAULT_DELTA!r}")
         if self.kind in _PADDED_KINDS:
             if ks.pad1 is None or ks.pad2 is None:
                 raise ProtocolViolation(f"{self.kind.name} key share must carry both pads")
@@ -231,27 +247,24 @@ class Session:
         return self._hash_and_send(ks)
 
     def _hash_and_send(self, ks: KeyShare) -> list[Envelope]:
-        """Both owners' one path from key share to outgoing hash: ring-coded
-        for Alice, or padded, permuted and submitted to Charlie. The session
+        """Both owners' one path from key share to hash: padded and permuted
+        for a padded kind, then submitted to the averaging party, or kept as
+        the first submission by Alice, who averages in two-party. The session
         keeps neither the key nor the share, only what a later move reads."""
         key = ks.key
         self._k, self._m = key.k, key.m
         h = hash_vector(key, self._x)
         self._x = None  # plaintext no longer needed
-        if self.kind == ProtocolKind.TWO_PARTY_HAMMING:
-            code = encode_lee_to_binary(h)
-            if self.role == Role.ALICE:
-                self._code = code
-                self.phase = Phase.AWAIT_HAMMING_REQUEST
-                return []
-            self.phase = Phase.AWAIT_HAMMING_RESPONSE
-            return [self._envelope(HammingRequest(code), Role.ALICE)]
         if self.kind in _PADDED_KINDS:
             self._padding = (ks.pad1.m, mean_lee_distance(ks.pad1, ks.pad2))
             # Role.ALICE == 0 appends pad1, Role.BOB == 1 appends pad2
             h = obfuscate_hash(h, (ks.pad1, ks.pad2)[self.role], ks.permutation)
+        if self.role == self._averager:
+            self._received[self.role] = h
+            self.phase = Phase.AWAIT_HASHES
+            return []
         self.phase = Phase.AWAIT_RESULT
-        return [self._envelope(HashSubmission(h), Role.CHARLIE)]
+        return [self._envelope(HashSubmission(h), self._averager)]
 
     def _on_distance_result(self, env: Envelope) -> list[Envelope]:
         res, m = env.body, self._m
@@ -261,21 +274,10 @@ class Session:
         self._finish(deobfuscate_distance(res.mean_lee, d_tilde, m, p), res.mean_lee)
         return []
 
-    def _on_hamming_request(self, env: Envelope) -> list[Envelope]:
-        """Alice compares Bob's ring code with hers; hamming_distance refuses
-        a code of another alphabet or length."""
-        d = hamming_distance(self._code, env.body.code)
-        self._finish(Fraction(d, self._m))
-        return [self._envelope(HammingResponse(distance=d), Role.BOB)]
-
-    def _on_hamming_response(self, env: Envelope) -> list[Envelope]:
-        self._finish(Fraction(env.body.distance, self._m))
-        return []
-
     def _finish(self, true_mean: Fraction, observed: Fraction | None = None):
         """Estimate from the owners' mean (observed: Charlie's, if he averaged).
-        A mean outside [0, k/2] fits no pair of hashes: the result, the pads
-        or the reported Hamming distance lied."""
+        A mean outside [0, k/2] fits no pair of hashes: the result or the
+        pads lied."""
         if not 0 <= true_mean <= Fraction(self._k, 2):
             raise DimensionMismatch(f"mean Lee distance {true_mean} outside [0, k/2]")
         self.observed_mean = true_mean if observed is None else observed
@@ -285,15 +287,15 @@ class Session:
 
 
 # The one place that states what each role accepts in each phase:
-# (role, phase, body type) -> (senders allowed, handler). An Abort from any
-# peer ends a live session; every other move is a protocol violation.
+# (role, phase, body type) -> (senders allowed, handler), where no senders
+# means the kind's averaging party. An Abort from any peer ends a live
+# session; every other move is a protocol violation.
 _MOVES = {
     (Role.BOB, Phase.AWAIT_KEY, KeyShare): ((Role.ALICE,), Session._on_key_share),
     (Role.CHARLIE, Phase.AWAIT_HASHES, HashSubmission): ((Role.ALICE, Role.BOB), Session._on_hash_submission),
-    (Role.ALICE, Phase.AWAIT_RESULT, DistanceResult): ((Role.CHARLIE,), Session._on_distance_result),
-    (Role.BOB, Phase.AWAIT_RESULT, DistanceResult): ((Role.CHARLIE,), Session._on_distance_result),
-    (Role.ALICE, Phase.AWAIT_HAMMING_REQUEST, HammingRequest): ((Role.BOB,), Session._on_hamming_request),
-    (Role.BOB, Phase.AWAIT_HAMMING_RESPONSE, HammingResponse): ((Role.ALICE,), Session._on_hamming_response),
+    (Role.ALICE, Phase.AWAIT_HASHES, HashSubmission): ((Role.BOB,), Session._on_hash_submission),
+    (Role.ALICE, Phase.AWAIT_RESULT, DistanceResult): ((), Session._on_distance_result),
+    (Role.BOB, Phase.AWAIT_RESULT, DistanceResult): ((), Session._on_distance_result),
 }
 
 

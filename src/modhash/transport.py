@@ -13,8 +13,7 @@ Networked deployment mirrors the protocol roles:
                     returns the distance result over the submitting connections.
     BobServer       listener for Alice's key share, which carries all the key
                     material Bob needs; submits Bob's hash to Charlie over
-                    one shared connection, or sends his ring code back to
-                    Alice as a Hamming request.
+                    one shared connection, or back to Alice in two-party.
     run_over_tcp    Alice's side: drives one session over her connections to
                     Bob (and Charlie).
 

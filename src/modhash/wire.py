@@ -11,7 +11,9 @@ Frame layout (all integers big-endian):
 msg_type packs the message family together with the protocol kind and the
 sender role, so every frame self-describes its session context without
 spending payload bytes on it. Kind bits 1 are retired: they name no kind,
-and a frame that carries them is refused from its header.
+and a frame that carries them is refused from its header. Families 4 and 5,
+the Hamming request and response of an earlier two-party flow, are retired
+the same way.
 
 Payload formats per family:
 
@@ -22,9 +24,6 @@ Payload formats per family:
     HASH_SUBMISSION  k u32, count u32, components u16 each  (size is a function
                      of (k, count) only -- input dimension never leaks)
     DISTANCE_RESULT  numerator u64, denominator u64 (lowest terms), count u32
-    HAMMING_REQUEST  k u32, count u32, ring-code bits packed MSB-first with
-                     zero padding to a byte boundary
-    HAMMING_RESPONSE distance u64
     ABORT            reason_len u16, UTF-8 bytes
 
 Encoding is canonical: a valid message has exactly one byte representation,
@@ -47,13 +46,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import messages as msgs
-from .core import BinaryCode, HashKey, HashVector, Permutation, _adopt
+from .core import HashKey, HashVector, Permutation, _adopt
 from .errors import (
     ComponentOutOfRange,
     DecodeError,
     EncodingError,
-    InvalidInput,
-    InvalidRingCode,
     MalformedPayload,
     NonBijectivePermutation,
     TruncatedFrame,
@@ -65,13 +62,14 @@ from .errors import (
 VERSION = 0x01
 HEADER_LEN = 18  # version + msg_type + session_id, counted by the length field
 MAX_WIRE_K = 65534  # components are u16
+MAX_WIRE_COUNT = (1 << 32) - 1  # counts are u32
 MAX_FRAME_LENGTH = 256 * 1024 * 1024  # refuse to buffer absurd length claims
 
 FAMILY_KEY_SHARE = 1
 FAMILY_HASH_SUBMISSION = 2
 FAMILY_DISTANCE_RESULT = 3
-FAMILY_HAMMING_REQUEST = 4
-FAMILY_HAMMING_RESPONSE = 5
+FAMILY_HAMMING_REQUEST = 4  # retired, refused from the header; perfbench's span table names it
+FAMILY_HAMMING_RESPONSE = 5  # likewise
 FAMILY_ABORT = 6
 
 
@@ -122,21 +120,9 @@ def _encode_distance_result(body: msgs.DistanceResult) -> list:
         raise EncodingError("mean Lee distance cannot be negative")
     if frac.numerator >= 1 << 64 or frac.denominator >= 1 << 64:
         raise EncodingError("rational does not fit in u64/u64")
-    if not (1 <= body.count < 1 << 32):
+    if not (1 <= body.count <= MAX_WIRE_COUNT):
         raise EncodingError("count outside u32 range")
     return [struct.pack(">QQI", frac.numerator, frac.denominator, body.count)]
-
-
-def _encode_hamming_request(body: msgs.HammingRequest) -> list:
-    code = body.code
-    _check_wire_k(code.k)
-    return [struct.pack(">II", code.k, code.m), np.packbits(code.bits).tobytes()]  # MSB-first, zero-padded
-
-
-def _encode_hamming_response(body: msgs.HammingResponse) -> list:
-    if not (0 <= body.distance < 1 << 64):
-        raise EncodingError("distance outside u64 range")
-    return [struct.pack(">Q", body.distance)]
 
 
 def _encode_abort(body: msgs.Abort) -> list:
@@ -241,26 +227,6 @@ def _decode_distance_result(r: _Reader) -> msgs.DistanceResult:
     return msgs.DistanceResult(mean_lee=Fraction(num, den), count=count)
 
 
-def _decode_hamming_request(r: _Reader) -> msgs.HammingRequest:
-    k = r.u32()
-    _check_wire_k(k, ComponentOutOfRange)
-    count = r.u32()
-    if count < 1:
-        raise MalformedPayload("code must cover at least one component")
-    nbits = count * (k // 2)
-    nbytes = (nbits + 7) // 8
-    raw = np.frombuffer(r.take(nbytes), dtype=np.uint8)
-    bits = np.unpackbits(raw)
-    if bits[nbits:].any():
-        raise MalformedPayload("nonzero padding bits after the code")
-    r.done()
-    try:
-        code = BinaryCode(k=k, bits=bits[:nbits])
-    except InvalidInput as exc:
-        raise InvalidRingCode(str(exc)) from exc
-    return msgs.HammingRequest(code=code)
-
-
 def _decode_abort(r: _Reader) -> msgs.Abort:
     n = r.u16()
     raw = r.take(n)
@@ -282,19 +248,11 @@ def _decode_hash_submission(r: _Reader) -> msgs.HashSubmission:
     return msgs.HashSubmission(vector=vector)
 
 
-def _decode_hamming_response(r: _Reader) -> msgs.HammingResponse:
-    distance = r.u64()
-    r.done()
-    return msgs.HammingResponse(distance=distance)
-
-
 # The one codec table: body type -> (family, payload encoder, payload decoder).
 _CODECS = {
     msgs.KeyShare: (FAMILY_KEY_SHARE, _encode_key_share, _decode_key_share),
     msgs.HashSubmission: (FAMILY_HASH_SUBMISSION, _encode_hash_submission, _decode_hash_submission),
     msgs.DistanceResult: (FAMILY_DISTANCE_RESULT, _encode_distance_result, _decode_distance_result),
-    msgs.HammingRequest: (FAMILY_HAMMING_REQUEST, _encode_hamming_request, _decode_hamming_request),
-    msgs.HammingResponse: (FAMILY_HAMMING_RESPONSE, _encode_hamming_response, _decode_hamming_response),
     msgs.Abort: (FAMILY_ABORT, _encode_abort, _decode_abort),
 }
 _DECODERS = {family: decode for family, _, decode in _CODECS.values()}

@@ -172,19 +172,13 @@ def _payload(body) -> bytes:
     if name == "DistanceResult":
         frac = Fraction(body.mean_lee)
         return struct.pack(">QQI", frac.numerator, frac.denominator, body.count)
-    if name == "HammingRequest":
-        code = body.code
-        return struct.pack(">II", code.k, code.m) + np.packbits(code.bits).tobytes()
-    if name == "HammingResponse":
-        return struct.pack(">Q", body.distance)
     if name == "Abort":
         reason = body.reason.encode("utf-8")
         return struct.pack(">H", len(reason)) + reason
     raise TypeError(f"no reference encoding for {name}")
 
 
-_FAMILIES = {"KeyShare": 1, "HashSubmission": 2, "DistanceResult": 3,
-             "HammingRequest": 4, "HammingResponse": 5, "Abort": 6}
+_FAMILIES = {"KeyShare": 1, "HashSubmission": 2, "DistanceResult": 3, "Abort": 6}
 
 
 def reference_frame(env) -> bytes:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modhash import (
     DEFAULT_DELTA,
@@ -304,6 +306,36 @@ def test_params_invariants_enforced():
             threshold=10.0, epsilon=0.2, beta=10, k=78, m=10,
             epsilon_bias=0.1, epsilon_stat=0.1,
         )
+
+
+_POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold=_POSITIVE_FLOATS, epsilon=_POSITIVE_FLOATS, beta=st.integers(1, 64))
+@example(threshold=1e155, epsilon=1.0, beta=10)  # OverflowError before
+@example(threshold=1e-300, epsilon=1e-301, beta=10)  # ZeroDivisionError before
+@example(threshold=5.0, epsilon=1e-200, beta=10)  # ZeroDivisionError before
+@example(threshold=1e6, epsilon=1.0, beta=10)  # k = 13,502,636 before
+def test_plan_parameters_returns_a_plan_or_refuses_it(threshold, epsilon, beta):
+    try:
+        params = plan_parameters(threshold, epsilon, beta)
+    except InvalidParameter:
+        return
+    assert isinstance(params, ProtocolParams)
+    assert 2 <= params.k <= 65534 and params.m + params.padding <= 2**32 - 1
+
+
+def test_the_planner_refuses_what_the_wire_cannot_carry():
+    with pytest.raises(InvalidParameter, match="needs k above 65534"):
+        plan_k(1e6, 0.5)
+    with pytest.raises(InvalidParameter, match="needs M above 4294967295"):
+        plan_m(6, 1e-5, 10)
+    assert plan_k(0.5, 0.0002) == 6
+    assert 4294967295 // 11 < plan_m(6, 0.0002, 10) <= 4294967295  # fits, but M + 10 M does not
+    with pytest.raises(InvalidParameter, match="default padding 10 M exceed 4294967295"):
+        plan_parameters(0.5, 0.0004, 10)
+    assert bias_bound(1e-300, 2) == 0.0  # its square underflows; ZeroDivisionError before
 
 
 def test_params_from_dimensions_consistent():

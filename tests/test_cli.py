@@ -225,6 +225,33 @@ def test_run_tcp_unreachable_exits_3(capsys, vectors):
     assert code == 3
 
 
+@pytest.mark.parametrize("port", ["70000", "-1"])
+@pytest.mark.parametrize("flag", ["--listen", "--bob", "--charlie"])
+def test_a_port_outside_0_to_65535_exits_2(capsys, vectors, flag, port):
+    # Before, serve raised OverflowError from bind and exited 1, and a dial
+    # to port 70000 went to 4464.
+    if flag == "--listen":
+        argv = ["serve", "--role", "charlie", "--listen", f"127.0.0.1:{port}"]
+    else:
+        argv = [
+            "run", "--kind", "full-key", "--x1", vectors[0], "--seed", "s", "--k", "8", "--m", "32",
+            "--transport", "tcp", "--role", "alice", "--bob", "127.0.0.1:1", "--charlie", "127.0.0.1:1",
+        ]
+        argv[argv.index(flag) + 1] = f"127.0.0.1:{port}"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: port must lie in 0-65535") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threshold, epsilon", [("1e155", "1"), ("1e-300", "1e-301"), ("5", "1e-200"), ("1e6", "1")])
+def test_plan_exits_2_for_a_plan_the_wire_cannot_carry(capsys, threshold, epsilon):
+    # Before, the first three raised OverflowError or ZeroDivisionError and
+    # the last planned k = 13,502,636.
+    assert main(["plan", "--threshold", threshold, "--epsilon", epsilon]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidParameter: ") and "Traceback" not in err
+
+
 # ------------------------------------------------------------------ serve + distributed run
 
 

@@ -497,11 +497,11 @@ def scipy_modules():
 
 steps = {}
 import modhash, modhash.cli
-from modhash import Envelope, HashKey, ProtocolKind, Role, hash_vector, start_session, wire
+from modhash import DEFAULT_DELTA, Envelope, HashKey, ProtocolKind, Role, hash_vector, start_session, wire
 from modhash.messages import HashSubmission, KeyShare
 steps["import"] = scipy_modules()
 
-key = HashKey(8, 1.0, np.arange(12.0).reshape(4, 3) / 7, np.full(4, 0.5))
+key = HashKey(8, DEFAULT_DELTA, np.arange(12.0).reshape(4, 3) / 7, np.full(4, 0.5))
 sid, kind = bytes(16), ProtocolKind.FULL_KEY_3P
 bob, _ = start_session(Role.BOB, kind, x=np.ones(3), session_id=sid)
 charlie, _ = start_session(Role.CHARLIE, kind, session_id=sid)

@@ -27,7 +27,7 @@ LARGE_PERMUTATION_DIGEST = "15a287f7d6c7df7f4e7f87989164eb19974aec456b0465d37095
 
 TRANSCRIPT_DIGESTS = {
     ProtocolKind.FULL_KEY_3P: "a327272cc7f4a83c7def6769add4e6d2094c85fcd53dfb85a85e39f960d3ce4d",
-    ProtocolKind.TWO_PARTY_HAMMING: "65c99f57adfc0df642981f86921af081e47e00cb9aa9ae20a1f0dc0ec88439a7",
+    ProtocolKind.TWO_PARTY_HAMMING: "9bf2d40458f49e5ebf0029a81a4b5fa945e451c223361ccea88455016119cf6f",
     ProtocolKind.OBFUSCATED_3P: "62e285819ff956df9ddf1a04447802616891538b7b5e0b2e19cfd3b93a98e96b",
 }
 

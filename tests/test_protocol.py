@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from modhash import (
-    BinaryCode,
     DimensionMismatch,
     EstimateMode,
     HashKey,
@@ -32,8 +31,6 @@ from modhash.messages import (
     Abort,
     DistanceResult,
     Envelope,
-    HammingRequest,
-    HammingResponse,
     HashSubmission,
     KeyShare,
 )
@@ -182,15 +179,19 @@ def test_a_message_of_another_kind_is_refused():
 
 
 @pytest.mark.parametrize(
-    "code", [BinaryCode(8, np.ones(4)), BinaryCode(6, np.zeros(3 * PARAMS.m))], ids=["short", "other-alphabet"]
+    "vector", [HashVector(8, np.ones(4, dtype=np.int64)), HashVector(6, np.zeros(PARAMS.m, dtype=np.int64))],
+    ids=["short", "other-alphabet"],
 )
-def test_two_party_request_of_another_shape_aborts(code):
+def test_two_party_request_of_another_shape_aborts(vector):
+    # Bob's hash submission to Alice, who averages in two-party
     x1, _ = _vectors()
     kind = ProtocolKind.TWO_PARTY_HAMMING
     alice, _ = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
-    with pytest.raises(DimensionMismatch):
-        alice.on_message(Envelope(alice.session_id, kind, Role.BOB, HammingRequest(code), Role.ALICE))
+    assert alice.phase == Phase.AWAIT_HASHES
+    with pytest.raises(DimensionMismatch) as err:
+        alice.on_message(Envelope(alice.session_id, kind, Role.BOB, HashSubmission(vector), Role.ALICE))
     assert alice.aborted and alice.result is None
+    assert [e.recipient for e in err.value.aborts] == [Role.BOB]
 
 
 def test_obfuscated_result_that_demixes_below_zero_aborts():
@@ -208,20 +209,46 @@ def test_obfuscated_result_that_demixes_below_zero_aborts():
 
 
 def test_two_party_response_past_the_diameter_aborts():
+    # Alice's result to Bob, with a mean above k/2 = 4
     x1, x2 = _vectors()
     kind = ProtocolKind.TWO_PARTY_HAMMING
     alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
     bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
-    (request,) = bob.on_message(outgoing[0].addressed_to(Role.BOB))
-    assert isinstance(request.body, HammingRequest)
-    assert bob.phase == Phase.AWAIT_HAMMING_RESPONSE
-    lie = Envelope(alice.session_id, kind, Role.ALICE, HammingResponse(distance=10**6), Role.BOB)
-    with pytest.raises(DimensionMismatch, match=r"outside \[0, k/2\]"):
+    (submission,) = bob.on_message(outgoing[0].addressed_to(Role.BOB))
+    assert isinstance(submission.body, HashSubmission) and submission.recipient == Role.ALICE
+    assert bob.phase == Phase.AWAIT_RESULT
+    lie = Envelope(alice.session_id, kind, Role.ALICE, DistanceResult(Fraction(9, 2), PARAMS.m), Role.BOB)
+    with pytest.raises(DimensionMismatch, match=r"9/2 outside \[0, k/2\]"):
         bob.on_message(lie)
     assert bob.aborted and bob.result is None
 
 
-_CHARLIE_NEVER_HOLDS = ("_x", "_code", "_padding")
+@pytest.mark.parametrize(
+    "kind, sender",
+    [
+        (ProtocolKind.FULL_KEY_3P, Role.ALICE),
+        (ProtocolKind.OBFUSCATED_3P, Role.ALICE),
+        (ProtocolKind.TWO_PARTY_HAMMING, Role.CHARLIE),
+    ],
+    ids=lambda v: v.name,
+)
+def test_bob_takes_a_result_only_from_the_averaging_party(kind, sender):
+    # Charlie averages in the three-party kinds, Alice in two-party
+    x1, x2 = _vectors()
+    alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
+    bob.on_message(outgoing[0].addressed_to(Role.BOB))
+    assert bob.phase == Phase.AWAIT_RESULT
+    count = PARAMS.m + (PARAMS.padding if kind == ProtocolKind.OBFUSCATED_3P else 0)
+    result = Envelope(alice.session_id, kind, sender, DistanceResult(Fraction(1, 2), count), Role.BOB)
+    with pytest.raises(ProtocolViolation, match=rf"^DistanceResult from {sender.name}$") as err:
+        bob.on_message(result)
+    assert bob.aborted and bob.result is None
+    parties = set(Role) if kind in THREE_PARTY_KINDS else {Role.ALICE, Role.BOB}
+    assert {e.recipient for e in err.value.aborts} == parties - {Role.BOB}
+
+
+_CHARLIE_NEVER_HOLDS = ("_x", "_padding")
 
 
 def _fresh_session(role, kind, session_id):
@@ -379,7 +406,7 @@ def test_charlie_traffic_never_contains_secrets():
         pytest.param(
             ProtocolKind.TWO_PARTY_HAMMING,
             marks=pytest.mark.xfail(
-                strict=True, reason="ROADMAP item 2: Bob sends his ring-coded hash to Alice, who holds (A, U)"
+                strict=True, reason="ROADMAP item 2: Bob submits his hash to Alice, who holds (A, U)"
             ),
         ),
     ],
@@ -394,7 +421,7 @@ def test_no_key_holder_receives_a_peer_hash(kind):
     for t in run.transcript:
         body = decode_frame(t.data).body
         if t.recipient in holders:
-            assert not isinstance(body, (HashSubmission, HammingRequest)), f"{t.recipient.name} got a hash"
+            assert not isinstance(body, HashSubmission), f"{t.recipient.name} got a hash"
         if isinstance(body, KeyShare):
             holders.add(t.recipient)
 
@@ -479,6 +506,18 @@ def test_bob_refuses_a_share_of_another_k_or_m_than_agreed(other):
     assert all(e.body == Abort(reason=str(err.value)) for e in err.value.aborts)
 
 
+def test_bob_refuses_a_share_whose_delta_his_estimate_does_not_assume():
+    kind = ProtocolKind.FULL_KEY_3P
+    _, x2 = _vectors()
+    bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=bytes(16))
+    share = KeyShare(generate_key(PARAMS.k, PARAMS.m, len(x2), SEED, 1.0))
+    with pytest.raises(InvalidParameter, match=r"^key share delta=1\.0, but estimates assume 0\.79") as err:
+        bob.on_message(Envelope(bytes(16), kind, Role.ALICE, share, Role.BOB))
+    assert bob.aborted and bob.result is None
+    assert {e.recipient for e in err.value.aborts} == {Role.ALICE, Role.CHARLIE}
+    assert all(e.body == Abort(reason=str(err.value)) for e in err.value.aborts)
+
+
 # ------------------------------------------------------------------ memory
 
 
@@ -493,8 +532,8 @@ def _arrays(value):
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.name)
 def test_owners_keep_nothing_they_sent_or_received_once_they_have_hashed(kind):
-    # Before, Alice and Bob kept their HashKey (so A and U), the obfuscated
-    # kind both pads, and Bob his ring code, until the session ended.
+    # Before, Alice and Bob kept their HashKey (so A and U), and the
+    # obfuscated kind both pads, until the session ended.
     x1, x2 = _vectors()
     alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
     bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)

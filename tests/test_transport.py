@@ -582,6 +582,21 @@ def test_a_three_party_share_to_a_bob_with_no_charlie_address_ends_alices_run():
         assert bob._sessions == {} and bob._link is None
 
 
+def test_a_charlie_address_that_does_not_resolve_ends_alices_run_and_bob_serves_on():
+    # getaddrinfo refuses port -1 ("Servname not supported") with no network
+    x1, x2 = _vectors()
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=("127.0.0.1", -1)) as bob:
+        charlie.start()
+        bob.start()
+        with pytest.raises(ProtocolViolation, match="cannot connect to 127.0.0.1:-1"):
+            run_over_tcp(ProtocolKind.FULL_KEY_3P, x1, PARAMS, SEED, bob.address, charlie.address, timeout=10)
+        assert bob._link is None
+        kind, seed = ProtocolKind.TWO_PARTY_HAMMING, bytes([16]) * 32
+        run = run_over_tcp(kind, x1, PARAMS, seed, bob.address, timeout=10)
+        assert run.mean_lee == drive_local(kind, x1, x2, PARAMS, seed).mean_lee
+        assert bob.wait_result(run.session_id, 5.0) == run.estimate
+
+
 def test_charlie_refuses_a_submission_that_an_abort_overtook():
     # Before, Charlie dropped the Abort, and the submission then opened a
     # session that waited out _IDLE_S for a submission that never came.

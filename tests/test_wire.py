@@ -15,9 +15,9 @@ from modhash import (
     HashVector,
     InvalidParameter,
     Permutation,
-    encode_lee_to_binary,
     generate_key,
     hash_vector,
+    wire,
 )
 from modhash.errors import (
     ComponentOutOfRange,
@@ -33,8 +33,6 @@ from modhash.messages import (
     Abort,
     DistanceResult,
     Envelope,
-    HammingRequest,
-    HammingResponse,
     HashSubmission,
     KeyShare,
     ProtocolKind,
@@ -64,8 +62,6 @@ def _sample_envelopes():
         ),
         _env(HashSubmission(h), sender=Role.BOB),
         _env(DistanceResult(mean_lee=Fraction(5, 2), count=6), sender=Role.CHARLIE),
-        _env(HammingRequest(encode_lee_to_binary(h)), kind=ProtocolKind.TWO_PARTY_HAMMING, sender=Role.BOB),
-        _env(HammingResponse(distance=17), kind=ProtocolKind.TWO_PARTY_HAMMING),
         _env(Abort(reason="session torn down"), sender=Role.CHARLIE),
     ]
 
@@ -118,8 +114,6 @@ _BODIES = st.one_of(
         lambda num, den, count: DistanceResult(mean_lee=Fraction(num, den), count=count),
         st.integers(0, (1 << 64) - 1), st.integers(1, (1 << 64) - 1), st.integers(1, (1 << 32) - 1),
     ),
-    _hash_vectors().map(lambda h: HammingRequest(encode_lee_to_binary(h))),
-    st.integers(0, (1 << 64) - 1).map(lambda d: HammingResponse(distance=d)),
     st.text(max_size=40).map(lambda reason: Abort(reason=reason)),
 )
 
@@ -149,11 +143,11 @@ def test_decoded_messages_hold_no_views_into_the_frame():
 
 
 def test_frame_layout():
-    env = _env(HammingResponse(distance=1), kind=ProtocolKind.TWO_PARTY_HAMMING)
+    env = _env(DistanceResult(mean_lee=Fraction(1), count=1), kind=ProtocolKind.TWO_PARTY_HAMMING)
     data = encode_envelope(env)
     (length,) = struct.unpack(">I", data[:4])
     assert length == len(data) - 4
-    assert length == HEADER_LEN + 8
+    assert length == HEADER_LEN + 20
     assert data[4] == 0x01
 
 
@@ -283,18 +277,29 @@ def test_rational_must_be_lowest_terms():
         decode_frame(bytes(data))
 
 
-def test_ring_code_payload_validated():
-    env = _sample_envelopes()[5]
-    data = bytearray(encode_envelope(env))
-    # 0110 is a middle run: not the code of any symbol
-    data[4 + HEADER_LEN + 8] = 0b01100110
-    with pytest.raises(DecodeError):
-        decode_frame(bytes(data))
+@pytest.mark.parametrize("family", [4, 5])
+def test_retired_hamming_families_are_refused_from_the_header(family):
+    # the Hamming request and response of the two-party kind's earlier flow
+    for env in _sample_envelopes():
+        data = bytearray(encode_envelope(env))
+        data[5] = (family << 4) | (data[5] & 0x0F)
+        with pytest.raises(UnknownMessageType, match="is not defined"):
+            decode_frame(bytes(data))
+
+
+def test_a_decoder_fault_surfaces_as_malformed_payload(monkeypatch):
+    # decode_frame's last net: nothing but a DecodeError leaves it
+    def faulty(r):
+        return 1 / 0
+
+    monkeypatch.setitem(wire._DECODERS, wire.FAMILY_ABORT, faulty)
+    data = encode_envelope(_env(Abort(reason="well formed")))
+    with pytest.raises(MalformedPayload, match="^unparseable frame: division by zero$") as err:
+        decode_frame(data)
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 def test_encode_rejects_oversized_values():
-    with pytest.raises(EncodingError):
-        encode_envelope(_env(HammingResponse(distance=1 << 64), kind=ProtocolKind.TWO_PARTY_HAMMING))
     with pytest.raises(EncodingError):
         encode_envelope(
             Envelope(session_id=b"short", kind=ProtocolKind.FULL_KEY_3P,
