@@ -169,6 +169,7 @@ class ProtocolParams:
 
     Invariants: F(threshold, k) <= epsilon_bias and M meets the Hoeffding
     bound for (k, epsilon_stat, beta); epsilon_bias + epsilon_stat = epsilon.
+    The wire carries the session: k <= MAX_WIRE_K and M + P <= MAX_WIRE_COUNT.
     """
 
     threshold: float
@@ -182,6 +183,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _check_even_k(self.k))
+        if self.k > MAX_WIRE_K:
+            raise InvalidParameter(f"k={self.k} above {MAX_WIRE_K}, the wire's largest")
         _check_real(self.threshold, "threshold")
         if self.epsilon <= 0 or self.epsilon_bias <= 0 or self.epsilon_stat <= 0:
             raise InvalidParameter("epsilon budgets must be positive")
@@ -190,6 +193,10 @@ class ProtocolParams:
         object.__setattr__(self, "beta", _check_size(self.beta, "beta"))
         object.__setattr__(self, "m", _check_size(self.m, "M"))
         object.__setattr__(self, "padding", _check_size(self.padding, "padding", zero_ok=True))
+        if self.m + self.padding > MAX_WIRE_COUNT:
+            raise InvalidParameter(
+                f"M={self.m} plus padding {self.padding} exceed {MAX_WIRE_COUNT}, the wire's largest count"
+            )
         if bias_bound(self.threshold, self.k) > self.epsilon_bias * (1 + 1e-12):
             raise InvalidParameter("k too small: bias bound exceeds epsilon_bias at the threshold")
         if self.m < _hoeffding_rhs(self.k, self.epsilon_stat, self.beta) * (1 - 1e-12):
@@ -233,8 +240,6 @@ def plan_parameters(threshold: float, epsilon: float, beta: int) -> ProtocolPara
     half = epsilon / 2.0
     k = plan_k(threshold, half)
     m = plan_m(k, half, beta)
-    if 11 * m > MAX_WIRE_COUNT:
-        raise InvalidParameter(f"M={m} and its default padding 10 M exceed {MAX_WIRE_COUNT}, the wire's largest count")
     return ProtocolParams(
         threshold=float(threshold),
         epsilon=float(epsilon),

@@ -2,8 +2,13 @@
 
 Machine-readable output is line-oriented key=value on stdout. Exit codes:
 0 success, 2 invalid flags or inputs, 3 transport/protocol runtime failure.
-Every command is deterministic given --seed. The default third-party address
-can be set through the MODHASH_CHARLIE_ADDR environment variable.
+Every command is deterministic given --seed, so a fixed seed is a tool for
+reproducing a run: run's seed fixes the session's key, pads, permutation
+and id. Two obfuscated sessions with one seed and one x2 let Charlie recover
+the true mean over the slots that changed (he read 0.488, 2.596 and 7.140
+against 0.493, 2.529 and 6.982 at the planned point), so each real session
+needs its own secret seed. The default third-party address can be set
+through the MODHASH_CHARLIE_ADDR environment variable.
 """
 
 import argparse
@@ -342,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p.add_argument("--x1", required=True, help="vector file, one decimal per line")
     p.add_argument("--x2", help="vector file (orchestrating modes)")
-    p.add_argument("--seed", required=True)
+    p.add_argument("--seed", required=True,
+                   help="fixes the session's key, pads, permutation and id: reuse one only to reproduce a run")
     p.add_argument("--threshold", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--beta", type=int, default=10)

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, InvalidParameter
-from .rng import KEY_BLOCK, NORMAL_BOUND, ChaChaStream, _rectangle, _resolve_into, _uniform01, check_seed, subseed
+from .rng import KEY_BLOCK, NORMAL_BOUND, ChaChaStream, check_seed, normals_into, subseed, uniforms_into
 
 DEFAULT_DELTA = math.sqrt(2.0 / math.pi)
 
@@ -233,9 +233,9 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
     i.i.d. uniform on [0, k). The seed feeds a single ChaCha20 stream consumed
     as all of A (row-major) followed by all of U, one draw per value, with
     normals from the ziggurat of the rng module; the same (k, m, n, seed,
-    delta) always yields a bit-identical key. Each array is produced in place
-    (rng._draws_into and rng._rectangle block it by rng.KEY_BLOCK values) and
-    handed to the key without a copy.
+    delta) always yields a bit-identical key. Each array is produced in place,
+    by one call of rng.normals_into or rng.uniforms_into, and handed to the
+    key without a copy.
     """
     k = _check_even_k(k)
     m, n = _check_size(m, "M"), _check_size(n, "N")
@@ -256,6 +256,10 @@ def generate_key(k: int, m: int, n: int, seed: bytes, delta: float = DEFAULT_DEL
 # their number, so a buffer of one KEY_BLOCK paid it four times as often.
 _SWEEP_BLOCKS = 4
 
+# Each key of a block keeps its stream, about 0.9 KB of cipher state, until
+# the block's U is drawn: this many keys keep that near the 1 MB buffer of A.
+_BLOCK_KEYS = 1024
+
 # einsum sums a row of more than this many values (numpy's iterator buffer) in
 # pieces where the row is its operand's only one, and in one pass where it is
 # one of several, as in every key of two or more rows: rows this long are
@@ -266,24 +270,18 @@ _ONE_PASS_ROW = 8192
 def _pairs_at_distance(seeds, n: int, distance: float) -> np.ndarray:
     """(len(seeds), 2, n): for each seed s, x1 and x2 = x1 + distance * (a
     uniform random direction), both drawn from ChaChaStream(s, b"inputs") as
-    x1 then the direction, a direction of norm 0 being redrawn from the same
-    stream. x2 may be non-finite where distance / norm overflows."""
-    pairs, keys = np.empty((len(seeds), 2, n)), []
-    for seed, pair in zip(seeds, pairs):
-        stream = ChaChaStream(seed, b"inputs")
-        keys.append(stream._key)
-        stream._draws_into(pair)
-    flat = pairs.reshape(-1)
-    _resolve_into(flat, 2 * n, _rectangle(flat, 1.0), keys, 0, 1.0, {})
+    x1 then the direction, a direction of norm 0 being redrawn from where
+    that stream left off. x2 may be non-finite where distance / norm
+    overflows."""
+    streams = [ChaChaStream(seed, b"inputs") for seed in seeds]
+    pairs = normals_into(np.empty((len(streams), 2, n)), streams)
     x1, direction = pairs[:, 0], pairs[:, 1]
     # not np.linalg.norm: from ~10^4 values its BLAS ddot is threaded, and the
     # workers spin on after it returns
     sq_norms = np.einsum("ij,ij->i", direction, direction)
     for i in np.flatnonzero(sq_norms == 0.0):  # probability zero, but stay total
-        stream = ChaChaStream(seeds[i], b"inputs")
-        stream.standard_normal_into(pairs[i])  # the same pair again, then more directions
         while sq_norms[i] == 0.0:
-            direction[i] = stream.standard_normal(n)
+            direction[i] = streams[i].standard_normal(n)
             sq_norms[i] = np.einsum("i,i->", direction[i], direction[i])
     with np.errstate(over="ignore", invalid="ignore"):  # x2 is checked by the caller
         direction *= (distance / np.sqrt(sq_norms))[:, None]
@@ -304,13 +302,14 @@ def _hashes_under_fresh_keys(k: int, m: int, n: int, delta: float, seeds, *, x=N
     x is checked before anything is drawn.
 
     Each key's stream is drawn as generate_key draws it, A row-major then U,
-    into one buffer of at most _SWEEP_BLOCKS * rng.KEY_BLOCK values of A:
-    keys that fit share it, and a larger key streams through it in whole
-    rows (at least two of them where rows are longer than _ONE_PASS_ROW and
-    the key has more than one). Past each key's stream set-up and fill, the
-    ziggurat, the uniforms, the projection and floor mod k each run once over
-    the buffer, with the operations of the key path; "tij,tj->ti" sums each
-    row as "ij,j->i" does there.
+    A into one buffer of at most _SWEEP_BLOCKS * rng.KEY_BLOCK values: keys
+    that fit share it, and a larger key streams through it in whole rows (at
+    least two of them where rows are longer than _ONE_PASS_ROW and the key
+    has more than one). Each buffer of A is one rng.normals_into call over
+    the keys' streams, and U one rng.uniforms_into call after the last; the
+    projection and floor mod k run once over the buffer too, with the
+    operations of the key path; "tij,tj->ti" sums each row as "ij,j->i"
+    does there.
     """
     k = _check_even_k(k)
     m, n = _check_size(m, "M"), _check_size(n, "N")
@@ -319,7 +318,7 @@ def _hashes_under_fresh_keys(k: int, m: int, n: int, delta: float, seeds, *, x=N
     if x is not None:
         x = _checked_input(x, n)
     capacity = _SWEEP_BLOCKS * KEY_BLOCK
-    keys_per_block = max(1, capacity // (m * n)) if n <= _ONE_PASS_ROW else 1
+    keys_per_block = min(_BLOCK_KEYS, max(1, capacity // (m * n))) if n <= _ONE_PASS_ROW else 1
     rows = min(m, max(2 if n > _ONE_PASS_ROW else 1, capacity // n))
     starts = list(range(0, m, rows))
     if n > _ONE_PASS_ROW and len(starts) > 1 and m - starts[-1] == 1:
@@ -338,26 +337,20 @@ def _hashes_under_fresh_keys(k: int, m: int, n: int, delta: float, seeds, *, x=N
             bad_x = ~np.isfinite(xs[:, 1]).all(axis=1)
         else:
             xs, key_seeds, bad_x = np.broadcast_to(x, (t, 1, n)), block_seeds, np.zeros(t, dtype=bool)
-        # whole keys draw A, then U, one stream at a time; a larger key (the
-        # block's only one) keeps its stream from one row block to the next
-        streams = map(ChaChaStream, key_seeds) if len(starts) == 1 else list(map(ChaChaStream, key_seeds))
+        # every key's stream draws its A, a row block at a time, then its U
+        streams = [ChaChaStream(s) for s in key_seeds]
         a = buffer[: t * block_rows * n].reshape(t, block_rows, n)
         u, z = np.empty((t, m)), np.empty((t, xs.shape[1], m))
-        bad_a, redraws = np.zeros(t, dtype=bool), {}
+        bad_a = np.zeros(t, dtype=bool)
         for start, stop in zip(starts, stops):
-            block = a[:, : stop - start]  # C-contiguous: t is 1 wherever this is not all of a
-            for stream, key_rows, key_u in zip(streams, block, u):
-                stream._draws_into(key_rows)
-                if dither and stop == m:
-                    stream._draws_into(key_u)
-            flat = block.reshape(-1)
-            _resolve_into(flat, (stop - start) * n, _rectangle(flat, scale), key_seeds, start * n, scale, redraws)
+            # C-contiguous: t is 1 wherever this is not all of a
+            block = normals_into(a[:, : stop - start], streams, scale)
             if unbounded:
                 bad_a |= ~np.isfinite(block).all(axis=(1, 2))
             for i in range(xs.shape[1]):
                 np.einsum("tij,tj->ti", block, xs[:, i], out=z[:, i, start:stop])
         if dither:
-            z += _uniform01(u, k)[:, None]
+            z += uniforms_into(u, streams, k)[:, None]
         bad = bad_x | bad_a | ~np.isfinite(z).all(axis=(1, 2))
         if bad.any():
             i = int(np.argmax(bad))

@@ -18,10 +18,11 @@ and the wedge and tail tests use an exp and a log built from IEEE-exact
 operations alone, so no bit depends on the platform's libm either: numpy's
 own exp settles a wedge test only where its error cannot change the outcome.
 
-Keys and other large arrays are produced in place, each stage over the
-whole array: _draws_into calls the cipher and _rectangle runs the fast path
-KEY_BLOCK values at a time, and the stream is consumed as one big-endian u64
-per value, in order, whatever the block edges. A permutation of range(n),
+Every batch of normals or uniforms is filled in place by normals_into or
+uniforms_into, a row per stream, each stage over the whole batch, KEY_BLOCK
+values at a time. A stream keeps its position and its second stream from one
+batch to the next, and is consumed as one big-endian u64 per value, in
+order, whatever the block edges or the batches. A permutation of range(n),
 n >= 2, orders n big-endian u64 keys from the keystream (the random-keys
 shuffle; Knuth, TAOCP Vol. 2, 3.4.2): position p holds the index of the
 p-th smallest key. While any two keys are equal, all n are drawn afresh, so
@@ -91,13 +92,6 @@ def subseed(seed: bytes, label: bytes) -> bytes:
     return hashlib.sha256(check_seed(seed) + b"\x00" + label).digest()
 
 
-def _flat(out: np.ndarray) -> np.ndarray:
-    """The C-contiguous float64 array `out` as a 1-D view, in memory order."""
-    if out.dtype != _F64 or not out.flags.c_contiguous:
-        raise InvalidParameter("out must be a C-contiguous float64 array")
-    return out.reshape(-1)
-
-
 class ChaChaStream:
     """Arbitrary-length deterministic byte/number stream from one seed."""
 
@@ -105,7 +99,7 @@ class ChaChaStream:
         self._key = subseed(seed, label) if label else check_seed(seed)
         self._enc = Cipher(algorithms.ChaCha20(self._key, _ZERO_NONCE), mode=None).encryptor()
         self._normals = 0  # normals drawn so far: the index of the next one
-        self._redraws = {}  # {0: the second stream of the normals}, once first needed
+        self._redraw = None  # the second stream of the normals, once first needed
 
     def take(self, n: int) -> bytes:
         return self._enc.update(bytes(n))
@@ -127,18 +121,13 @@ class ChaChaStream:
     def uniform01_into(self, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """Fill `out` with doubles uniform on [0, 1), 53 bits each, times
         scale; returns out."""
-        _uniform01(self._draws_into(_flat(out)), scale)
+        uniforms_into(out[None], (self,), scale)
         return out
 
     def standard_normal_into(self, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """Fill `out` with standard normals from the ziggurat, times scale;
-        returns out. The whole array is drawn, then _rectangle takes the
-        values inside their rectangles, KEY_BLOCK at a time, and the values
-        outside them are resolved together."""
-        values = _flat(out)
-        failed = _rectangle(self._draws_into(values), scale)
-        _resolve_into(values, values.size, failed, (self._key,), self._normals, scale, self._redraws)
-        self._normals += values.size
+        returns out."""
+        normals_into(out[None], (self,), scale)
         return out
 
     def uniform01(self, n: int) -> np.ndarray:
@@ -179,6 +168,54 @@ class ChaChaStream:
             ranked = keys.take(order)
             if (ranked[1:] != ranked[:-1]).all():
                 return order
+
+
+def _drawn(rows: np.ndarray, streams) -> np.ndarray:
+    """Overwrite each row rows[j] of the C-contiguous float64 array `rows`
+    with the next draws of streams[j]; returns rows as a 1-D view."""
+    if rows.dtype != _F64 or not rows.flags.c_contiguous or rows.shape[:1] != (len(streams),):
+        raise InvalidParameter("the array must be C-contiguous float64, one row per stream")
+    for stream, row in zip(streams, rows):
+        stream._draws_into(row)
+    return rows.reshape(-1)
+
+
+def uniforms_into(rows: np.ndarray, streams, scale: float = 1.0) -> np.ndarray:
+    """Fill each row rows[j] of the C-contiguous float64 array `rows`, in
+    memory order, with the next doubles uniform on [0, 1) of streams[j], 53
+    bits each, times scale; returns rows."""
+    _uniform01(_drawn(rows, streams), scale)
+    return rows
+
+
+def normals_into(rows: np.ndarray, streams, scale: float = 1.0) -> np.ndarray:
+    """Fill each row rows[j] of the C-contiguous float64 array `rows`, in
+    memory order, with the next standard normals of streams[j], times scale;
+    returns rows. The streams are distinct. Every row is drawn, _rectangle
+    runs once over the batch, and the values outside their rectangles are
+    resolved together, each from its own stream's second stream."""
+    values = _drawn(rows, streams)
+    width = math.prod(rows.shape[1:])
+    pos, bits, x = _rectangle(values, scale)
+    if pos.size:
+        row, col = np.divmod(pos, width)
+        draws = []
+        for stream, count in zip(streams, np.bincount(row).tolist()):
+            if count:
+                if stream._redraw is None:
+                    stream._redraw = ChaChaStream(stream._key, _REDRAWS)
+                draws.append(stream._redraw.uint64(count * _BUDGET))
+        # big-endian, as read: each step converts the columns it uses
+        draws = (draws[0] if len(draws) == 1 else np.concatenate(draws)).reshape(-1, _BUDGET)
+
+        def fallback(i):  # the stream of the i-th value's own index, once its budget is spent
+            stream = streams[row[i]]
+            return ChaChaStream(stream._key, _FALLBACK + (stream._normals + int(col[i])).to_bytes(8, "big"))
+
+        values[pos] = scale * _resolve(bits, x, draws, fallback)
+    for stream in streams:
+        stream._normals += width
+    return rows
 
 
 def _top53(draws: np.ndarray) -> np.ndarray:
@@ -293,7 +330,7 @@ def _rectangle(draws: np.ndarray, scale: float, start: int = 0) -> tuple[np.ndar
     (v >> 9 & (2**52 - 1)) * widths[v & 511] times scale, its normal wherever
     that magnitude is below limits[v & 511]. Returns the positions (plus
     start) where it is not, with their low 9 bits and unscaled values, for
-    _resolve_into."""
+    normals_into."""
     if draws.size > KEY_BLOCK:
         parts = [_rectangle(draws[i : i + KEY_BLOCK], scale, start + i) for i in range(0, draws.size, KEY_BLOCK)]
         return tuple(np.concatenate(part) for part in zip(*parts))
@@ -313,32 +350,6 @@ def _rectangle(draws: np.ndarray, scale: float, start: int = 0) -> tuple[np.ndar
     if scale != 1.0:
         draws *= scale
     return pos + start, bits[pos], x
-
-
-def _resolve_into(values: np.ndarray, width: int, failed, keys, first: int, scale: float, redraws: dict) -> None:
-    """Write the normals that _rectangle left unresolved, times scale, into
-    `values`: rows of `width` values, row j holding normals first ..
-    first + width - 1 of the stream whose key is keys[j]. failed is
-    _rectangle's (positions, bits, values), in value order. redraws maps a
-    row to its stream's second stream, opened here when first needed and
-    kept by the caller while more of that stream's normals are to come."""
-    pos, bits, x = failed
-    if not pos.size:
-        return
-    row, col = np.divmod(pos, width)
-    draws = []
-    for j, count in enumerate(np.bincount(row).tolist()):
-        if count:
-            if j not in redraws:
-                redraws[j] = ChaChaStream(keys[j], _REDRAWS)
-            draws.append(redraws[j].uint64(count * _BUDGET))
-    # big-endian, as read: each step converts the columns it uses
-    draws = (draws[0] if len(draws) == 1 else np.concatenate(draws)).reshape(-1, _BUDGET)
-
-    def fallback(i):  # the stream of the i-th value's own index, once its budget is spent
-        return ChaChaStream(keys[row[i]], _FALLBACK + (first + int(col[i])).to_bytes(8, "big"))
-
-    values[pos] = scale * _resolve(bits, x, draws, fallback)
 
 
 def _resolve(bits: np.ndarray, x: np.ndarray, draws: np.ndarray, fallback) -> np.ndarray:

@@ -333,9 +333,21 @@ def test_the_planner_refuses_what_the_wire_cannot_carry():
         plan_m(6, 1e-5, 10)
     assert plan_k(0.5, 0.0002) == 6
     assert 4294967295 // 11 < plan_m(6, 0.0002, 10) <= 4294967295  # fits, but M + 10 M does not
-    with pytest.raises(InvalidParameter, match="default padding 10 M exceed 4294967295"):
+    with pytest.raises(InvalidParameter, match=r"plus padding \d+ exceed 4294967295"):
         plan_parameters(0.5, 0.0004, 10)
     assert bias_bound(1e-300, 2) == 0.0  # its square underflows; ZeroDivisionError before
+
+
+def test_protocol_params_refuse_what_the_wire_cannot_carry():
+    # M + P within 2**32 - 1, with the default P = 10 M: 11 * 390,451,572 = 2**32 - 3
+    assert ProtocolParams.from_dimensions(8, 390_451_572).padding == 3_904_515_720
+    for m in (390_451_573, 2**32 - 1):
+        with pytest.raises(InvalidParameter, match="exceed 4294967295, the wire's largest count"):
+            ProtocolParams.from_dimensions(8, m)
+    assert ProtocolParams.from_dimensions(8, 2**32 - 1, padding=0).m == 2**32 - 1
+    assert ProtocolParams.from_dimensions(65_534, 64).k == 65_534
+    with pytest.raises(InvalidParameter, match="k=65536 above 65534"):
+        ProtocolParams.from_dimensions(65_536, 64)
 
 
 def test_params_from_dimensions_consistent():

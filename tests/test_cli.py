@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modhash import protocol
 from modhash.cli import main
 from modhash.transport import TcpTransport
 
@@ -162,6 +163,22 @@ def test_run_bad_vector_file_exits_2(capsys, tmp_path, vectors):
         "--seed", "s", "--k", "8", "--m", "32",
     ])
     assert code == 2
+
+
+def test_run_refuses_a_count_the_wire_cannot_carry_before_any_key(capsys, monkeypatch, vectors):
+    # M = 2**32 - 1 plus its default padding of 10 M: no frame carries that
+    # count, and the key alone would take 96 GiB
+
+    def no_key(*args, **kwargs):
+        raise AssertionError("generate_key was reached")
+
+    monkeypatch.setattr(protocol, "generate_key", no_key)
+    code = main([
+        "run", "--kind", "full-key", "--x1", vectors[0], "--x2", vectors[1],
+        "--seed", "s", "--k", "8", "--m", "4294967295",
+    ])
+    assert code == 2
+    assert "exceed 4294967295, the wire's largest count" in capsys.readouterr().err
 
 
 def test_run_tcp_selftest_matches_local(capsys, vectors):

@@ -41,7 +41,7 @@ from modhash import (
 from modhash import core
 from modhash.core import DEFAULT_DELTA, _hashes_under_fresh_keys
 from modhash.messages import KeyShare
-from modhash.rng import KEY_BLOCK, ChaChaStream
+from modhash.rng import KEY_BLOCK, ChaChaStream, normals_into
 from modhash.simulate import SweepSpec, run_sweep, uniformity_report
 
 SEED = bytes(range(32))
@@ -414,6 +414,23 @@ def test_hashes_under_fresh_key_match_the_key_path_where_rows_are_long(m, n):
     x = ChaChaStream(SEED, b"long row").standard_normal(n) * 1e15
     got = _fresh_key_hashes(1024, m, n, DEFAULT_DELTA, [SEED], x)
     assert np.array_equal(got[0], _key_path_hashes(1024, m, n, SEED, DEFAULT_DELTA, [x], True)[0].components)
+
+
+def test_a_sweep_block_holds_at_most_block_keys_streams(monkeypatch):
+    # each key's stream, about 0.9 KB of cipher state, stays open until its
+    # block's U is drawn: tiny keys share a block only so many at a time
+    sizes = []
+
+    def counted(rows, streams, scale=1.0):
+        sizes.append(len(streams))
+        return normals_into(rows, streams, scale)
+
+    monkeypatch.setattr(core, "normals_into", counted)
+    seeds = [i.to_bytes(2, "big") + SEED[2:] for i in range(2 * core._BLOCK_KEYS + 5)]
+    got = _fresh_key_hashes(8, 1, 1, DEFAULT_DELTA, seeds, np.ones(1))
+    assert sizes == [core._BLOCK_KEYS, core._BLOCK_KEYS, 5]
+    want = [_key_path_hashes(8, 1, 1, s, DEFAULT_DELTA, [np.ones(1)], True)[0].components for s in seeds]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ import modhash.core as core
 import modhash.rng as rng
 from modhash import generate_key
 from modhash.core import DEFAULT_DELTA, _hashes_under_fresh_keys
+from modhash.errors import InvalidParameter
 from modhash.rng import KEY_BLOCK, NORMAL_BOUND, ChaChaStream, _exp, _layers, _log
 
 
@@ -103,16 +104,35 @@ def test_normals_match_the_scalar_reference_across_block_edges(label):
 def test_normals_of_many_streams_in_one_block_match_the_reference():
     # a sweep's block holds one row of draws per key, resolved together; a
     # later block holds the keys' next rows and continues their second streams
-    keys, width, redraws = [bytes([i]) * 32 for i in range(5)], 3000, {}
+    keys, width = [bytes([i]) * 32 for i in range(5)], 3000
     streams = [ChaChaStream(key) for key in keys]
     for first in (0, width):
-        block = np.empty((len(keys), width))
-        for stream, row in zip(streams, block):
-            stream._draws_into(row)
-        flat = block.reshape(-1)
-        rng._resolve_into(flat, width, rng._rectangle(flat, 1.5), keys, first, 1.5, redraws)
+        block = rng.normals_into(np.empty((len(keys), width)), streams, 1.5)
         for key, row in zip(keys, block):
             assert np.array_equal(row, np.array(reference_normals(key, width, first=first)) * 1.5)
+
+
+def test_a_batch_of_streams_at_different_positions_matches_the_reference():
+    # each row continues its own stream, wherever that stands, and the stream
+    # goes on from the batch's end, its second stream included
+    keys, width = [bytes([i]) * 32 for i in range(4)], 2000
+    firsts = [0, 1, 777, 2 * width + 5]
+    streams = [ChaChaStream(key) for key in keys]
+    for stream, first in zip(streams, firsts):
+        stream.standard_normal(first)
+    block = rng.normals_into(np.empty((len(keys), 2, width // 2)), streams)
+    for key, first, row, stream in zip(keys, firsts, block, streams):
+        want = np.array(reference_normals(key, 2 * width, first=first))
+        assert np.array_equal(row.reshape(-1), want[:width])
+        assert np.array_equal(stream.standard_normal(width), want[width:])
+    # uniforms in a batch continue the same streams, draw for draw
+    uniforms = rng.uniforms_into(np.empty((len(keys), 50)), streams, 3.0)
+    for key, first, row in zip(keys, firsts, uniforms):
+        fresh = ChaChaStream(key)
+        fresh.take(8 * (first + 2 * width))
+        assert np.array_equal(row, fresh.uniform01(50) * 3.0)
+    with pytest.raises(InvalidParameter):
+        rng.normals_into(np.empty((3, 4)), streams)
 
 
 def test_normals_do_not_depend_on_the_block_size(monkeypatch):
@@ -216,7 +236,7 @@ def _crafted_stream(draws, budgets):
     its fallback streams are its own, derived from SEED."""
     stream = ChaChaStream(SEED)
     stream._enc = _CraftedCipher(draws)
-    stream._redraws[0] = CraftedStream(np.array(budgets, dtype=">u8").tobytes())
+    stream._redraw = CraftedStream(np.array(budgets, dtype=">u8").tobytes())
     return stream
 
 
@@ -227,7 +247,7 @@ def test_crafted_draws_reach_every_path_and_match_the_reference():
         assert seen[: len(expected)] == expected and ("fallback" in seen) == ("fallback" in expected), (name, seen)
     stream = _crafted_stream(draws, budgets)
     assert stream.standard_normal(len(draws)).tolist() == want
-    assert stream._redraws[0].offset == len(budgets) * 8  # each budget is taken, used or not
+    assert stream._redraw.offset == len(budgets) * 8  # each budget is taken, used or not
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,6 +258,21 @@ def test_crafted_paths_in_any_order_and_split(names, split):
     cut = len(draws) * split // 3
     got = np.concatenate((stream.standard_normal(cut), stream.standard_normal(len(draws) - cut)))
     assert got.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_PATHS)), min_size=1, max_size=40), st.integers(0, 3))
+def test_crafted_streams_at_different_positions_in_one_batch(names, split):
+    # two streams of the same crafted draws, one a cut ahead of the other:
+    # each value's budget and fallback are its own stream's, at its own index
+    draws, budgets, want, _ = _crafted(names)
+    ahead, behind = _crafted_stream(draws, budgets), _crafted_stream(draws, budgets)
+    cut = len(draws) * split // 3
+    assert ahead.standard_normal(cut).tolist() == want[:cut]
+    width = len(draws) - cut
+    block = rng.normals_into(np.empty((2, width)), [ahead, behind])
+    assert block[0].tolist() == want[cut:] and block[1].tolist() == want[:width]
+    assert behind.standard_normal(cut).tolist() == want[width:]
 
 
 def test_the_largest_tail_value_is_below_the_bound():
