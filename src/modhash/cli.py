@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .core import DEFAULT_DELTA, generate_key, hash_vector
 from .errors import ModHashError, ProtocolViolation, TransportClosed
-from .messages import ProtocolKind, THREE_PARTY_KINDS
+from .messages import ProtocolKind, Role
 from .protocol import drive_local
 from .simulate import (
     SweepSpec,
@@ -182,7 +182,7 @@ def _run_tcp_selftest(args, kind, x1, params, seed):
             result = run_over_tcp(
                 kind, x1, params, seed,
                 bob_address=bob_srv.address,
-                charlie_address=charlie_srv.address if kind in THREE_PARTY_KINDS else None,
+                charlie_address=charlie_srv.address,
                 mode=_MODES[args.mode],
             )
             bob_estimate = bob_srv.wait_result(result.session_id)
@@ -192,8 +192,8 @@ def _run_tcp_selftest(args, kind, x1, params, seed):
 def _run_tcp_alice(args, kind, x1, params, seed):
     """Distributed run: this process is Alice against remote Bob/Charlie."""
     bob_addr = _parse_address(args.bob)
-    charlie_addr = _charlie_address(args) if kind in THREE_PARTY_KINDS else None
-    if kind in THREE_PARTY_KINDS and charlie_addr is None:
+    charlie_addr = _charlie_address(args)
+    if Role.CHARLIE in kind.parties and charlie_addr is None:
         raise ValueError(f"--charlie or ${CHARLIE_ADDR_ENV} required for {args.kind}")
     result = run_over_tcp(
         kind, x1, params, seed, bob_address=bob_addr, charlie_address=charlie_addr,
@@ -257,18 +257,10 @@ def _cmd_serve(args) -> int:
 def _cmd_sweep(args) -> int:
     seed = _parse_seed(args.seed)
     ks = [int(v) for v in args.k.split(",")]
-    rows = []
-    if args.distances:
-        distances = tuple(float(v) for v in args.distances.split(","))
-        spec = SweepSpec(tuple(ks), args.m, args.n, distances, args.trials, seed, args.delta)
-        rows = run_sweep(spec)
-    else:
-        for k in ks:
-            spec = SweepSpec(
-                (k,), args.m, args.n, default_distance_grid(k, args.grid_points),
-                args.trials, seed, args.delta,
-            )
-            rows.extend(run_sweep(spec))
+    distances = tuple(float(v) for v in args.distances.split(",")) if args.distances else None
+    grids = [distances or default_distance_grid(k, args.grid_points) for k in ks]
+    specs = [SweepSpec((k,), args.m, args.n, g, args.trials, seed, args.delta) for k, g in zip(ks, grids)]
+    rows = [row for spec in specs for row in run_sweep(spec)]  # every k is checked before any runs
     emit_csv(rows, args.out)
     _emit(rows=len(rows), out=args.out)
     return 0

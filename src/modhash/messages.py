@@ -28,6 +28,11 @@ class ProtocolKind(IntEnum):
     TWO_PARTY_HAMMING = 2  # no third party; Bob submits his hash to Alice, who averages
     OBFUSCATED_3P = 3      # uniform padding + permutation hide the distance from Charlie
 
+    @property
+    def parties(self) -> tuple[Role, ...]:
+        """The roles that take part in a session of this kind."""
+        return tuple(Role) if self in THREE_PARTY_KINDS else (Role.ALICE, Role.BOB)
+
 
 THREE_PARTY_KINDS = frozenset({ProtocolKind.FULL_KEY_3P, ProtocolKind.OBFUSCATED_3P})
 

@@ -29,8 +29,9 @@ checks the envelope, looks the move up and runs its handler. Any error ends
 the session through Session.abort, the one place that builds the Aborts for
 the other parties.
 
-Charlie averages in the three-party kinds and Alice in two-party: one
-handler serves both, and an owner takes a result only from its kind's averager.
+Session.peers and Session.averager derive from ProtocolKind.parties: Charlie
+averages where he takes part and Alice in two-party. One handler serves
+both, and an owner takes a result only from its kind's averager.
 
 A session keeps only what a later move reads. Once an owner has hashed, it
 holds (k, M), its own hash (Alice, two-party, as the first submission) and,
@@ -71,7 +72,6 @@ from .errors import (
 )
 from .messages import (
     SESSION_ID_BYTES,
-    THREE_PARTY_KINDS,
     Abort,
     DistanceResult,
     Envelope,
@@ -150,21 +150,21 @@ class Session:
         return Envelope(self.session_id, self.kind, self.role, body, recipient)
 
     @property
-    def _averager(self) -> Role:
+    def averager(self) -> Role:
         """The party that averages the hashes: Charlie, or Alice in two-party."""
-        return Role.CHARLIE if self.kind in THREE_PARTY_KINDS else Role.ALICE
+        return Role.CHARLIE if Role.CHARLIE in self.kind.parties else Role.ALICE
 
-    def _peers(self) -> list[Role]:
+    @property
+    def peers(self) -> list[Role]:
         """Every other party of the kind."""
-        parties = Role if self.kind in THREE_PARTY_KINDS else (Role.ALICE, Role.BOB)
-        return [r for r in parties if r != self.role]
+        return [r for r in self.kind.parties if r != self.role]
 
     def abort(self, reason: str) -> list[Envelope]:
         """End the session as ABORTED and return an Abort for every other
         party of the kind. The only code that builds a session's Aborts."""
         self.phase = Phase.ABORTED
         self.abort_reason = reason
-        return [self._envelope(Abort(reason=reason), r) for r in self._peers()]
+        return [self._envelope(Abort(reason=reason), r) for r in self.peers]
 
     # -------------------------------------------------------------- inbound
 
@@ -196,7 +196,7 @@ class Session:
             if move is None:
                 raise ProtocolViolation(f"unexpected {name} in phase {self.phase.name}")
             senders, handler = move
-            if env.sender not in (senders or (self._averager,)):
+            if env.sender not in (senders or (self.averager,)):
                 raise ProtocolViolation(f"{name} from {env.sender.name}")
             return handler(self, env)
         except ModHashError as exc:
@@ -222,7 +222,7 @@ class Session:
         else:
             self._finish(mean)
         result = DistanceResult(mean_lee=mean, count=v.m)
-        return [self._envelope(result, r) for r in self._peers()]
+        return [self._envelope(result, r) for r in self.peers]
 
     # -------------------------------------------------------------- owners
 
@@ -259,12 +259,12 @@ class Session:
             self._padding = (ks.pad1.m, mean_lee_distance(ks.pad1, ks.pad2))
             # Role.ALICE == 0 appends pad1, Role.BOB == 1 appends pad2
             h = obfuscate_hash(h, (ks.pad1, ks.pad2)[self.role], ks.permutation)
-        if self.role == self._averager:
+        if self.role == self.averager:
             self._received[self.role] = h
             self.phase = Phase.AWAIT_HASHES
             return []
         self.phase = Phase.AWAIT_RESULT
-        return [self._envelope(HashSubmission(h), self._averager)]
+        return [self._envelope(HashSubmission(h), self.averager)]
 
     def _on_distance_result(self, env: Envelope) -> list[Envelope]:
         res, m = env.body, self._m
@@ -321,8 +321,8 @@ def start_session(
     """
     role = Role(role)
     kind = ProtocolKind(kind)
-    if kind == ProtocolKind.TWO_PARTY_HAMMING and role == Role.CHARLIE:
-        raise InvalidParameter("the two-party protocol has no third party")
+    if role not in kind.parties:
+        raise InvalidParameter(f"{role.name} takes no part in the {kind.name} protocol")
     if role == Role.CHARLIE and x is not None:
         raise ProtocolViolation("the third party must not hold an input vector")
     if session_id is None:
@@ -355,6 +355,9 @@ def start_session(
     padded = kind in _PADDED_KINDS
     if padded and params.padding < 1:
         raise InvalidParameter(f"the {kind.name} protocol requires padding >= 1")
+    frame = wire.key_share_frame_length(params.m, len(session._x), params.padding if padded else 0)
+    if frame > 4 + wire.MAX_FRAME_LENGTH:
+        raise InvalidParameter(f"this key share needs a {frame}-byte frame, above the wire's cap")
     key = generate_key(params.k, params.m, len(session._x), subseed(seed, b"key"))
     pad1 = pad2 = permutation = None
     if padded:
@@ -412,9 +415,8 @@ def drive_local(
     alice, outgoing = start_session(Role.ALICE, kind, x=x1, seed=seed, **common)
     bob, _ = start_session(Role.BOB, kind, x=x2, session_id=alice.session_id, **common)
     sessions = {Role.ALICE: alice, Role.BOB: bob}
-    if kind in THREE_PARTY_KINDS:
-        charlie, _ = start_session(Role.CHARLIE, kind, session_id=alice.session_id)
-        sessions[Role.CHARLIE] = charlie
+    if Role.CHARLIE in kind.parties:
+        sessions[Role.CHARLIE], _ = start_session(Role.CHARLIE, kind, session_id=alice.session_id)
 
     transcript: list[TranscriptEntry] = []
     queue = deque(outgoing)
@@ -438,12 +440,11 @@ def drive_local(
         if role != Role.CHARLIE and not session.done:
             raise ProtocolViolation(f"{role.name} did not reach DONE")
 
-    charlie_observed = sessions[Role.CHARLIE].observed_mean if kind in THREE_PARTY_KINDS else None
     return LocalRun(
         kind=kind,
         alice_estimate=alice.result,
         bob_estimate=bob.result,
         mean_lee=alice.true_mean,
-        charlie_observed=charlie_observed,
+        charlie_observed=sessions[Role.CHARLIE].observed_mean if Role.CHARLIE in sessions else None,
         transcript=tuple(transcript),
     )

@@ -103,8 +103,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 _lee_componentwise(h[:, 0], h[:, 1], k).sum(axis=1)
                 for h in _hashes_under_fresh_keys(k, spec.m, spec.n, spec.delta, seeds, distance=distance)
             ])
-            # exact int / int, as float(mean_lee_distance(h1, h2)) divides
-            means = np.array([lee_sum / spec.m for lee_sum in lee_sums.tolist()])
+            # sums below 2**53 are exact doubles: float(mean_lee_distance) to the bit
+            means = lee_sums / spec.m
             mean = float(means.mean())
             std = float(means.std(ddof=1)) if spec.trials > 1 else 0.0
             expected = expected_lee(distance, k, spec.delta)

@@ -14,25 +14,26 @@ Networked deployment mirrors the protocol roles:
     BobServer       listener for Alice's key share, which carries all the key
                     material Bob needs; submits Bob's hash to Charlie over
                     one shared connection, or back to Alice in two-party.
-    run_over_tcp    Alice's side: drives one session over her connections to
-                    Bob (and Charlie).
+    run_over_tcp    Alice's side: drives one session over one connection to
+                    each other party of her kind (ProtocolKind.parties).
 
 Each server runs one selector loop on one thread. The loop accepts, reads and
 writes every connection through a non-blocking TcpTransport, and is the only
-owner of every Session the server drives. Bob dials Charlie when a
-three-party session first needs him, keeps that connection for every later
-session, and routes Charlie's replies by session id. A session leaves its
-table as soon as it ends, or after _IDLE_S without a message; the ids of
-ended sessions stay in a bounded window, so a replayed message is refused
-rather than opening a new session.
+owner of every Session the server drives. Bob dials Charlie when a session
+of his first needs him, keeps that connection until it closes, and routes
+Charlie's replies by session id. A session leaves its table as soon as it
+ends, or after _IDLE_S without a message. How the last _FINISHED_WINDOW
+sessions ended (phase, and Bob's estimate) is kept in one record, which
+refuses a replayed message rather than opening a new session.
 
-Alice waits on both of her blocking connections (one for two-party) with a
-selector, so an Abort from either peer ends her run at once. Like Bob's link,
-her connections outlive a session: each thread keeps at most one idle
-connection per peer role, and reuses it while it goes to the same address
-and its peer has neither closed it nor sent anything since. A session that
-fails closes its connections; the thread's exit closes its idle ones. An
-Abort that names an earlier session of a kept connection is dropped.
+Alice waits on her blocking connections with a selector, so an Abort from
+any peer ends her run at once. Like Bob's link, her connections outlive a
+session: each thread keeps at most one idle connection per peer role, and
+reuses it while it goes to the same address and its peer has neither closed
+it nor sent anything since. A session that fails sends the Aborts of her own
+error, if any, and closes its connections; the thread's exit closes its
+idle ones. An Abort that names an earlier session of a kept connection is
+dropped.
 
 A session that fails -- a session error, the idle sweep or a lost
 connection -- ends in _RoleServer._abort, which sends the Aborts that
@@ -40,13 +41,14 @@ Session.abort builds to every peer the session has a route to. A message
 that names no open session and cannot open one is refused with an Abort on
 the connection it came on. An Abort is never answered, and Bob drops
 Charlie's replies for no open session, so two servers cannot trade Aborts.
-Charlie keeps the id of an Abort for a session he has not opened in the
-window of ended sessions, so the submission it overtook is refused at once.
+An Abort for a session Charlie has not opened opens and ends it, so the
+submission it overtook is refused at once.
 
 Serialization of hash keys to the documented JSON interchange format also
 lives here.
 """
 
+import contextlib
 import errno
 import json
 import logging
@@ -77,7 +79,6 @@ from .messages import (
     KeyShare,
     ProtocolKind,
     Role,
-    THREE_PARTY_KINDS,
 )
 from .protocol import Phase, Session, start_session
 from .rng import NORMAL_SAMPLER
@@ -220,17 +221,19 @@ class _RoleServer:
         self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._selector = selectors.DefaultSelector()
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._stopping = threading.Event()
-        self._result_cv = threading.Condition()
-        self.results: OrderedDict[bytes, object] = OrderedDict()  # session_id -> DistanceEstimate
         self._sessions: dict[bytes, _Live] = {}
-        self._finished: OrderedDict[bytes, Phase] = OrderedDict()  # replay window
+        # The last _FINISHED_WINDOW ended sessions, oldest first: (phase,
+        # estimate or None), written by the loop under _ended.
+        self._ended = threading.Condition()
+        self._finished: OrderedDict[bytes, tuple[Phase, object]] = OrderedDict()
 
     def start(self) -> "_RoleServer":
-        t = threading.Thread(target=self._loop, name=f"{self.role.name}-loop", daemon=True)
-        t.start()
-        self._threads.append(t)
+        if self._thread is not None:
+            raise InvalidParameter(f"the {self.role.name} server is already started")
+        self._thread = threading.Thread(target=self._loop, name=f"{self.role.name}-loop", daemon=True)
+        self._thread.start()
         return self
 
     # -------------------------------------------------------------- the loop
@@ -382,7 +385,7 @@ class _RoleServer:
         the ended session itself would refuse it."""
         live = self._sessions.get(session_id)
         if live is None and session_id in self._finished:
-            raise ProtocolViolation(f"message after {self._finished[session_id].name}")
+            raise ProtocolViolation(f"message after {self._finished[session_id][0].name}")
         return live
 
     def _open(self, session: Session) -> _Live:
@@ -396,19 +399,22 @@ class _RoleServer:
         for out in live.session.on_message(env.addressed_to(self.role)):
             self._send(live.routes[out.recipient], out)
         if live.session.done or live.session.aborted:
-            self._end(live.session.session_id)
+            self._end(live.session)
 
-    def _end(self, session_id: bytes):
-        live = self._sessions.pop(session_id, None)
-        if live is not None:
-            self._finish(session_id, Phase.DONE if live.session.done else Phase.ABORTED)
-
-    def _finish(self, session_id: bytes, phase: Phase):
-        """Keep an ended session's id in the replay window, which holds the
-        last _FINISHED_WINDOW of them."""
-        self._finished[session_id] = phase
-        if len(self._finished) > _FINISHED_WINDOW:
-            self._finished.popitem(last=False)
+    def _end(self, session: Session):
+        """Take an ended session out of the table and record how it ended."""
+        sid = session.session_id
+        if self._sessions.pop(sid, None) is None:
+            return  # a failed send aborted it while it was being driven
+        with self._ended:
+            self._finished[sid] = (session.phase, session.result)
+            if len(self._finished) > _FINISHED_WINDOW:
+                self._finished.popitem(last=False)
+            self._ended.notify_all()
+        if session.result is not None:
+            log.info("session %s: estimate %s", sid.hex()[:8], session.result)
+        elif session.done:
+            log.info("session %s: served the mean", sid.hex()[:8])
 
     def _abort(self, live: _Live, reason: str):
         """The one exit of a failed session: take it out of the table and send
@@ -418,39 +424,41 @@ class _RoleServer:
             return  # ended while an earlier abort was being sent
         log.warning("%s: session %s aborted: %s", self.role.name, session.session_id.hex()[:8], reason)
         aborts = session.abort(reason)
-        self._end(session.session_id)
+        self._end(session)
         for env in aborts:
             if env.recipient in live.routes:
                 self._send(live.routes[env.recipient], env)
 
     # -------------------------------------------------------------- callers
 
-    def _record_result(self, session_id: bytes, result):
-        """Keep an estimate for wait_result; like the replay window, results
-        holds the last _FINISHED_WINDOW of them."""
-        with self._result_cv:
-            self.results[session_id] = result
-            if len(self.results) > _FINISHED_WINDOW:
-                self.results.popitem(last=False)
-            self._result_cv.notify_all()
+    @property
+    def results(self) -> dict:
+        """session_id -> estimate of each ended session in the window that
+        has one, oldest first: a snapshot."""
+        with self._ended:
+            return {sid: result for sid, (_, result) in self._finished.items() if result is not None}
 
     def wait_result(self, session_id: bytes, timeout: float = 30.0):
-        """Block until this session's estimate exists (or raise on timeout,
-        as for an estimate that has left the window)."""
-        with self._result_cv:
-            if self._result_cv.wait_for(lambda: session_id in self.results, timeout):
-                return self.results[session_id]
-        raise TransportClosed(f"no result for session {session_id.hex()[:8]} within {timeout}s")
+        """Block until this session has ended and return its estimate. Raise
+        TransportClosed on timeout, as for a session that has left the
+        window, and at once for one that ended without an estimate."""
+        sid = session_id.hex()[:8]
+        with self._ended:
+            if not self._ended.wait_for(lambda: session_id in self._finished, timeout):
+                raise TransportClosed(f"no result for session {sid} within {timeout}s")
+            phase, result = self._finished[session_id]
+        if result is None:
+            raise TransportClosed(f"no result for session {sid}: it ended {phase.name}")
+        return result
 
     def stop(self):
         self._stopping.set()
-        if self._threads:
+        if self._thread is not None:
             try:  # wake the loop now rather than at its next tick
                 socket.create_connection(self.address, timeout=0.5).close()
             except OSError:
                 pass
-        for t in self._threads:
-            t.join(timeout=5)
+            self._thread.join(timeout=5)
         self._listener.close()
         self._selector.close()
 
@@ -470,18 +478,13 @@ class CharlieServer(_RoleServer):
     def _handle(self, conn: TcpTransport, env: Envelope):
         live = self._live(env.session_id)
         if live is None:
-            if isinstance(env.body, Abort):
-                # A peer's Abort overtook the submission that would have opened
-                # the session: the submission, when it comes, is refused at once.
-                self._finish(env.session_id, Phase.ABORTED)
-                return
-            if not isinstance(env.body, HashSubmission):
+            # A peer's Abort may overtake the submission that would have opened
+            # the session: it opens and ends it, so the submission is refused.
+            if not isinstance(env.body, (HashSubmission, Abort)):
                 raise ProtocolViolation("session must open with a hash submission")
             live = self._open(start_session(Role.CHARLIE, env.kind, session_id=env.session_id)[0])
         live.routes[env.sender] = conn
         self._drive(live, env)
-        if live.session.done:  # only a submission completes Charlie's session
-            log.info("session %s: served mean over %d components", env.session_id.hex()[:8], env.body.vector.m)
 
 
 class BobServer(_RoleServer):
@@ -519,25 +522,16 @@ class BobServer(_RoleServer):
             )
             live = self._open(session)
             live.routes[Role.ALICE] = conn
-            if env.kind in THREE_PARTY_KINDS:
+            if Role.CHARLIE in session.peers:
                 live.routes[Role.CHARLIE] = self._charlie_link()
         self._drive(live, env)
-        session = live.session
-        if session.done:
-            self._record_result(session.session_id, session.result)
-            log.info("session %s: estimate %s", session.session_id.hex()[:8], session.result)
 
     def _awaited(self, live: _Live):
-        waits_on = Role.CHARLIE if live.session.kind in THREE_PARTY_KINDS else Role.ALICE
-        return (live.routes.get(waits_on),)
-
-    def _drop(self, conn: TcpTransport):
-        if conn is self._link:
-            self._link = None  # the next three-party session dials again
-        super()._drop(conn)
+        return (live.routes.get(live.session.averager),)
 
     def _charlie_link(self) -> TcpTransport:
-        if self._link is None:
+        """The shared connection to Charlie, dialled again once it is lost."""
+        if self._link is None or self._link.closed:
             if self._charlie_address is None:
                 raise ProtocolViolation("no third-party address configured")
             host, port = self._charlie_address
@@ -622,16 +616,16 @@ def run_over_tcp(
     wait, to send or for a frame; expiry raises TransportClosed.
     """
     kind = ProtocolKind(kind)
-    if kind in THREE_PARTY_KINDS and charlie_address is None:
+    addresses = {Role.BOB: bob_address, Role.CHARLIE: charlie_address}
+    if Role.CHARLIE in kind.parties and charlie_address is None:
         raise InvalidParameter(f"{kind.name} requires a third-party address")
     session, outgoing = start_session(Role.ALICE, kind, params, x=x1, seed=seed, mode=mode)
     links = {}
     received: list[bytes] = []
     ended = False
     try:
-        links[Role.BOB] = _take(Role.BOB, bob_address, timeout)
-        if charlie_address is not None:
-            links[Role.CHARLIE] = _take(Role.CHARLIE, charlie_address, timeout)
+        for role in session.peers:
+            links[role] = _take(role, addresses[role], timeout)
         with selectors.DefaultSelector() as selector:
             for conn in links.values():
                 selector.register(conn._sock, selectors.EVENT_READ, conn)
@@ -657,6 +651,11 @@ def run_over_tcp(
                 received.append(frame)
                 outgoing = session.on_message(env.addressed_to(Role.ALICE))
         ended = session.done
+    except ModHashError as exc:
+        for env in exc.aborts:  # those of a session that Alice's own error ended
+            with contextlib.suppress(TransportClosed):  # that peer has gone
+                links[env.recipient].send_frame(wire.encode_envelope(env))
+        raise
     finally:
         for role, conn in links.items():
             if ended and not conn.inbuf:

@@ -29,10 +29,11 @@ Payload formats per family:
 Encoding is canonical: a valid message has exactly one byte representation,
 and decode(encode(msg)) == msg. decode_frame is total -- any byte string
 yields either a message or a typed DecodeError, never another exception.
-Encoding allocates the frame once, at its final length, and writes each
-field into it at its offset: arrays are converted to big-endian straight
-into their slot, so a key share's matrix is copied once, into the frame, and
-no other copy of it is made. The frame is returned as that bytearray.
+Encoding allocates the frame once, at its final length, unless the decoder
+would refuse that length, and writes each field into it at its offset:
+arrays are converted to big-endian straight into their slot, so a key
+share's matrix is copied once, into the frame, and no other copy is made.
+The frame is returned as that bytearray.
 Decoding reads the frame through memoryviews, without slicing copies, but a
 decoded message never holds a view into the frame: every array and string
 in it is its own copy, so the frame's buffer may be reused at once. A key
@@ -91,10 +92,20 @@ def _encode_hash_submission(body: msgs.HashSubmission) -> list:
     return [struct.pack(">II", v.k, v.m), (v.components, ">u2")]
 
 
+_KEY_SHARE_HEAD = ">IdIIB"  # k, delta, n, m, a_form
+
+
+def key_share_frame_length(m: int, n: int, p: int) -> int:
+    """The byte length, length prefix included, of the frame of a key share
+    for an M x N key with P pad slots each (P = 0: no pads, no permutation)."""
+    perm_and_pads = 4 * (m + p) + 2 * 2 * p if p else 0  # u32 indices, two u16 pads
+    return 4 + HEADER_LEN + struct.calcsize(_KEY_SHARE_HEAD) + 8 * m * (n + 1) + 4 + 4 + perm_and_pads
+
+
 def _encode_key_share(body: msgs.KeyShare) -> list:
     key = body.key
     _check_wire_k(key.k)
-    out = [struct.pack(">IdIIB", key.k, key.delta, key.n, key.m, 0), (key.a, ">f8"), (key.u, ">f8")]
+    out = [struct.pack(_KEY_SHARE_HEAD, key.k, key.delta, key.n, key.m, 0), (key.a, ">f8"), (key.u, ">f8")]
     if body.permutation is None:
         out.append(struct.pack(">I", 0))
     else:
@@ -150,20 +161,9 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        """The fields of the struct format fmt at the cursor."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def done(self):
         if self.pos != len(self.data):
@@ -178,16 +178,15 @@ def _read_components(r: _Reader, k: int, count: int) -> np.ndarray:
 
 
 def _decode_key_share(r: _Reader) -> msgs.KeyShare:
-    k = r.u32()
+    (k,) = r.unpack(">I")
     _check_wire_k(k, ComponentOutOfRange)
-    delta = r.f64()
+    (delta,) = r.unpack(">d")
     if not (math.isfinite(delta) and delta > 0):
         raise MalformedPayload("delta must be positive and finite")
-    n = r.u32()
-    m = r.u32()
+    n, m = r.unpack(">II")
     if m < 1 or n < 1:
         raise MalformedPayload("key share must have m, n >= 1")
-    a_form = r.u8()
+    (a_form,) = r.unpack(">B")
     if a_form != 0:
         raise MalformedPayload(f"unknown matrix form {a_form}")
     a = np.frombuffer(r.take(8 * m * n), dtype=">f8").reshape(m, n).astype(np.float64)
@@ -196,14 +195,14 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
     u = np.frombuffer(r.take(8 * m), dtype=">f8").astype(np.float64)
     if not np.isfinite(u).all() or (u < 0).any() or (u >= k).any():
         raise MalformedPayload("dither entries must lie in [0, k)")
-    perm_count = r.u32()
+    (perm_count,) = r.unpack(">I")
     permutation = None
     if perm_count:
         idx = np.frombuffer(r.take(4 * perm_count), dtype=">u4").astype(np.int64)
         if (idx >= perm_count).any() or (np.bincount(idx, minlength=perm_count) != 1).any():
             raise NonBijectivePermutation("permutation indices are not a bijection")
         permutation = _adopt(Permutation, size=perm_count, mapping=idx)
-    pad_count = r.u32()
+    (pad_count,) = r.unpack(">I")
     pad1 = pad2 = None
     if pad_count:
         pad1 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
@@ -214,13 +213,12 @@ def _decode_key_share(r: _Reader) -> msgs.KeyShare:
 
 
 def _decode_distance_result(r: _Reader) -> msgs.DistanceResult:
-    num = r.u64()
-    den = r.u64()
+    num, den = r.unpack(">QQ")
     if den == 0:
         raise ZeroDenominator("rational denominator is zero")
     if math.gcd(num, den) != 1:
         raise MalformedPayload("rational not in lowest terms")
-    count = r.u32()
+    (count,) = r.unpack(">I")
     if count < 1:
         raise MalformedPayload("count must be >= 1")
     r.done()
@@ -228,7 +226,7 @@ def _decode_distance_result(r: _Reader) -> msgs.DistanceResult:
 
 
 def _decode_abort(r: _Reader) -> msgs.Abort:
-    n = r.u16()
+    (n,) = r.unpack(">H")
     raw = r.take(n)
     r.done()
     try:
@@ -238,9 +236,9 @@ def _decode_abort(r: _Reader) -> msgs.Abort:
 
 
 def _decode_hash_submission(r: _Reader) -> msgs.HashSubmission:
-    k = r.u32()
+    (k,) = r.unpack(">I")
     _check_wire_k(k, ComponentOutOfRange)
-    count = r.u32()
+    (count,) = r.unpack(">I")
     if count < 1:
         raise MalformedPayload("hash vector must have at least one component")
     vector = _adopt(HashVector, k=k, components=_read_components(r, k, count))
@@ -278,6 +276,8 @@ def encode_envelope(env: msgs.Envelope) -> bytearray:
     parts = encode(env.body)
     msg_type = (family << 4) | (int(env.kind) << 2) | int(env.sender)
     sizes = [_nbytes(part) for part in parts]
+    if HEADER_LEN + sum(sizes) > MAX_FRAME_LENGTH:
+        raise EncodingError(f"a {HEADER_LEN + sum(sizes)}-byte frame exceeds the {MAX_FRAME_LENGTH}-byte cap")
     frame = bytearray(4 + HEADER_LEN + sum(sizes))
     struct.pack_into(">IBB", frame, 0, len(frame) - 4, VERSION, msg_type)
     frame[6:22] = env.session_id

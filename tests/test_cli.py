@@ -181,6 +181,24 @@ def test_run_refuses_a_count_the_wire_cannot_carry_before_any_key(capsys, monkey
     assert "exceed 4294967295, the wire's largest count" in capsys.readouterr().err
 
 
+def test_run_refuses_a_key_share_the_wire_cannot_carry_before_any_key(capsys, monkeypatch, tmp_path):
+    # M = 2**32 - 1 with no padding is a count the wire carries, but its
+    # key share, 64 GiB even at N = 1, is no frame the decoder takes
+
+    def no_key(*args, **kwargs):
+        raise AssertionError("generate_key was reached")
+
+    monkeypatch.setattr(protocol, "generate_key", no_key)
+    x = tmp_path / "x.txt"
+    x.write_text("0.5\n")
+    code = main([
+        "run", "--kind", "full-key", "--x1", str(x), "--x2", str(x),
+        "--seed", "s", "--k", "8", "--m", "4294967295", "--padding", "0",
+    ])
+    assert code == 2
+    assert "-byte frame, above the wire's cap" in capsys.readouterr().err
+
+
 def test_run_tcp_selftest_matches_local(capsys, vectors):
     args = [
         "run", "--kind", "full-key", "--x1", vectors[0], "--x2", vectors[1],
@@ -338,6 +356,15 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
     assert main(argv + ["--out", out2]) == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert len(Path(out1).read_text().splitlines()) == 4
+
+
+def test_a_sweep_of_two_ks_joins_their_single_k_sweeps(capsys, tmp_path):
+    argv = ["sweep", "--m", "8", "--n", "4", "--trials", "2", "--distances", "0,1", "--seed", "s"]
+    for k in ("4,8", "4", "8"):
+        assert main(argv + ["--k", k, "--out", str(tmp_path / f"{k}.csv")]) == 0
+    both, four, eight = ((tmp_path / f"{k}.csv").read_text().splitlines() for k in ("4,8", "4", "8"))
+    assert four[0] == eight[0] and len(four) == len(eight) == 3
+    assert both == four + eight[1:]
 
 
 def test_sweep_refuses_a_k_too_large_for_its_trial_seeds(capsys, tmp_path):

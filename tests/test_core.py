@@ -606,6 +606,34 @@ def test_aborts_are_built_in_one_place_per_path():
     assert found == _ABORT_SITES
 
 
+# Which roles take part in a kind is stated once, by ProtocolKind.parties in
+# messages.py: no other module asks whether a kind has a third party, and
+# only the CLI's table of kind names names the two-party kind.
+_KIND_NAMES = {"THREE_PARTY_KINDS", "TWO_PARTY_HAMMING"}
+
+
+def _kind_name_uses(tree: ast.Module):
+    """'owner name' for each use of a name in _KIND_NAMES, where owner is the
+    top-level function, class or variable the use sits in."""
+    for stmt in tree.body:
+        targets = [t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)]
+        owner = getattr(stmt, "name", None) or (targets or [type(stmt).__name__])[0]
+        for node in ast.walk(stmt):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in _KIND_NAMES:
+                yield f"{owner} {name}"
+
+
+def test_only_the_kind_says_which_roles_take_part():
+    found = {
+        f"{path.name}:{use}"
+        for path in sorted(pathlib.Path(modhash.__file__).parent.rglob("*.py"))
+        if path.name != "messages.py"
+        for use in _kind_name_uses(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == {"cli.py:_KINDS TWO_PARTY_HAMMING"}
+
+
 # ------------------------------------------------------------------ lee metric
 
 

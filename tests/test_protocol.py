@@ -34,7 +34,7 @@ from modhash.messages import (
     HashSubmission,
     KeyShare,
 )
-from modhash import plan_parameters, wire
+from modhash import plan_parameters, protocol, wire
 from modhash.protocol import Phase
 from modhash.rng import ChaChaStream
 from modhash.wire import FAMILY_HASH_SUBMISSION, decode_frame
@@ -68,6 +68,27 @@ def test_charlie_start_is_passive():
 def test_charlie_rejected_in_two_party():
     with pytest.raises(InvalidParameter):
         start_session(Role.CHARLIE, ProtocolKind.TWO_PARTY_HAMMING, session_id=bytes(16))
+
+
+@pytest.mark.parametrize(
+    "kind, m, n, padding, frame",
+    [
+        (ProtocolKind.FULL_KEY_3P, 400_000, 100, 0, 323_200_051),
+        (ProtocolKind.OBFUSCATED_3P, 1, 1, 40_000_000, 320_000_071),
+    ],
+    ids=["matrix", "pads"],
+)
+def test_alice_refuses_a_key_share_the_wire_cannot_carry_before_drawing_it(monkeypatch, kind, m, n, padding, frame):
+    # The decoder refuses a frame above wire.MAX_FRAME_LENGTH, so such a key
+    # (320 MB of A in the first case) could never reach Bob.
+
+    def no_key(*args, **kwargs):
+        raise AssertionError("generate_key was reached")
+
+    monkeypatch.setattr(protocol, "generate_key", no_key)
+    params = ProtocolParams.from_dimensions(8, m, padding=padding)
+    with pytest.raises(InvalidParameter, match=f"needs a {frame}-byte frame, above the wire's cap"):
+        start_session(Role.ALICE, kind, params, x=np.zeros(n), seed=SEED)
 
 
 def test_charlie_must_not_hold_a_vector():

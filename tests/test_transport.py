@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from modhash import (
+    DimensionMismatch,
     EstimateMode,
     HashVector,
     InvalidInput,
+    InvalidParameter,
     ProtocolKind,
     ProtocolParams,
     ProtocolViolation,
@@ -358,7 +360,7 @@ def test_servers_keep_accepting_after_transient_accept_error(caplog):
         charlie.stop()
         stop_s = time.monotonic() - t0
     assert stop_s < 2.0
-    assert not any(t.is_alive() for t in bob._threads[:1] + charlie._threads[:1])
+    assert not (bob._thread.is_alive() or charlie._thread.is_alive())
 
 
 def test_run_over_tcp_timeout_bounds_a_silent_server():
@@ -463,8 +465,8 @@ def test_bob_redials_charlie_after_losing_the_link():
         env = decode_frame(alice.recv_frame())
         assert isinstance(env.body, Abort) and env.body.reason == "connection lost"
         alice.close()
-        _eventually(lambda: not (bob._link or bob._sessions or charlie._sessions))
-        assert bob._link is None and bob._sessions == {} and charlie._sessions == {}
+        _eventually(lambda: bob._link.closed and not (bob._sessions or charlie._sessions))
+        assert bob._link.closed and bob._sessions == {} and charlie._sessions == {}
         again = run_over_tcp(kind, x1, PARAMS, bytes([10]) * 32, bob.address, charlie.address)
         assert again.mean_lee == drive_local(kind, x1, x2, PARAMS, bytes([10]) * 32).mean_lee
         assert bob.wait_result(again.session_id, 5.0) is not None
@@ -595,6 +597,119 @@ def test_a_charlie_address_that_does_not_resolve_ends_alices_run_and_bob_serves_
         run = run_over_tcp(kind, x1, PARAMS, seed, bob.address, timeout=10)
         assert run.mean_lee == drive_local(kind, x1, x2, PARAMS, seed).mean_lee
         assert bob.wait_result(run.session_id, 5.0) == run.estimate
+
+
+def test_a_two_party_run_given_a_charlie_address_does_not_dial_him():
+    # Before, Alice dialled every address she was given and kept the
+    # connection to Charlie idle, though the kind has no third party.
+    x1, x2 = _vectors()
+    kind = ProtocolKind.TWO_PARTY_HAMMING
+    with CharlieServer() as charlie, BobServer(x2, charlie_address=charlie.address) as bob:
+        _start_counting_accepts(charlie, bob)
+
+        def alice():
+            run = run_over_tcp(kind, x1, PARAMS, SEED, bob.address, charlie.address, timeout=10)
+            assert run.mean_lee == drive_local(kind, x1, x2, PARAMS, SEED).mean_lee
+            assert set(transport._alice.idle) == {Role.BOB}
+
+        _on_a_new_thread(alice)
+        assert bob._listener.accepted == 1 and charlie._listener.accepted == 0
+
+
+def test_a_server_refuses_a_second_start_and_serves_on():
+    # Before, a second start() ran a second loop, which died with KeyError
+    # on the listener the first loop had registered.
+    x1, x2 = _vectors()
+    with BobServer(x2) as bob:
+        bob.start()
+        with pytest.raises(InvalidParameter, match="already started"):
+            bob.start()
+        run = run_over_tcp(ProtocolKind.TWO_PARTY_HAMMING, x1, PARAMS, SEED, bob.address, timeout=10)
+        assert bob.wait_result(run.session_id, 5.0) == run.estimate
+
+
+def test_wait_result_on_an_aborted_session_raises_at_once():
+    # Before, it waited out its whole timeout for an estimate that would
+    # never come.
+    x1, x2 = _vectors()
+    with BobServer(x2[:-1]) as bob:
+        bob.start()
+        with pytest.raises(ProtocolViolation, match="input has length 15, key expects 16"):
+            run_over_tcp(ProtocolKind.TWO_PARTY_HAMMING, x1, PARAMS, SEED, bob.address, timeout=10)
+        t0 = time.monotonic()
+        with pytest.raises(TransportClosed, match="no result for session .*: it ended ABORTED"):
+            bob.wait_result(protocol.derive_session_id(SEED), timeout=10.0)
+        assert time.monotonic() - t0 < 1.0
+
+
+def test_alice_tells_bob_when_her_own_error_ends_the_session():
+    # Before, Alice's session built its Abort, but her run closed the
+    # connection without sending it.
+    x1, _ = _vectors()
+    kind = ProtocolKind.TWO_PARTY_HAMMING
+    with socket.create_server(("127.0.0.1", 0)) as fake_bob:
+        outcome = {}
+
+        def alice():
+            try:
+                run_over_tcp(kind, x1, PARAMS, SEED, fake_bob.getsockname()[:2], timeout=10)
+            except DimensionMismatch as exc:
+                outcome["error"] = str(exc)
+
+        t = threading.Thread(target=alice, daemon=True)
+        t.start()
+        fake_bob.settimeout(5.0)
+        sock, _ = fake_bob.accept()
+        sock.settimeout(5.0)
+        conn = TcpTransport(sock)
+        sid = decode_frame(conn.recv_frame()).session_id
+        other_alphabet = HashSubmission(HashVector(4, np.zeros(PARAMS.m, dtype=np.int64)))
+        conn.send_frame(encode_envelope(Envelope(sid, kind, Role.BOB, other_alphabet)))
+        env = decode_frame(conn.recv_frame())
+        assert env.session_id == sid and env.body == Abort(reason="alphabet mismatch: 4 vs 8")
+        conn.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert outcome["error"] == "alphabet mismatch: 4 vs 8"
+
+
+def test_bob_ends_the_session_when_alice_refuses_charlies_result():
+    # Before, Alice's Abort never reached Bob, who held the session until
+    # _IDLE_S had passed.
+    x1, x2 = _vectors()
+    kind = ProtocolKind.FULL_KEY_3P
+    with socket.create_server(("127.0.0.1", 0)) as fake_charlie, \
+            BobServer(x2, charlie_address=fake_charlie.getsockname()[:2]) as bob:
+        bob.start()
+        outcome = {}
+
+        def alice():
+            try:
+                run_over_tcp(kind, x1, PARAMS, SEED, bob.address, fake_charlie.getsockname()[:2], timeout=10)
+            except DimensionMismatch as exc:
+                outcome["error"] = str(exc)
+
+        t = threading.Thread(target=alice, daemon=True)
+        t.start()
+        fake_charlie.settimeout(5.0)
+        submitters = {}
+        for _ in range(2):  # Alice's connection and Bob's link, in either order
+            sock, _ = fake_charlie.accept()
+            sock.settimeout(5.0)
+            conn = TcpTransport(sock)
+            env = decode_frame(conn.recv_frame())
+            submitters[env.sender] = conn
+        sid, to_alice = env.session_id, submitters[Role.ALICE]
+        wrong = DistanceResult(mean_lee=Fraction(1), count=PARAMS.m + 1)
+        to_alice.send_frame(encode_envelope(Envelope(sid, kind, Role.CHARLIE, wrong)))
+        reason = f"result covers {PARAMS.m + 1} components, expected {PARAMS.m}"
+        assert decode_frame(to_alice.recv_frame()).body == Abort(reason=reason)
+        t.join(timeout=10)
+        assert not t.is_alive() and outcome["error"] == reason
+        _eventually(lambda: not bob._sessions, timeout=2.0)  # _IDLE_S is 30 s
+        assert bob._sessions == {} and sid not in bob.results
+        for conn in submitters.values():
+            conn.close()
 
 
 def test_charlie_refuses_a_submission_that_an_abort_overtook():

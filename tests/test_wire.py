@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
@@ -19,6 +20,7 @@ from modhash import (
     hash_vector,
     wire,
 )
+from modhash.core import _adopt
 from modhash.errors import (
     ComponentOutOfRange,
     DecodeError,
@@ -330,6 +332,28 @@ def test_encoder_refuses_what_the_wire_cannot_carry(message, body):
     # the only place these are refused
     with pytest.raises(EncodingError, match=message):
         encode_envelope(_env(body, kind=ProtocolKind.OBFUSCATED_3P))
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 1, 0), (6, 4, 0), (1, 1, 1), (6, 4, 3), (50, 16, 500)])
+def test_key_share_frame_length_is_the_encoded_length(m, n, p):
+    key = generate_key(8, m, n, SEED)
+    body = KeyShare(key)
+    if p:
+        pad = HashVector(8, np.arange(p) % 8)
+        body = KeyShare(key, permutation=Permutation.identity(m + p), pad1=pad, pad2=pad)
+    assert wire.key_share_frame_length(m, n, p) == len(encode_envelope(_env(body)))
+
+
+def test_encoder_refuses_a_frame_above_the_cap_before_allocating_it():
+    # a zero-stride view: 2**27 components take 256 MiB on the wire, 8 bytes here
+    vector = _adopt(HashVector, k=8, components=np.broadcast_to(np.int64(0), (1 << 27,)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EncodingError, match="-byte frame exceeds the 268435456-byte cap"):
+            encode_envelope(_env(HashSubmission(vector)))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_encode_rejects_wire_range_k():
