@@ -10,6 +10,9 @@ import numpy as np
 
 from modhash import ProtocolKind, ProtocolParams, drive_local
 
+# A fixed seed reproduces this walkthrough's output exactly. It fixes each
+# session's key, pads, permutation and id, so a real session passes none and
+# drive_local draws fresh key material for it.
 seed = bytes.fromhex("22" * 32)
 params = ProtocolParams.from_dimensions(k=8, m=64)  # padding defaults to 10*M
 

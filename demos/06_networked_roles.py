@@ -11,6 +11,8 @@ import numpy as np
 from modhash import ProtocolKind, ProtocolParams, drive_local, run_over_tcp
 from modhash.transport import BobServer, CharlieServer
 
+# A fixed seed, so that the TCP run can be checked against the in-process
+# one. A real session passes none, and Alice draws fresh key material.
 seed = bytes.fromhex("44" * 32)
 params = ProtocolParams.from_dimensions(k=8, m=64)
 
@@ -42,4 +44,4 @@ print("\nthe equivalent three-terminal deployment:")
 print("  modhash serve --role charlie --listen 0.0.0.0:7000")
 print("  modhash serve --role bob --listen 0.0.0.0:7001 --x2 bob.txt --charlie HOST:7000")
 print("  modhash run --kind full-key --transport tcp --role alice \\")
-print("      --x1 alice.txt --bob HOST:7001 --charlie HOST:7000 --k 8 --m 64 --seed S")
+print("      --x1 alice.txt --bob HOST:7001 --charlie HOST:7000 --k 8 --m 64")

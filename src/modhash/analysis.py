@@ -238,6 +238,8 @@ def plan_parameters(threshold: float, epsilon: float, beta: int) -> ProtocolPara
     then derive (k, M) and a default obfuscation padding of 10 M."""
     epsilon = _check_real(epsilon, "epsilon")
     half = epsilon / 2.0
+    if half == 0:
+        raise InvalidParameter(f"epsilon={epsilon!r} is too small to split: half of it rounds to 0")
     k = plan_k(threshold, half)
     m = plan_m(k, half, beta)
     return ProtocolParams(

@@ -6,9 +6,10 @@ Every command is deterministic given --seed, so a fixed seed is a tool for
 reproducing a run: run's seed fixes the session's key, pads, permutation
 and id. Two obfuscated sessions with one seed and one x2 let Charlie recover
 the true mean over the slots that changed (he read 0.488, 2.596 and 7.140
-against 0.493, 2.529 and 6.982 at the planned point), so each real session
-needs its own secret seed. The default third-party address can be set
-through the MODHASH_CHARLIE_ADDR environment variable.
+against 0.493, 2.529 and 6.982 at the planned point), so run without --seed
+draws fresh key material for its session; keygen, sweep and uniformity
+require a seed. The default third-party address can be set through the
+MODHASH_CHARLIE_ADDR environment variable.
 """
 
 import argparse
@@ -204,7 +205,7 @@ def _run_tcp_alice(args, kind, x1, params, seed):
 
 def _cmd_run(args) -> int:
     params = _params_from_args(args)
-    seed = _parse_seed(args.seed)
+    seed = None if args.seed is None else _parse_seed(args.seed)
     if args.transport == "local" and args.role is not None:
         raise ValueError("--role only applies to --transport tcp")
     if args.role is None and not args.x2:
@@ -339,8 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=sorted(_KINDS), required=True)
     p.add_argument("--x1", required=True, help="vector file, one decimal per line")
     p.add_argument("--x2", help="vector file (orchestrating modes)")
-    p.add_argument("--seed", required=True,
-                   help="fixes the session's key, pads, permutation and id: reuse one only to reproduce a run")
+    p.add_argument("--seed", help="fixes the session's key, pads, permutation and id, to reproduce a run "
+                                  "(default: fresh random key material)")
     p.add_argument("--threshold", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--beta", type=int, default=10)

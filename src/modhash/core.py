@@ -110,8 +110,8 @@ class HashKey(_ValueEq):
 
     A is M x N (one row per hash component), entries finite; every dither
     entry lies in [0, k). Instances are immutable and safe to share across
-    threads. This constructor, which copies A and U, or the wire decoder's
-    identical checks of a key share are the only checks of key material.
+    threads. This constructor, which copies A and U, is the only check of
+    key material: the wire decoder builds a key share's key through it too.
     """
 
     k: int
@@ -155,7 +155,7 @@ class HashVector(_ValueEq):
         comps = _frozen_array(self.components, np.int64)
         if comps.ndim != 1 or comps.shape[0] < 1:
             raise InvalidInput("components must be a non-empty 1-D sequence")
-        if (comps < 0).any() or (comps >= self.k).any():
+        if comps.min() < 0 or comps.max() >= self.k:
             raise InvalidInput("every component must lie in Z_k")
         object.__setattr__(self, "components", comps)
 
@@ -179,9 +179,7 @@ class Permutation(_ValueEq):
         mapping = _frozen_array(self.mapping, np.int64)
         if mapping.shape != (self.size,):
             raise InvalidParameter("mapping length must equal size")
-        if (mapping < 0).any() or (mapping >= self.size).any() or (
-            np.bincount(mapping, minlength=self.size) != 1
-        ).any():
+        if mapping.min() < 0 or mapping.max() >= self.size or (np.bincount(mapping, minlength=self.size) != 1).any():
             raise InvalidParameter("mapping must be a bijection on {0..size-1}")
         object.__setattr__(self, "mapping", mapping)
 

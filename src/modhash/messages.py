@@ -31,17 +31,19 @@ class ProtocolKind(IntEnum):
     @property
     def parties(self) -> tuple[Role, ...]:
         """The roles that take part in a session of this kind."""
-        return tuple(Role) if self in THREE_PARTY_KINDS else (Role.ALICE, Role.BOB)
+        return _PARTIES[self]
 
 
 THREE_PARTY_KINDS = frozenset({ProtocolKind.FULL_KEY_3P, ProtocolKind.OBFUSCATED_3P})
+_PARTIES = {kind: tuple(Role) if kind in THREE_PARTY_KINDS else (Role.ALICE, Role.BOB) for kind in ProtocolKind}
 
 
 @dataclass(frozen=True, eq=False)
 class KeyShare(_ValueEq):
     """Key material Alice sends Bob over the confidential channel: her
     HashKey, already checked when it was built, and, for the obfuscated kind
-    only, `permutation` and `pad1`/`pad2`. Anything but a HashKey is refused.
+    only, `permutation` and `pad1`/`pad2`. Anything but a HashKey is refused,
+    and so are pads that are not both set, of one length, over the key's k.
     """
 
     key: HashKey
@@ -52,6 +54,10 @@ class KeyShare(_ValueEq):
     def __post_init__(self):
         if not isinstance(self.key, HashKey):
             raise InvalidParameter(f"a key share holds a HashKey, not {type(self.key).__name__}")
+        if (self.pad1 is None) != (self.pad2 is None):
+            raise InvalidParameter("a key share carries both pads or neither")
+        if self.pad1 is not None and not (self.pad1.m == self.pad2.m and self.pad1.k == self.pad2.k == self.key.k):
+            raise InvalidParameter(f"the pads must have one length, over the key's alphabet Z_{self.key.k}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +74,10 @@ class DistanceResult:
 
     mean_lee: Fraction
     count: int
+
+    def __post_init__(self):
+        if self.count < 1 or self.mean_lee < 0:
+            raise InvalidParameter(f"mean {self.mean_lee} over {self.count}: a mean is >= 0 over a count >= 1")
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,3 @@ class Envelope:
     sender: Role
     body: MessageBody
     recipient: Role | None = field(default=None, compare=False)
-
-    def addressed_to(self, recipient: Role) -> "Envelope":
-        return Envelope(self.session_id, self.kind, self.sender, self.body, recipient)

@@ -42,6 +42,7 @@ permutation, or a plaintext vector, for any protocol kind. Confidential
 delivery of key shares is assumed from the environment, not implemented here.
 """
 
+import secrets
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -240,7 +241,7 @@ class Session:
         if key.delta != DEFAULT_DELTA:
             raise InvalidParameter(f"key share delta={key.delta!r}, but estimates assume {DEFAULT_DELTA!r}")
         if self.kind in _PADDED_KINDS:
-            if ks.pad1 is None or ks.pad2 is None:
+            if ks.pad1 is None:  # a KeyShare holds both pads or neither
                 raise ProtocolViolation(f"{self.kind.name} key share must carry both pads")
             if ks.permutation is None or ks.permutation.size != key.m + ks.pad1.m:
                 raise ProtocolViolation(f"{self.kind.name} key share must carry a permutation of M+P slots")
@@ -315,9 +316,10 @@ def start_session(
 ) -> tuple[Session, list[Envelope]]:
     """Create one role's session and return it with its initial envelopes.
 
-    Alice needs her vector and a seed to derive all key material from; Bob
-    needs his vector (the key share tells him the rest); Charlie holds
-    nothing and passively awaits both hash submissions.
+    Alice needs her vector; her key material and the session id derive from
+    seed, or from fresh random bytes without one: pass a seed only to
+    reproduce a run. Bob needs his vector (the key share tells him the
+    rest); Charlie holds nothing and passively awaits both hash submissions.
     """
     role = Role(role)
     kind = ProtocolKind(kind)
@@ -325,6 +327,8 @@ def start_session(
         raise InvalidParameter(f"{role.name} takes no part in the {kind.name} protocol")
     if role == Role.CHARLIE and x is not None:
         raise ProtocolViolation("the third party must not hold an input vector")
+    if role == Role.ALICE and seed is None:
+        seed = secrets.token_bytes(32)
     if session_id is None:
         if seed is None:
             raise InvalidParameter("either a session id or a seed is required")
@@ -350,8 +354,6 @@ def start_session(
     # under it exactly as Bob will.
     if params is None:
         raise InvalidParameter("Alice requires agreed protocol parameters")
-    if seed is None:
-        raise InvalidParameter("Alice requires a seed to derive her key material from")
     padded = kind in _PADDED_KINDS
     if padded and params.padding < 1:
         raise InvalidParameter(f"the {kind.name} protocol requires padding >= 1")
@@ -398,7 +400,7 @@ def drive_local(
     x1,
     x2,
     params: ProtocolParams,
-    seed: bytes,
+    seed: bytes | None = None,
     *,
     mode: EstimateMode = EstimateMode.RAW,
 ) -> LocalRun:
@@ -408,7 +410,8 @@ def drive_local(
     Each hop is serialized to wire bytes (recorded in the transcript) and
     decoded at the recipient, so a local run exercises the exact bytes a
     networked run would. A session error is re-raised once the Aborts it
-    carries are recorded. Deterministic: same inputs and seed, same transcript.
+    carries are recorded. Deterministic given a seed: same inputs and seed,
+    same transcript. Without one, Alice draws fresh key material.
     """
     kind = ProtocolKind(kind)
     common = dict(params=params, mode=mode)
@@ -428,7 +431,7 @@ def drive_local(
             recipient = env.recipient
             transcript.append(TranscriptEntry(env.sender, recipient, data))
             del env  # its frame stands for it: a key share's A is freed before Bob decodes his own
-            queue.extend(sessions[recipient].on_message(wire.decode_frame(data).addressed_to(recipient)))
+            queue.extend(sessions[recipient].on_message(wire.decode_frame(data)))
     except ModHashError as exc:
         for abort_env in exc.aborts:
             transcript.append(

@@ -396,7 +396,7 @@ class _RoleServer:
         """Hand one envelope to the session, send what it answers, and take
         it out of the table once it has ended."""
         live.touched = time.monotonic()
-        for out in live.session.on_message(env.addressed_to(self.role)):
+        for out in live.session.on_message(env):
             self._send(live.routes[out.recipient], out)
         if live.session.done or live.session.aborted:
             self._end(live.session)
@@ -599,14 +599,15 @@ def run_over_tcp(
     kind: ProtocolKind,
     x1,
     params,
-    seed: bytes,
+    seed: bytes | None,
     bob_address: tuple[str, int],
     charlie_address: tuple[str, int] | None = None,
     *,
     mode: EstimateMode = EstimateMode.RAW,
     timeout: float | None = 30.0,
 ) -> RunResult:
-    """Drive one session as Alice against live Bob/Charlie endpoints.
+    """Drive one session as Alice against live Bob/Charlie endpoints, with
+    her key material from seed or, with None, fresh (as in start_session).
 
     The connections come from this thread's idle ones when they still go to
     the same addresses and their peers have neither closed them nor sent
@@ -649,7 +650,7 @@ def run_over_tcp(
                     log.warning("session %s: Abort for no open session", env.session_id.hex()[:8])
                     continue
                 received.append(frame)
-                outgoing = session.on_message(env.addressed_to(Role.ALICE))
+                outgoing = session.on_message(env)
         ended = session.done
     except ModHashError as exc:
         for env in exc.aborts:  # those of a session that Alice's own error ended

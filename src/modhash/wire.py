@@ -36,8 +36,11 @@ share's matrix is copied once, into the frame, and no other copy is made.
 The frame is returned as that bytearray.
 Decoding reads the frame through memoryviews, without slicing copies, but a
 decoded message never holds a view into the frame: every array and string
-in it is its own copy, so the frame's buffer may be reused at once. A key
-share's decoder runs HashKey's checks, then builds the share's HashKey.
+in it is its own copy, so the frame's buffer may be reused at once.
+Decoders check only what the frame format adds: field ranges, canonical
+rationals, lengths and trailing bytes. Every value is built by its own
+constructor, which checks it and makes the one native copy, and its refusal
+is re-raised as the DecodeError subclass of that field.
 """
 
 import math
@@ -47,12 +50,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import messages as msgs
-from .core import HashKey, HashVector, Permutation, _adopt
+from .core import HashKey, HashVector, Permutation
 from .errors import (
     ComponentOutOfRange,
     DecodeError,
     EncodingError,
     MalformedPayload,
+    ModHashError,
     NonBijectivePermutation,
     TruncatedFrame,
     UnknownMessageType,
@@ -110,28 +114,18 @@ def _encode_key_share(body: msgs.KeyShare) -> list:
         out.append(struct.pack(">I", 0))
     else:
         out += [struct.pack(">I", body.permutation.size), (body.permutation.mapping, ">u4")]
-    if body.pad1 is None and body.pad2 is None:
+    if body.pad1 is None:  # KeyShare holds both pads or neither, of one length
         out.append(struct.pack(">I", 0))
-    elif body.pad1 is not None and body.pad2 is not None and body.pad1.m == body.pad2.m:
-        if body.pad1.k != key.k or body.pad2.k != key.k:
-            raise EncodingError("padding alphabet disagrees with k")
-        out += [
-            struct.pack(">I", body.pad1.m),
-            (body.pad1.components, ">u2"),
-            (body.pad2.components, ">u2"),
-        ]
     else:
-        raise EncodingError("pad1 and pad2 must both be set, with equal length")
+        out += [struct.pack(">I", body.pad1.m), (body.pad1.components, ">u2"), (body.pad2.components, ">u2")]
     return out
 
 
 def _encode_distance_result(body: msgs.DistanceResult) -> list:
     frac = Fraction(body.mean_lee)
-    if frac < 0:
-        raise EncodingError("mean Lee distance cannot be negative")
     if frac.numerator >= 1 << 64 or frac.denominator >= 1 << 64:
         raise EncodingError("rational does not fit in u64/u64")
-    if not (1 <= body.count <= MAX_WIRE_COUNT):
+    if body.count > MAX_WIRE_COUNT:
         raise EncodingError("count outside u32 range")
     return [struct.pack(">QQI", frac.numerator, frac.denominator, body.count)]
 
@@ -147,8 +141,8 @@ def _encode_abort(body: msgs.Abort) -> list:
 
 class _Reader:
     """Bounds-checked cursor over a memoryview of the payload: it hands out
-    views, never copies, and every decoder copies what it keeps. A declared
-    size past the payload's end is refused before anything is allocated."""
+    views, never copies, and values' constructors copy what they keep. A
+    declared size past the payload's end is refused before any allocation."""
 
     def __init__(self, data: memoryview):
         self.data = data
@@ -165,50 +159,39 @@ class _Reader:
         """The fields of the struct format fmt at the cursor."""
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def array(self, dtype: str, *shape: int) -> np.ndarray:
+        """A view of the array of this shape and (big-endian) dtype at the cursor."""
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * math.prod(shape)), dtype).reshape(shape)
+
     def done(self):
         if self.pos != len(self.data):
             raise MalformedPayload("trailing bytes after payload")
 
 
-def _read_components(r: _Reader, k: int, count: int) -> np.ndarray:
-    comps = np.frombuffer(r.take(2 * count), dtype=">u2").astype(np.int64)
-    if count and int(comps.max()) >= k:
-        raise ComponentOutOfRange("hash component >= k")
-    return comps
+def _built(error, cls, *values):
+    """cls(*values), with the constructor's refusal re-raised as error."""
+    try:
+        return cls(*values)
+    except ModHashError as exc:
+        raise error(str(exc)) from exc
 
 
 def _decode_key_share(r: _Reader) -> msgs.KeyShare:
     (k,) = r.unpack(">I")
     _check_wire_k(k, ComponentOutOfRange)
-    (delta,) = r.unpack(">d")
-    if not (math.isfinite(delta) and delta > 0):
-        raise MalformedPayload("delta must be positive and finite")
-    n, m = r.unpack(">II")
-    if m < 1 or n < 1:
-        raise MalformedPayload("key share must have m, n >= 1")
-    (a_form,) = r.unpack(">B")
+    delta, n, m, a_form = r.unpack(">dIIB")
     if a_form != 0:
         raise MalformedPayload(f"unknown matrix form {a_form}")
-    a = np.frombuffer(r.take(8 * m * n), dtype=">f8").reshape(m, n).astype(np.float64)
-    if not np.isfinite(a).all():
-        raise MalformedPayload("matrix entries must be finite")
-    u = np.frombuffer(r.take(8 * m), dtype=">f8").astype(np.float64)
-    if not np.isfinite(u).all() or (u < 0).any() or (u >= k).any():
-        raise MalformedPayload("dither entries must lie in [0, k)")
+    key = _built(MalformedPayload, HashKey, k, delta, r.array(">f8", m, n), r.array(">f8", m))
     (perm_count,) = r.unpack(">I")
     permutation = None
     if perm_count:
-        idx = np.frombuffer(r.take(4 * perm_count), dtype=">u4").astype(np.int64)
-        if (idx >= perm_count).any() or (np.bincount(idx, minlength=perm_count) != 1).any():
-            raise NonBijectivePermutation("permutation indices are not a bijection")
-        permutation = _adopt(Permutation, size=perm_count, mapping=idx)
+        permutation = _built(NonBijectivePermutation, Permutation, perm_count, r.array(">u4", perm_count))
     (pad_count,) = r.unpack(">I")
     pad1 = pad2 = None
     if pad_count:
-        pad1 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
-        pad2 = _adopt(HashVector, k=k, components=_read_components(r, k, pad_count))
+        pad1, pad2 = (_built(ComponentOutOfRange, HashVector, k, r.array(">u2", pad_count)) for _ in range(2))
     r.done()
-    key = _adopt(HashKey, k=k, delta=delta, a=a, u=u)
     return msgs.KeyShare(key, permutation=permutation, pad1=pad1, pad2=pad2)
 
 
@@ -219,10 +202,9 @@ def _decode_distance_result(r: _Reader) -> msgs.DistanceResult:
     if math.gcd(num, den) != 1:
         raise MalformedPayload("rational not in lowest terms")
     (count,) = r.unpack(">I")
-    if count < 1:
-        raise MalformedPayload("count must be >= 1")
+    result = _built(MalformedPayload, msgs.DistanceResult, Fraction(num, den), count)
     r.done()
-    return msgs.DistanceResult(mean_lee=Fraction(num, den), count=count)
+    return result
 
 
 def _decode_abort(r: _Reader) -> msgs.Abort:
@@ -239,9 +221,7 @@ def _decode_hash_submission(r: _Reader) -> msgs.HashSubmission:
     (k,) = r.unpack(">I")
     _check_wire_k(k, ComponentOutOfRange)
     (count,) = r.unpack(">I")
-    if count < 1:
-        raise MalformedPayload("hash vector must have at least one component")
-    vector = _adopt(HashVector, k=k, components=_read_components(r, k, count))
+    vector = _built(ComponentOutOfRange, HashVector, k, r.array(">u2", count))
     r.done()
     return msgs.HashSubmission(vector=vector)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from modhash import (
     EstimateMode,
     InvalidInput,
     InvalidParameter,
+    ModHashError,
     ProtocolParams,
     bias_bound,
     estimate_distance,
@@ -20,6 +22,7 @@ from modhash import (
     plan_m,
     plan_parameters,
 )
+from modhash.wire import MAX_WIRE_COUNT, MAX_WIRE_K
 
 # Frozen reference values for the expectation series, computed two independent
 # ways by tests/oracle_reference.py (50-digit summation and quadrature of the
@@ -324,6 +327,24 @@ def test_plan_parameters_returns_a_plan_or_refuses_it(threshold, epsilon, beta):
         return
     assert isinstance(params, ProtocolParams)
     assert 2 <= params.k <= 65534 and params.m + params.padding <= 2**32 - 1
+
+
+_FINITE_POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@settings(max_examples=500, deadline=None)
+@given(threshold=_FINITE_POSITIVE, epsilon=_FINITE_POSITIVE, beta=st.integers(-3, 200))
+@example(threshold=5.0, epsilon=5e-324, beta=10)  # half of epsilon rounds to 0
+@example(threshold=sys.float_info.max, epsilon=sys.float_info.max, beta=200)
+def test_plan_parameters_stays_in_the_stated_domain(threshold, epsilon, beta):
+    # the domain ROADMAP item 13 states: every finite positive (T, epsilon)
+    # and any beta either plans a session the wire carries or is refused
+    try:
+        params = plan_parameters(threshold, epsilon, beta)
+    except ModHashError:
+        return
+    assert params.k % 2 == 0 and 2 <= params.k <= MAX_WIRE_K
+    assert params.m + params.padding <= MAX_WIRE_COUNT
 
 
 def test_the_planner_refuses_what_the_wire_cannot_carry():

@@ -45,6 +45,25 @@ def test_plan_rejects_zero_epsilon(capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_plan_names_an_epsilon_too_small_to_split(capsys):
+    # half of 5e-324 rounds to 0, which the planner once named as epsilon_bias
+    assert main(["plan", "--threshold", "5", "--epsilon", "5e-324"]) == 2
+    assert capsys.readouterr().err == "InvalidParameter: epsilon=5e-324 is too small to split: half of it rounds to 0\n"
+
+
+def test_plan_exits_0_or_2_for_any_flags(capsys):
+    reals = ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "1", "5", "1e6", "1.7e308"]
+    exits = {}
+    for threshold in reals:
+        for epsilon in reals:
+            for beta in ["-3", "0", "1", "10", "200"]:
+                code = main(["plan", f"--threshold={threshold}", f"--epsilon={epsilon}", f"--beta={beta}"])
+                out, err = capsys.readouterr()
+                assert code in (0, 2) and "Traceback" not in err, (threshold, epsilon, beta, err)
+                exits[code] = exits.get(code, 0) + 1
+    assert exits[0] and exits[2]
+
+
 def test_plan_missing_flags_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["plan", "--threshold", "10"])
@@ -142,6 +161,15 @@ def test_run_obfuscated_prints_charlie_view(capsys, vectors):
     assert "charlie_observed" in fields
     num, den = fields["charlie_observed"].split("/")
     assert abs(int(num) / int(den) - 2.0) < 0.75  # near the k/4 plateau
+    assert fields["alice_estimate"] == fields["bob_estimate"]
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp"])
+def test_run_without_a_seed_runs_on_fresh_key_material(capsys, vectors, transport):
+    argv = ["run", "--kind", "obfuscated", "--x1", vectors[0], "--x2", vectors[1], "--k", "8", "--m", "32",
+            "--transport", transport]
+    code, fields = _run(capsys, *argv)
+    assert code == 0
     assert fields["alice_estimate"] == fields["bob_estimate"]
 
 

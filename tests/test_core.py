@@ -40,7 +40,7 @@ from modhash import (
 )
 from modhash import core
 from modhash.core import DEFAULT_DELTA, _hashes_under_fresh_keys
-from modhash.messages import KeyShare
+from modhash.messages import KeyShare, ProtocolKind
 from modhash.rng import KEY_BLOCK, ChaChaStream, normals_into
 from modhash.simulate import SweepSpec, run_sweep, uniformity_report
 
@@ -632,6 +632,23 @@ def test_only_the_kind_says_which_roles_take_part():
         for use in _kind_name_uses(ast.parse(path.read_text(), str(path)))
     }
     assert found == {"cli.py:_KINDS TWO_PARTY_HAMMING"}
+
+
+def test_a_kind_names_its_parties_once():
+    assert all(kind.parties is kind.parties for kind in ProtocolKind)
+
+
+# _adopt builds a value without its constructor's checks, from arrays that
+# core has just made: every other module, the wire decoder included, builds
+# values through their constructors.
+def test_only_core_builds_values_without_their_checks():
+    found = {
+        path.name
+        for path in sorted(pathlib.Path(modhash.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "_adopt" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    }
+    assert found == {"core.py"}
 
 
 # ------------------------------------------------------------------ lee metric

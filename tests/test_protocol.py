@@ -235,7 +235,7 @@ def test_two_party_response_past_the_diameter_aborts():
     kind = ProtocolKind.TWO_PARTY_HAMMING
     alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
     bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
-    (submission,) = bob.on_message(outgoing[0].addressed_to(Role.BOB))
+    (submission,) = bob.on_message(outgoing[0])
     assert isinstance(submission.body, HashSubmission) and submission.recipient == Role.ALICE
     assert bob.phase == Phase.AWAIT_RESULT
     lie = Envelope(alice.session_id, kind, Role.ALICE, DistanceResult(Fraction(9, 2), PARAMS.m), Role.BOB)
@@ -258,7 +258,7 @@ def test_bob_takes_a_result_only_from_the_averaging_party(kind, sender):
     x1, x2 = _vectors()
     alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
     bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
-    bob.on_message(outgoing[0].addressed_to(Role.BOB))
+    bob.on_message(outgoing[0])
     assert bob.phase == Phase.AWAIT_RESULT
     count = PARAMS.m + (PARAMS.padding if kind == ProtocolKind.OBFUSCATED_3P else 0)
     result = Envelope(alice.session_id, kind, sender, DistanceResult(Fraction(1, 2), count), Role.BOB)
@@ -289,7 +289,7 @@ def test_every_reachable_state_is_total(kind):
     # error after which the session is ABORTED.
     x1, x2 = _vectors()
     run = drive_local(kind, x1, x2, PARAMS, SEED)
-    inbound = [(t.recipient, decode_frame(t.data).addressed_to(t.recipient)) for t in run.transcript]
+    inbound = [(t.recipient, decode_frame(t.data)) for t in run.transcript]
     session_id = inbound[0][1].session_id
     bodies = [env.body for _, env in inbound] + [Abort(reason="probe")]
     roles = [Role.ALICE, Role.BOB] + ([Role.CHARLIE] if kind in THREE_PARTY_KINDS else [])
@@ -417,6 +417,20 @@ def test_charlie_traffic_never_contains_secrets():
         for needle in secrets:
             assert needle not in blob
             assert needle[::-1] not in blob  # either endianness
+
+
+def test_sessions_without_a_seed_share_no_key_material():
+    # A seed fixes a session's id, key, pads and permutation; without one,
+    # Alice draws fresh ones, so two such sessions have none in common.
+    x1, x2 = _vectors()
+    runs = [drive_local(ProtocolKind.OBFUSCATED_3P, x1, x2, PARAMS) for _ in range(2)]
+    first, second = (decode_frame(run.transcript[0].data) for run in runs)
+    assert first.session_id != second.session_id
+    one, other = first.body, second.body
+    assert not np.array_equal(one.key.a, other.key.a) and not np.array_equal(one.key.u, other.key.u)
+    assert one.pad1 != other.pad1 and one.pad2 != other.pad2
+    assert one.permutation != other.permutation
+    assert all(run.alice_estimate == run.bob_estimate for run in runs)
 
 
 @pytest.mark.parametrize(
@@ -558,7 +572,7 @@ def test_owners_keep_nothing_they_sent_or_received_once_they_have_hashed(kind):
     x1, x2 = _vectors()
     alice, outgoing = start_session(Role.ALICE, kind, PARAMS, x=x1, seed=SEED)
     bob, _ = start_session(Role.BOB, kind, PARAMS, x=x2, session_id=alice.session_id)
-    share = decode_frame(wire.encode_envelope(outgoing[0])).addressed_to(Role.BOB)
+    share = decode_frame(wire.encode_envelope(outgoing[0]))
     held = [weakref.ref(a) for env in outgoing for a in _arrays(env)]
     del outgoing
     answers = bob.on_message(share)
@@ -663,7 +677,7 @@ def test_bob_hashes_with_the_key_the_share_holds(monkeypatch, kind, through_wire
     hash_vector, post_init = protocol.hash_vector, HashKey.__post_init__
     monkeypatch.setattr(protocol, "hash_vector", lambda key, x: keys.append(key) or hash_vector(key, x))
     monkeypatch.setattr(HashKey, "__post_init__", lambda key: checks.append(key) or post_init(key))
-    bob.on_message(share.addressed_to(Role.BOB))
+    bob.on_message(share)
     assert len(keys) == 1 and keys[0] is share.body.key
     assert not keys[0].a.flags.writeable and not keys[0].u.flags.writeable
     assert checks == []

@@ -201,8 +201,8 @@ def test_a_key_share_refuses_the_retired_digest_form():
 
 
 def test_a_key_share_decoder_refuses_every_key_hash_key_refuses():
-    # The decoder builds the share's HashKey without its constructor, so it
-    # must run the same checks of k, delta, A and U itself.
+    # The decoder builds the share's HashKey through its constructor, so
+    # every key the constructor refuses is refused from the wire too.
     key = generate_key(8, 6, 4, SEED)
     frame = encode_envelope(_env(KeyShare(key)))
     a_at = 21  # payload offset of A, after k, delta, n, m and a_form
@@ -310,17 +310,10 @@ def test_encode_rejects_oversized_values():
 
 
 def _refused_bodies():
-    key, perm = generate_key(8, 6, 4, SEED), Permutation.identity(9)
-    pad, other_k, shorter = HashVector(8, [3, 1, 7]), HashVector(6, [0, 5, 2]), HashVector(8, [0, 5])
     u64 = "does not fit in u64/u64"
     return [
-        pytest.param("alphabet disagrees", KeyShare(key, perm, pad, other_k), id="pad-k"),
-        pytest.param("must both be set", KeyShare(key, perm, pad), id="one-pad"),
-        pytest.param("must both be set", KeyShare(key, perm, pad, shorter), id="pad-lengths"),
-        pytest.param("cannot be negative", DistanceResult(Fraction(-1, 2), 6), id="negative-mean"),
         pytest.param(u64, DistanceResult(Fraction(1 << 64), 6), id="numerator"),
         pytest.param(u64, DistanceResult(Fraction(1, 1 << 64), 6), id="denominator"),
-        pytest.param("count outside u32 range", DistanceResult(Fraction(0), 0), id="zero-count"),
         pytest.param("count outside u32 range", DistanceResult(Fraction(0), 1 << 32), id="u32-count"),
         pytest.param("abort reason too long", Abort("x" * (1 << 16)), id="long-reason"),
     ]
@@ -328,10 +321,30 @@ def _refused_bodies():
 
 @pytest.mark.parametrize("message, body", _refused_bodies())
 def test_encoder_refuses_what_the_wire_cannot_carry(message, body):
-    # DistanceResult and Abort check nothing when built, so the encoder is
-    # the only place these are refused
+    # each body is a valid value, but a field of it exceeds its wire range
     with pytest.raises(EncodingError, match=message):
         encode_envelope(_env(body, kind=ProtocolKind.OBFUSCATED_3P))
+
+
+def _invalid_bodies():
+    key, perm = generate_key(8, 6, 4, SEED), Permutation.identity(9)
+    pad, other_k, shorter = HashVector(8, [3, 1, 7]), HashVector(6, [0, 5, 2]), HashVector(8, [0, 5])
+    one_length = "the pads must have one length, over the key's alphabet Z_8"
+    return [
+        pytest.param(one_length, lambda: KeyShare(key, perm, pad, other_k), id="pad-k"),
+        pytest.param("both pads or neither", lambda: KeyShare(key, perm, pad), id="one-pad"),
+        pytest.param(one_length, lambda: KeyShare(key, perm, pad, shorter), id="pad-lengths"),
+        pytest.param("^mean -1/2 over 6: ", lambda: DistanceResult(Fraction(-1, 2), 6), id="negative-mean"),
+        pytest.param("^mean 0 over 0: ", lambda: DistanceResult(Fraction(0), 0), id="zero-count"),
+    ]
+
+
+@pytest.mark.parametrize("message, build", _invalid_bodies())
+def test_a_body_refuses_what_its_type_forbids(message, build):
+    # each type states its own rules, so a body that breaks one is refused
+    # when it is built and is never encoded, sent or decoded
+    with pytest.raises(InvalidParameter, match=message):
+        build()
 
 
 @pytest.mark.parametrize("m, n, p", [(1, 1, 0), (6, 4, 0), (1, 1, 1), (6, 4, 3), (50, 16, 500)])
